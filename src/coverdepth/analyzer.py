@@ -1,16 +1,13 @@
 """Analysis orchestration: one graph in, one report out, plus the batch runner.
 
-The stability index is resolved by the cheapest trustworthy source first:
-closed forms for structural paths and cycles, then the perfect-matching
-certificate, then the homology oracle, then the class equalities (forests;
-fully matched graphs without pentagons) when the oracle refuses on budget.
-Every report records which source produced the number.
+The stability index comes from ``depth.stability_index``, whose docstring
+gives the order in which the sources are tried.  Every report records which
+source produced the number.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -18,23 +15,17 @@ from typing import Optional
 from . import cache as cache_mod
 from .altpaths import min_alt_path_length, profile as alt_profile
 from .depth import (
-    CROSS_CHECK_ESTIMATE_LIMIT,
     DEFAULT_BUDGET,
     HARD_VERTEX_LIMIT,
     BudgetRefusal,
-    CertificateInapplicableError,
-    DepthEngineError,
     depth_profile,
-    oracle_cost_estimate,
     reg_edge_ideal,
-    stability_certificate,
-    stability_index_oracle,
+    stability_index,
 )
 from .families import FamilyInstance, parse_family_spec
 from .graphs import Graph, has_cycle_of_length, is_bipartite, is_forest
 from .linalg import FieldSpec, Rationals
 from .matchings import (
-    has_perfect_ordered_matching,
     induced_matching_number,
     matching_number,
     max_ordered_pair_sets,
@@ -43,7 +34,6 @@ from .matchings import (
     _ordered_matchings_of_pair_set,
 )
 
-MODES = ("auto", "oracle", "certificate", "combinatorial")
 WALK_VERTEX_LIMIT = 10
 
 CORPUS_NOTES = {
@@ -107,95 +97,27 @@ class AnalysisReport:
         return out
 
 
-def _structural_path_or_cycle(G: Graph) -> Optional[str]:
-    from .graphs import connected_components
-
-    r = G.vertex_count
-    if len(connected_components(G)) != 1:
-        return None
-    degrees = sorted(G.degree(v) for v in G.vertices())
-    if len(G.edges) == r - 1 and (r == 2 and degrees == [1, 1] or degrees[:2] == [1, 1] and all(d == 2 for d in degrees[2:])):
-        return "path"
-    if len(G.edges) == r and all(d == 2 for d in degrees):
-        return "cycle"
-    return None
-
-
-def path_stability_closed_form(r: int) -> int:
-    if r % 2 == 0:
-        return r // 2
-    return -((r - 1) // -4)  # ceil((r-1)/4)
-
-
-def cycle_stability_closed_form(r: int) -> int:
-    if r % 2 == 1:
-        return 1 if r == 5 else (r - 1) // 2
-    return 1 if r == 8 else -((r - 2) // -4)  # ceil((r-2)/4)
-
-
-def _resolve_stability(G: Graph, field: FieldSpec, opts: AnalyzeOptions,
-                       flags: dict, bound: int) -> tuple[Optional[int], str, Optional[dict]]:
-    if opts.mode in ("auto", "combinatorial"):
-        shape = _structural_path_or_cycle(G)
-        if shape == "path":
-            return path_stability_closed_form(G.vertex_count), "closed-form", None
-        if shape == "cycle":
-            return cycle_stability_closed_form(G.vertex_count), "closed-form", None
-
-    witness: Optional[dict] = None
-    if opts.mode in ("auto", "certificate", "combinatorial") and flags["perfect_ordered_matching"]:
-        try:
-            out = stability_certificate(G)
-        except CertificateInapplicableError:
-            out = None
-        if out is not None:
-            witness = out.to_json()
-            if opts.mode == "auto":
-                est = oracle_cost_estimate(G.vertex_count, out.value)
-                if est <= CROSS_CHECK_ESTIMATE_LIMIT and G.vertex_count < HARD_VERTEX_LIMIT:
-                    oracle_value = stability_index_oracle(G, field, budget=opts.budget, force=opts.force)
-                    if oracle_value != out.value:
-                        raise DepthEngineError(
-                            f"certificate {out.value} != oracle {oracle_value}"
-                        )
-                    return out.value, "certificate+oracle", witness
-            return out.value, "certificate", witness
-    if opts.mode == "certificate":
-        # demanded certificate but it does not apply
-        raise CertificateInapplicableError("certificate mode requires a perfect ordered matching")
-    if opts.mode in ("auto", "oracle"):
-        try:
-            return stability_index_oracle(G, field, budget=opts.budget, force=opts.force), "oracle", None
-        except BudgetRefusal:
-            if opts.mode == "oracle":
-                raise
-    if flags["forest"] or flags["pentagon_free_fully_ordered"]:
-        return bound, "equality-class", None
-    return None, "not computed (budget)", None
-
-
 def analyze(G: Graph, field: FieldSpec = Rationals(),
             options: Optional[AnalyzeOptions] = None, *,
             name: str = "", seed: Optional[int] = None) -> AnalysisReport:
     """Full report: matching invariants, path statistics, class flags, the
     stability index with its provenance, and the per-theorem check list."""
     opts = options or AnalyzeOptions()
-    if opts.mode not in MODES:
-        raise ValueError(f"unknown mode {opts.mode!r} (choose from {MODES})")
     if G.is_edgeless:
         raise ValueError("analysis needs at least one edge")
+    res = stability_index(G, field, opts.mode, budget=opts.budget, force=opts.force)
+    stab, method = res.value, res.method
 
     nu = matching_number(G)
     nu_prime = induced_matching_number(G)
     nu0 = ordered_matching_number(G)
     ell = min_alt_path_length(G)
     bound = (ell + 1) // 2
-    pom = has_perfect_ordered_matching(G)
     bip = is_bipartite(G)
     flags = {
         "bipartite": bip is not None,
         "forest": is_forest(G),
-        "perfect_ordered_matching": pom is not None,
+        "perfect_ordered_matching": 2 * nu0 == G.vertex_count,
         "pentagon_free_fully_ordered": nu == nu0 and not has_cycle_of_length(G, 5),
         "cameron_walker": nu_prime == nu,
     }
@@ -212,8 +134,6 @@ def analyze(G: Graph, field: FieldSpec = Rationals(),
         if best_set is not None:
             walk_len = alt_profile(G, best_set, with_walk=True).walk_length
 
-    stab, method, witness = _resolve_stability(G, field, opts, flags, bound)
-
     profile_json: Optional[dict] = None
     limit = G.vertex_count - nu0 - 1
     if opts.with_profile and opts.mode in ("auto", "oracle"):
@@ -228,13 +148,13 @@ def analyze(G: Graph, field: FieldSpec = Rationals(),
     equality = "unknown" if stab is None else ("attained" if stab == bound else "strict")
     equality_source = method if stab is not None else "none"
 
-    checks = _theorem_checks(G, field, opts, flags, nu, nu0, ell, bound, stab, profile_json, limit, pom)
+    checks = _theorem_checks(G, field, opts, flags, nu, nu0, ell, bound, stab, profile_json, limit)
     notes = []
     key = name.strip().upper()
     if key in CORPUS_NOTES:
         notes.append(CORPUS_NOTES[key])
-    if witness is not None:
-        notes.append(f"certificate witness: {json.dumps(witness, sort_keys=True)}")
+    if res.witness is not None:
+        notes.append(f"certificate witness: {json.dumps(res.witness.to_json(), sort_keys=True)}")
 
     return AnalysisReport(
         name=name or "graph",
@@ -260,7 +180,7 @@ def analyze(G: Graph, field: FieldSpec = Rationals(),
 
 
 def _theorem_checks(G, field, opts, flags, nu, nu0, ell, bound, stab,
-                    profile_json, limit, pom) -> list[TheoremCheck]:
+                    profile_json, limit) -> list[TheoremCheck]:
     checks: list[TheoremCheck] = []
 
     def add(name: str, ok: Optional[bool], detail: str = "") -> None:
@@ -274,7 +194,7 @@ def _theorem_checks(G, field, opts, flags, nu, nu0, ell, bound, stab,
         "class flags force equality" if class_flag else "no equality class applies")
     bip_bound = 2 * nu0 - 1 if flags["bipartite"] else 4 * nu0 - 3
     add("path-length-upper", ell <= bip_bound, f"{ell} <= {bip_bound}")
-    add("unique-perfect-matching", len(perfect_matchings(G)) == 1 if pom is not None else None,
+    add("unique-perfect-matching", len(perfect_matchings(G)) == 1 if flags["perfect_ordered_matching"] else None,
         "graphs with a perfect ordered matching have one perfect matching")
     if opts.mode in ("auto", "oracle") and G.vertex_count < HARD_VERTEX_LIMIT and not G.is_edgeless:
         try:
@@ -296,20 +216,21 @@ def _theorem_checks(G, field, opts, flags, nu, nu0, ell, bound, stab,
 # -- batch runner ------------------------------------------------------------
 
 def _cache_key(inst: FamilyInstance, field: FieldSpec, opts: AnalyzeOptions) -> dict:
+    """Everything the report depends on except the instance's name and seed,
+    so a graph repeated under another name still hits."""
+    options = asdict(opts)
+    del options["use_cache"]
     return {
         "op": "analyze",
         "graph": inst.graph.to_json(),
         "field": field.label,
-        "mode": opts.mode,
-        "budget": opts.budget,
-        "profile": opts.with_profile,
-        "version": 1,
+        "options": options,
+        "version": 2,
     }
 
 
 def batch(family_spec: str, out_path: str | Path, field: FieldSpec = Rationals(),
-          options: Optional[AnalyzeOptions] = None, *, seed: int = 0,
-          threads: Optional[int] = None) -> int:
+          options: Optional[AnalyzeOptions] = None, *, seed: int = 0) -> int:
     """Analyze a family and stream one JSON report per line; resumable via the
     cache.  Returns the number of instances written."""
     opts = options or AnalyzeOptions()
@@ -317,25 +238,20 @@ def batch(family_spec: str, out_path: str | Path, field: FieldSpec = Rationals()
     out_file = Path(out_path)
     if out_file.parent and not out_file.parent.exists():
         out_file.parent.mkdir(parents=True, exist_ok=True)
-    workers = cache_mod.thread_count(threads)
 
     def run_one(inst: FamilyInstance) -> dict:
         key = _cache_key(inst, field, opts)
         if opts.use_cache:
             hit = cache_mod.get(key)
             if hit is not None:
-                return hit
+                return {**hit, "name": inst.name, "seed": inst.seed}
         report = analyze(inst.graph, field, opts, name=inst.name, seed=inst.seed).to_json()
         if opts.use_cache:
             cache_mod.put(key, report)
         return report
 
-    if workers == 1:
-        results = [run_one(inst) for inst in instances]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, instances))
-    with out_file.open("w", encoding="utf-8") as handle:  # single writer
+    results = [run_one(inst) for inst in instances]
+    with out_file.open("w", encoding="utf-8") as handle:
         for payload in results:
             handle.write(json.dumps(payload, sort_keys=True) + "\n")
     return len(results)

@@ -15,19 +15,11 @@ from pathlib import Path
 from typing import Any, Optional
 
 CACHE_ENV = "COVERDEPTH_CACHE"
-THREADS_ENV = "COVERDEPTH_THREADS"
 DEFAULT_CACHE_DIR = ".coverdepth-cache"
 
 
 def cache_dir() -> Path:
     return Path(os.environ.get(CACHE_ENV, DEFAULT_CACHE_DIR))
-
-
-def thread_count(cli_value: Optional[int] = None) -> int:
-    if cli_value is not None:
-        return max(1, cli_value)
-    env = os.environ.get(THREADS_ENV)
-    return max(1, int(env)) if env else 1
 
 
 def key_hash(key_obj: Any) -> str:

@@ -11,9 +11,9 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .analyzer import MODES, AnalyzeOptions, analyze, batch
-from .cache import CACHE_ENV, THREADS_ENV
-from .depth import DEFAULT_BUDGET, BudgetRefusal
+from .analyzer import AnalyzeOptions, analyze, batch
+from .cache import CACHE_ENV
+from .depth import DEFAULT_BUDGET, MODES, BudgetRefusal
 from .graphs import GraphError, builtin_graph, parse_graph
 from .linalg import parse_field
 
@@ -37,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coverdepth",
         description="Stability index of symbolic depth functions of graph cover ideals",
-        epilog=f"Environment: {THREADS_ENV} sets the worker count, {CACHE_ENV} the cache directory.",
+        epilog=f"Environment: {CACHE_ENV} sets the cache directory.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -62,7 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     ba.add_argument("--mode", default="auto", choices=MODES)
     ba.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     ba.add_argument("--seed", type=int, default=0)
-    ba.add_argument("--threads", type=int, default=None)
     ba.add_argument("--no-cache", action="store_true")
     return parser
 
@@ -94,8 +93,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "batch":
             opts = AnalyzeOptions(mode=args.mode, budget=args.budget,
                                   use_cache=not args.no_cache)
-            count = batch(args.family, args.out, parse_field(args.field), opts,
-                          seed=args.seed, threads=args.threads)
+            count = batch(args.family, args.out, parse_field(args.field), opts, seed=args.seed)
             print(f"wrote {count} reports to {args.out}")
             return EXIT_OK
     except BudgetRefusal as exc:

@@ -1,6 +1,9 @@
 """Ground-truth algebra for cover ideals: depth of symbolic powers through
 the graded local-cohomology criterion, edge-ideal regularity through link
 homology, stability indices, and the fast perfect-matching certificate.
+``stability_index`` is the one policy that picks among closed forms, the
+certificate, the oracle and the class equalities; its docstring gives the
+order.
 
 Oracle layout.  depth R/J^(n) is the least i with a nonvanishing graded
 piece of the i-th local cohomology.  Gradings split into a negative support
@@ -30,13 +33,13 @@ import numpy as np
 from .altpaths import alt_path_length, stability_bound
 from .complexes import nonzero_degrees, reduced_homology
 from .degree import _independence_complex, independence_complex
-from .graphs import Graph, GraphError
+from .graphs import Graph, GraphError, connected_components, has_cycle_of_length, is_forest
 from .linalg import FieldSpec, Rationals
 from .matchings import (
     OrderedMatching,
     has_perfect_ordered_matching,
+    matching_number,
     ordered_matching_number,
-    perfect_matchings,
 )
 
 DEFAULT_BUDGET = 1_000_000_000
@@ -343,10 +346,10 @@ def stability_certificate(G: Graph) -> CertificateOutcome:
     least feasible n is the index itself; the search is capped by the
     alternating-path bound, which is always feasible.
     """
-    if not perfect_matchings(G):
-        raise CertificateInapplicableError("graph has no perfect matching")
     om = has_perfect_ordered_matching(G)
     if om is None:
+        if 2 * matching_number(G) != G.vertex_count:
+            raise CertificateInapplicableError("graph has no perfect matching")
         raise CertificateInapplicableError(
             "graph has a perfect matching but no perfect ordered matching; "
             "the exponent search would never become feasible"
@@ -362,55 +365,99 @@ def stability_certificate(G: Graph) -> CertificateOutcome:
     )
 
 
+# -- resolution policy ------------------------------------------------------
+
+def _structural_path_or_cycle(G: Graph) -> Optional[str]:
+    r = G.vertex_count
+    if len(connected_components(G)) != 1:
+        return None
+    degrees = sorted(G.degree(v) for v in G.vertices())
+    if len(G.edges) == r - 1 and (r == 2 and degrees == [1, 1] or degrees[:2] == [1, 1] and all(d == 2 for d in degrees[2:])):
+        return "path"
+    if len(G.edges) == r and all(d == 2 for d in degrees):
+        return "cycle"
+    return None
+
+
+def path_stability_closed_form(r: int) -> int:
+    if r % 2 == 0:
+        return r // 2
+    return -((r - 1) // -4)  # ceil((r-1)/4)
+
+
+def cycle_stability_closed_form(r: int) -> int:
+    if r % 2 == 1:
+        return 1 if r == 5 else (r - 1) // 2
+    return 1 if r == 8 else -((r - 2) // -4)  # ceil((r-2)/4)
+
+
+MODES = ("auto", "oracle", "certificate", "combinatorial")
+
+
 @dataclass
 class StabilityResult:
-    value: int
+    value: Optional[int]
     method: str
-    cross_checked: bool = False
-    witness: Optional[dict[int, int]] = None
+    witness: Optional[CertificateOutcome] = None
 
 
 def stability_index(G: Graph, field: FieldSpec = Rationals(), mode: str = "auto", *,
                     budget: int = DEFAULT_BUDGET, force: bool = False) -> StabilityResult:
-    """Stability index of the symbolic depth function.
+    """Stability index of the symbolic depth function, from the cheapest
+    trustworthy source; ``method`` records which one answered.
 
-    mode 'oracle' always runs the homology search; 'certificate' demands the
-    perfect-matching route; 'auto' prefers the certificate where it applies,
-    cross-checks against the oracle when the instance is cheap enough, and
-    otherwise falls back to the oracle, then to the class equalities
-    (forests; matched graphs without pentagons) when the budget refuses.
+    The ladder, in order:
+
+    1. ``auto`` and ``combinatorial``: the closed forms for structural paths
+       and cycles (``closed-form``).
+    2. Every mode but ``oracle``: the perfect-ordered-matching certificate,
+       with the exponent vector as ``witness``.  ``auto`` cross-checks it
+       against the oracle when the oracle's cost estimate is small
+       (``certificate+oracle``; a disagreement raises DepthEngineError),
+       otherwise the value stands alone (``certificate``).  ``certificate``
+       mode raises CertificateInapplicableError when no perfect ordered
+       matching exists.
+    3. ``auto`` and ``oracle``: the homology oracle (``oracle``).  A budget
+       refusal propagates in ``oracle`` mode and falls through in ``auto``.
+    4. The class equalities, where the index attains the alternating-path
+       bound: forests, and graphs with matching number equal to ordered
+       matching number and no pentagon (``equality-class``).
+    5. Otherwise no value: ``None`` with method ``not computed (budget)``.
     """
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r} (choose from {MODES})")
     if G.is_edgeless:
         raise GraphError("stability index needs at least one edge")
-    if mode == "oracle":
-        return StabilityResult(stability_index_oracle(G, field, budget=budget, force=force), "oracle")
-    if mode == "certificate":
-        out = stability_certificate(G)
-        return StabilityResult(out.value, "certificate", witness=out.witness)
-    if mode != "auto":
-        raise ValueError(f"unknown mode {mode!r}")
-    try:
-        out = stability_certificate(G)
-    except CertificateInapplicableError:
-        out = None
-    if out is not None:
-        est = oracle_cost_estimate(G.vertex_count, out.value)
-        if est <= CROSS_CHECK_ESTIMATE_LIMIT and G.vertex_count < HARD_VERTEX_LIMIT:
-            oracle_value = stability_index_oracle(G, field, budget=budget, force=force)
-            if oracle_value != out.value:
-                raise DepthEngineError(
-                    f"certificate value {out.value} disagrees with oracle {oracle_value}"
-                )
-            return StabilityResult(out.value, "certificate+oracle", True, out.witness)
-        return StabilityResult(out.value, "certificate", witness=out.witness)
-    try:
-        return StabilityResult(stability_index_oracle(G, field, budget=budget, force=force), "oracle")
-    except BudgetRefusal:
-        from .graphs import has_cycle_of_length, is_forest
-        from .matchings import matching_number
-        if is_forest(G) or (
-            matching_number(G) == ordered_matching_number(G)
-            and not has_cycle_of_length(G, 5)
-        ):
-            return StabilityResult(stability_bound(G), "equality-class")
-        raise
+    r = G.vertex_count
+    if mode in ("auto", "combinatorial"):
+        shape = _structural_path_or_cycle(G)
+        if shape == "path":
+            return StabilityResult(path_stability_closed_form(r), "closed-form")
+        if shape == "cycle":
+            return StabilityResult(cycle_stability_closed_form(r), "closed-form")
+    if mode != "oracle":
+        try:
+            out = stability_certificate(G)
+        except CertificateInapplicableError:
+            if mode == "certificate":
+                raise
+            out = None
+        if out is not None:
+            if (mode == "auto" and r < HARD_VERTEX_LIMIT
+                    and oracle_cost_estimate(r, out.value) <= CROSS_CHECK_ESTIMATE_LIMIT):
+                oracle_value = stability_index_oracle(G, field, budget=budget, force=force)
+                if oracle_value != out.value:
+                    raise DepthEngineError(f"certificate {out.value} != oracle {oracle_value}")
+                return StabilityResult(out.value, "certificate+oracle", out)
+            return StabilityResult(out.value, "certificate", out)
+    if mode in ("auto", "oracle"):
+        try:
+            return StabilityResult(stability_index_oracle(G, field, budget=budget, force=force), "oracle")
+        except BudgetRefusal:
+            if mode == "oracle":
+                raise
+    if is_forest(G) or (
+        matching_number(G) == ordered_matching_number(G) and not has_cycle_of_length(G, 5)
+    ):
+        return StabilityResult(stability_bound(G), "equality-class")
+    return StabilityResult(None, "not computed (budget)")

@@ -25,9 +25,11 @@ from .complexes import from_facets, reduced_homology
 from .degree import qualifying_graph
 from .depth import (
     BudgetRefusal,
+    cycle_stability_closed_form,
     depth_profile,
     depth_symbolic,
     feasible_exponents,
+    path_stability_closed_form,
     reg_edge_ideal,
     stability_certificate,
     stability_index_oracle,
@@ -49,8 +51,6 @@ RP2_FACETS = [
     (1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
     (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6),
 ]
-
-PATH_STABILITY = {2: 1, 3: 1, 4: 2, 5: 1, 6: 3, 7: 2, 8: 4}
 
 FIG1_PAIRS = ((1, 5), (2, 6), (3, 7), (4, 8))
 FIG1_BETA = (3, 2, 1, 0, 3, 4, 5, 6)
@@ -79,13 +79,13 @@ def check_path_closed_form(level: str) -> tuple[bool, str]:
     got = {}
     for r in range(2, rmax + 1):
         got[r] = stability_index_oracle(path_graph(r))
-    want = {r: PATH_STABILITY[r] for r in got}
+    want = {r: path_stability_closed_form(r) for r in got}
     return got == want, f"oracle {got}, closed form {want}"
 
 
 def check_odd_cycles(level: str) -> tuple[bool, str]:
     got = {r: stability_index_oracle(cycle_graph(r)) for r in (3, 5, 7)}
-    want = {3: 1, 5: 1, 7: 3}
+    want = {r: cycle_stability_closed_form(r) for r in got}
     return got == want, f"oracle {got}, closed form {want}"
 
 
@@ -93,12 +93,12 @@ def check_even_cycles(level: str) -> tuple[bool, str]:
     rs = (4, 6, 8) if level == "full" else (4, 6)
     failures: list[str] = []
     for r in rs:
-        got = stability_index_oracle(cycle_graph(r))
-        _expect(failures, got == 1, f"C{r}: oracle {got} != 1")
+        got, want = stability_index_oracle(cycle_graph(r)), cycle_stability_closed_form(r)
+        _expect(failures, got == want, f"C{r}: oracle {got} != closed form {want}")
         ell = min_alt_path_length(cycle_graph(r))
         want_ell = 2 * (-((r - 2) // -4)) - 1
         _expect(failures, ell == want_ell, f"C{r}: length {ell} != {want_ell}")
-    return not failures, "; ".join(failures) or f"cycles {rs}: index 1, lengths match"
+    return not failures, "; ".join(failures) or f"cycles {rs}: index and length match the closed forms"
 
 
 def check_regularity(level: str) -> tuple[bool, str]:

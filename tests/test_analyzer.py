@@ -2,13 +2,8 @@ import json
 
 import pytest
 
-from coverdepth.analyzer import (
-    AnalyzeOptions,
-    analyze,
-    batch,
-    cycle_stability_closed_form,
-    path_stability_closed_form,
-)
+from coverdepth.analyzer import AnalyzeOptions, analyze, batch
+from coverdepth.depth import cycle_stability_closed_form, path_stability_closed_form
 from coverdepth.families import parse_family_spec
 from coverdepth.graphs import builtin_graph, cycle_graph, path_graph
 from coverdepth.linalg import PrimeField
@@ -150,3 +145,25 @@ def test_batch_forests_deterministic(tmp_path):
     assert out1.read_text() == out2.read_text()
     first = json.loads(out1.read_text().splitlines()[0])
     assert first["seed"] == 3
+
+
+def test_batch_cache_hit_keeps_instance_name(tmp_path, monkeypatch):
+    # repeated graphs share a cache entry; each line still names its own instance
+    monkeypatch.setenv("COVERDEPTH_CACHE", str(tmp_path / "cache"))
+    spec = "graphs seed=1 count=12 maxr=3"
+    out = tmp_path / "g.jsonl"
+    batch(spec, out, options=AnalyzeOptions(use_cache=True))
+    names = [json.loads(line)["name"] for line in out.read_text().splitlines()]
+    assert names == [inst.name for inst in parse_family_spec(spec)]
+    fresh = tmp_path / "fresh.jsonl"
+    batch(spec, fresh)
+    assert out.read_text() == fresh.read_text()
+
+
+def test_batch_cache_key_covers_report_options(tmp_path, monkeypatch):
+    monkeypatch.setenv("COVERDEPTH_CACHE", str(tmp_path / "cache"))
+    out = tmp_path / "p.jsonl"
+    batch("paths 4..5", out, options=AnalyzeOptions(use_cache=True, with_walk=False))
+    assert [json.loads(line)["walk_length"] for line in out.read_text().splitlines()] == [None, None]
+    batch("paths 4..5", out, options=AnalyzeOptions(use_cache=True, with_walk=True))
+    assert [json.loads(line)["walk_length"] for line in out.read_text().splitlines()] == [3, 2]

@@ -11,6 +11,7 @@ from coverdepth.depth import (
     limit_depth,
     reg_edge_ideal,
     stability_certificate,
+    StabilityResult,
     stability_index,
     stability_index_oracle,
 )
@@ -105,19 +106,29 @@ def test_feasibility_threshold_is_sharp():
 def test_stability_modes():
     fig3 = builtin_graph("FIG3")
     auto = stability_index(fig3, mode="auto")
-    assert auto.value == 3 and auto.method == "certificate+oracle" and auto.cross_checked
+    assert auto.value == 3 and auto.method == "certificate+oracle"
     oracle = stability_index(fig3, mode="oracle")
     assert oracle.value == 3 and oracle.method == "oracle"
     cert = stability_index(fig3, mode="certificate")
     assert cert.value == 3 and cert.witness is not None
+    comb = stability_index(fig3, mode="combinatorial")
+    assert comb.value == 3 and comb.method == "certificate"
     with pytest.raises(ValueError):
         stability_index(fig3, mode="quantum")
+    with pytest.raises(CertificateInapplicableError):
+        stability_index(path_graph(3), mode="certificate")
+
+
+def test_stability_closed_forms_first():
+    assert stability_index(path_graph(8)) == StabilityResult(4, "closed-form")
+    assert stability_index(cycle_graph(7), mode="combinatorial") == StabilityResult(3, "closed-form")
+    assert stability_index(path_graph(8), mode="oracle").method == "oracle"
 
 
 def test_stability_auto_skips_expensive_cross_check():
     res = stability_index(builtin_graph("FIG1"), mode="auto")
     assert res.value == 7
-    assert res.method == "certificate" and not res.cross_checked
+    assert res.method == "certificate"
 
 
 def test_budget_refusal_large_graph():
@@ -135,10 +146,16 @@ def test_budget_refusal_reports_estimate():
 
 
 def test_stability_auto_falls_back_to_class_equality():
-    # P7 has no perfect matching; with a tiny budget the oracle refuses and
-    # the forest equality supplies the value
-    res = stability_index(path_graph(7), mode="auto", budget=1)
+    # a spider on 5 vertices: no closed form and no perfect matching; with a
+    # tiny budget the oracle refuses and the forest equality supplies the value
+    spider = Graph.make(5, [(1, 2), (2, 3), (3, 4), (3, 5)])
+    res = stability_index(spider, mode="auto", budget=1)
     assert res.value == 2 and res.method == "equality-class"
+
+
+def test_stability_auto_reports_budget_instead_of_raising():
+    res = stability_index(builtin_graph("CHAR16"))
+    assert (res.value, res.method) == (None, "not computed (budget)")
 
 
 def test_exponent_cap_is_lossless():
