@@ -215,11 +215,10 @@ def _theorem_checks(G, field, opts, flags, nu, nu0, ell, bound, stab,
 
 # -- batch runner ------------------------------------------------------------
 
-def _cache_key(inst: FamilyInstance, field: FieldSpec, opts: AnalyzeOptions) -> dict:
+def _cache_key(inst: FamilyInstance, field: FieldSpec, options: dict) -> dict:
     """Everything the report depends on except the instance's name and seed,
-    so a graph repeated under another name still hits."""
-    options = asdict(opts)
-    del options["use_cache"]
+    so a graph repeated under another name still hits.  ``options`` holds
+    every report-changing ``AnalyzeOptions`` field."""
     return {
         "op": "analyze",
         "graph": inst.graph.to_json(),
@@ -239,15 +238,17 @@ def batch(family_spec: str, out_path: str | Path, field: FieldSpec = Rationals()
     if out_file.parent and not out_file.parent.exists():
         out_file.parent.mkdir(parents=True, exist_ok=True)
 
+    options = {k: v for k, v in asdict(opts).items() if k != "use_cache"}
+
     def run_one(inst: FamilyInstance) -> dict:
-        key = _cache_key(inst, field, opts)
-        if opts.use_cache:
-            hit = cache_mod.get(key)
-            if hit is not None:
-                return {**hit, "name": inst.name, "seed": inst.seed}
+        if not opts.use_cache:
+            return analyze(inst.graph, field, opts, name=inst.name, seed=inst.seed).to_json()
+        key = _cache_key(inst, field, options)
+        hit = cache_mod.get(key)
+        if hit is not None:
+            return {**hit, "name": inst.name, "seed": inst.seed}
         report = analyze(inst.graph, field, opts, name=inst.name, seed=inst.seed).to_json()
-        if opts.use_cache:
-            cache_mod.put(key, report)
+        cache_mod.put(key, report)
         return report
 
     results = [run_one(inst) for inst in instances]

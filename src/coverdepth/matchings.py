@@ -276,6 +276,10 @@ def _pair_set_orientable(G: Graph, edges: frozenset[Edge]) -> bool:
     return bool(_ordered_matchings_of_pair_set(G, edges))
 
 
+# The analyzer, the path bound, the oracle and the stability policy each ask
+# for the next two on the same graph; a small memo keeps that to one
+# enumeration per graph.
+@lru_cache(maxsize=64)
 def ordered_matching_number(G: Graph) -> int:
     if G.is_edgeless:
         return 0
@@ -301,6 +305,7 @@ def enumerate_max_ordered_matchings(G: Graph) -> tuple[OrderedMatching, ...]:
     return tuple(sorted(out, key=lambda om: om.pairs))
 
 
+@lru_cache(maxsize=64)
 def max_ordered_pair_sets(G: Graph) -> tuple[frozenset[Edge], ...]:
     """Pair sets (ignoring orientation) of the maximum ordered matchings."""
     s = ordered_matching_number(G)

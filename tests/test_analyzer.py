@@ -5,8 +5,9 @@ import pytest
 from coverdepth.analyzer import AnalyzeOptions, analyze, batch
 from coverdepth.depth import cycle_stability_closed_form, path_stability_closed_form
 from coverdepth.families import parse_family_spec
-from coverdepth.graphs import builtin_graph, cycle_graph, path_graph
+from coverdepth.graphs import Graph, builtin_graph, cycle_graph, path_graph
 from coverdepth.linalg import PrimeField
+from coverdepth.matchings import max_ordered_pair_sets, ordered_matching_number
 
 
 def test_closed_forms():
@@ -75,6 +76,18 @@ def test_analyze_single_edge():
     assert report.limit_depth == 0
     statuses = {c.name: c.status for c in report.checks}
     assert statuses["constant-depth-iff"] == "pass"
+
+
+def test_analyze_enumerates_ordered_matchings_once():
+    # the equality-class step, the path bound and the report all need the
+    # ordered matching number and the maximum pair sets of the same graph
+    spider = Graph.make(5, [(1, 2), (2, 3), (3, 4), (3, 5)])
+    ordered_matching_number.cache_clear()
+    max_ordered_pair_sets.cache_clear()
+    report = analyze(spider, options=AnalyzeOptions(mode="combinatorial"))
+    assert report.method == "equality-class"
+    assert ordered_matching_number.cache_info().misses == 1
+    assert max_ordered_pair_sets.cache_info().misses == 1
 
 
 def test_analyze_deterministic():
