@@ -18,17 +18,17 @@ nonzero dual homology in degree j, the contribution is
     i = (m' - 3 - j) + |S| + 1 = r - 2 - j,
 
 so the depth is r - 2 - max(j) over all supports, grids and degrees.  The
-grid scan is vectorized with numpy and the homology of each distinct
-qualifying edge set is memoized (the edge set determines the complex).
+grid is searched vertex by vertex, merging equal partial states, so only
+distinct qualifying edge sets come out; the homology of each is memoized
+(the edge set determines the complex).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 from itertools import combinations
 from typing import Optional
-
-import numpy as np
 
 from .altpaths import alt_path_length, stability_bound
 from .complexes import nonzero_degrees, reduced_homology
@@ -45,7 +45,6 @@ from .matchings import (
 DEFAULT_BUDGET = 1_000_000_000
 HARD_VERTEX_LIMIT = 13
 CROSS_CHECK_ESTIMATE_LIMIT = 10_000_000
-_GRID_CHUNK = 1 << 16
 
 
 class BudgetRefusal(RuntimeError):
@@ -103,43 +102,51 @@ def _max_nonzero_degree(edge_key: frozenset, field: FieldSpec) -> Optional[int]:
     return _MAX_DEGREE_CACHE[key]
 
 
+@lru_cache(maxsize=64)
+def _frontier_order(G: Graph) -> tuple[int, ...]:
+    """Greedy vertex order for the grid search: each step places the vertex
+    that leaves the fewest placed vertices with an unplaced neighbour."""
+    order: list[int] = []
+    while len(order) < G.vertex_count:
+        left = set(G.vertices()).difference(order)
+        order.append(min(left, key=lambda v: (sum(1 for u in (*order, v) if G.neighbors[u] & (left - {v})), v)))
+    return tuple(order)
+
+
 def _qualifying_subsets(rest: list[int], induced: list[tuple[int, int]],
                         n: int, cap: int) -> list[tuple[tuple[int, int], ...]]:
-    """Distinct nonempty qualifying edge sets over the grid {0..cap}^rest.
-
-    An edge qualifies when its two exponents sum to at most n - 1.  The grid
-    is scanned in chunks with a mixed-radix decode; only the distinct edge
-    subsets survive, since the complex depends on nothing else.
-    """
-    m = len(rest)
-    base = cap + 1
-    pos = {v: i for i, v in enumerate(rest)}
-    a_idx = np.array([pos[u] for u, _ in induced], dtype=np.int64)
-    b_idx = np.array([pos[v] for _, v in induced], dtype=np.int64)
-    total = base ** m
-    radix = base ** np.arange(m, dtype=np.int64)
-    nedges = len(induced)
-    wide = nedges > 62
-    weights = None if wide else (np.int64(1) << np.arange(nedges, dtype=np.int64))
-    found: set = set()
-    for start in range(0, total, _GRID_CHUNK):
-        idx = np.arange(start, min(start + _GRID_CHUNK, total), dtype=np.int64)
-        digits = (idx[:, None] // radix[None, :]) % base
-        qual = (digits[:, a_idx] + digits[:, b_idx]) <= (n - 1)
-        if wide:
-            for row in np.unique(qual, axis=0):
-                found.add(tuple(bool(x) for x in row))
-        else:
-            found.update(int(c) for c in np.unique(qual @ weights))
-    subsets: list[tuple[tuple[int, int], ...]] = []
-    for code in found:
-        if wide:
-            chosen = tuple(e for e, bit in zip(induced, code) if bit)
-        else:
-            chosen = tuple(induced[i] for i in range(nedges) if code >> i & 1)
-        if chosen:
-            subsets.append(chosen)
-    return subsets
+    """Distinct nonempty qualifying edge sets (exponent sum <= n - 1) over the
+    grid {0..cap}^rest, in ascending bit code (bit i stands for induced[i]).
+    Vertices take values in the order of ``rest``; a state is the code of the
+    edges decided so far plus the values of the frontier (placed vertices with
+    an unplaced neighbour), and equal states merge, so the work follows the
+    distinct states, not the grid points.  Values >= n count as one."""
+    closing: list[list[tuple[int, int]]] = [[] for _ in rest]  # (1 << edge bit, earlier step)
+    last = list(range(len(rest)))  # step of each vertex's last neighbour, its own if none later
+    for bit, (u, v) in enumerate(induced):
+        a, b = sorted((rest.index(u), rest.index(v)))
+        closing[b].append((1 << bit, a))
+        last[a] = max(last[a], b)
+    frontier: list[int] = []
+    states: dict[tuple[int, ...], set[int]] = {(): {0}}  # frontier values -> edge codes
+    for i in range(len(rest)):
+        checks = [(w, frontier.index(a)) for w, a in closing[i]]
+        keep = [k for k, a in enumerate(frontier) if last[a] > i]
+        grow = last[i] > i
+        nxt: dict[tuple[int, ...], set[int]] = {}
+        for vals, codes in states.items():
+            kept = tuple([vals[k] for k in keep])
+            for x in range(min(cap, n) + 1) if checks or grow else (0,):
+                add = 0
+                for w, k in checks:
+                    if vals[k] + x < n:
+                        add |= w
+                target = nxt.setdefault(kept + (x,) if grow else kept, set())
+                target.update([c | add for c in codes] if add else codes)
+        states = nxt
+        frontier = [frontier[k] for k in keep] + [i] * grow
+    codes = sorted(set().union(*states.values()) - {0})
+    return [tuple([e for bit, e in enumerate(induced) if code >> bit & 1]) for code in codes]
 
 
 def depth_symbolic(G: Graph, n: int, field: FieldSpec = Rationals(), *,
@@ -159,7 +166,7 @@ def depth_symbolic(G: Graph, n: int, field: FieldSpec = Rationals(), *,
     _check_budget(G, n, budget, force)
     r = G.vertex_count
     cap = (n - 1) if _alpha_cap is None else _alpha_cap
-    edges = G.edge_list
+    order = _frontier_order(G)
     lower = 0 if r == 2 else 1  # the maximal ideal is associated only when r = 2
     best: Optional[int] = None
     for size in range(0, r):
@@ -167,10 +174,10 @@ def depth_symbolic(G: Graph, n: int, field: FieldSpec = Rationals(), *,
             break
         for support in combinations(G.vertices(), size):
             sset = set(support)
-            induced = [(u, v) for u, v in edges if u not in sset and v not in sset]
+            induced = [(u, v) for u, v in G.edge_list if u not in sset and v not in sset]
             if not induced:
                 continue
-            rest = [v for v in G.vertices() if v not in sset]
+            rest = [v for v in order if v not in sset]
             for subset in _qualifying_subsets(rest, induced, n, cap):
                 covered = {v for e in subset for v in e}
                 if len(covered) != len(rest):

@@ -2,8 +2,8 @@
 per criterion.
 
 Levels: "quick" exercises paths and cycles up to 7 vertices plus the figure
-self-checks; "full" adds the 8-vertex instances, the family example and the
-seeded random sweeps.
+self-checks; "full" adds the 8-vertex instances, the cycles C9 and C10, the
+family example and the seeded random sweeps.
 """
 
 from __future__ import annotations
@@ -84,13 +84,14 @@ def check_path_closed_form(level: str) -> tuple[bool, str]:
 
 
 def check_odd_cycles(level: str) -> tuple[bool, str]:
-    got = {r: stability_index_oracle(cycle_graph(r)) for r in (3, 5, 7)}
+    rs = (3, 5, 7, 9) if level == "full" else (3, 5, 7)
+    got = {r: stability_index_oracle(cycle_graph(r)) for r in rs}
     want = {r: cycle_stability_closed_form(r) for r in got}
     return got == want, f"oracle {got}, closed form {want}"
 
 
 def check_even_cycles(level: str) -> tuple[bool, str]:
-    rs = (4, 6, 8) if level == "full" else (4, 6)
+    rs = (4, 6, 8, 10) if level == "full" else (4, 6)
     failures: list[str] = []
     for r in rs:
         got, want = stability_index_oracle(cycle_graph(r)), cycle_stability_closed_form(r)

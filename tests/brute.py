@@ -159,6 +159,19 @@ def brute_independent_sets(G: Graph):
                 yield frozenset(combo)
 
 
+def brute_qualifying_subsets(rest, induced, n: int, cap: int) -> set:
+    """Every distinct nonempty qualifying edge set, by visiting each point of
+    the grid {0..cap}^rest; an edge qualifies when its exponents sum to at
+    most n - 1.  Edges keep their order in ``induced``."""
+    ends = [(rest.index(u), rest.index(v)) for u, v in induced]
+    found = set()
+    for point in product(range(cap + 1), repeat=len(rest)):
+        chosen = tuple(e for e, (a, b) in zip(induced, ends) if point[a] + point[b] <= n - 1)
+        if chosen:
+            found.add(chosen)
+    return found
+
+
 def brute_symbolic_depth(G: Graph, n: int, field=None) -> int:
     """Depth by direct degree-complex homology: every support, every grid,
     no dual shortcut, no cone pruning, no deduplication."""

@@ -1,8 +1,17 @@
+import os
 import random
+import subprocess
+import sys
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import coverdepth
+
 from coverdepth.depth import (
+    _frontier_order,
+    _qualifying_subsets,
     BudgetRefusal,
     CertificateInapplicableError,
     depth_profile,
@@ -18,7 +27,7 @@ from coverdepth.depth import (
 from coverdepth.graphs import Graph, GraphError, builtin_graph, cycle_graph, path_graph
 from coverdepth.linalg import PrimeField
 from coverdepth.matchings import has_perfect_ordered_matching
-from brute import brute_symbolic_depth, random_small_graph
+from brute import brute_qualifying_subsets, brute_symbolic_depth, random_small_graph
 
 
 def test_depth_examples():
@@ -203,3 +212,68 @@ def test_profile_monotone_random():
         assert report.stability_index == min(
             n for n in sorted(report.profile) if report.profile[n] <= report.limit_depth
         )
+
+
+GRID_SCAN_LIMIT = 1 << 14  # grid points the brute-force scan may visit per case
+
+
+def _grid_instances(G, rng):
+    """(rest, induced) for the empty support and three random supports."""
+    verts = list(G.vertices())
+    for size in (0, 1, 2, rng.randint(1, len(verts) - 1)):
+        support = set(rng.sample(verts, size))
+        induced = [e for e in G.edge_list if not support.intersection(e)]
+        if induced:
+            yield [v for v in verts if v not in support], induced
+
+
+def _assert_matches_scan(G, rest, induced, n, cap, rng):
+    want = brute_qualifying_subsets(rest, induced, n, cap)
+    frontier = [v for v in _frontier_order(G) if v in rest]
+    for order in (rest, rng.sample(rest, len(rest)), frontier):
+        got = _qualifying_subsets(order, induced, n, cap)
+        codes = [sum(1 << induced.index(e) for e in subset) for subset in got]
+        assert codes == sorted(set(codes)), "edge sets must be distinct, in ascending bit code"
+        assert set(got) == want, (G.edge_list, order, n, cap)
+
+
+def test_qualifying_subsets_match_grid_scan():
+    # the frontier search against a scan of every grid point, for the
+    # default cap n - 1 and the widened cap n + 1, in three vertex orders
+    rng = random.Random(223)
+    cases = [(builtin_graph(name), 2) for name in ("FIG1", "FIG2", "FIG3", "FAM(1)", "FAM(2)")]
+    cases += [(random_small_graph(rng, max_r=8), 3) for _ in range(10)]
+    checked = 0
+    for G, top in cases:
+        assert sorted(_frontier_order(G)) == list(G.vertices())
+        for n in range(1, top + 1):
+            for cap in (n - 1, n + 1):
+                for rest, induced in _grid_instances(G, rng):
+                    if (cap + 1) ** len(rest) <= GRID_SCAN_LIMIT:
+                        _assert_matches_scan(G, rest, induced, n, cap, rng)
+                        checked += 1
+    assert checked > 200
+
+
+def test_qualifying_subsets_beyond_64_edges():
+    # K12 has 66 edges, more than one machine word of edge bits
+    G = Graph.make(12, combinations(range(1, 13), 2))
+    rest, induced = list(G.vertices()), list(G.edge_list)
+    assert _qualifying_subsets(rest, induced, 1, 0) == [tuple(induced)]
+    got = _qualifying_subsets(rest, induced, 2, 1)
+    assert set(got) == brute_qualifying_subsets(rest, induced, 2, 1)
+    # the vertices valued 1 fix the set: at most one of them leaves every
+    # edge, all twelve leave none, and every other choice is its own set
+    assert len(got) == 2 ** 12 - 13
+
+
+def test_package_imports_without_numpy():
+    code = ("import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from coverdepth import cycle_graph, depth_symbolic\n"
+            "print(depth_symbolic(cycle_graph(7), 3))\n")
+    src = str(Path(coverdepth.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "3"
