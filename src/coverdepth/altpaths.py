@@ -25,12 +25,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .graphs import Graph, GraphError
-from .matchings import (
-    OrderedMatching,
-    max_ordered_pair_sets,
-    _ordered_matchings_of_pair_set,
-    ordered_matching_violation,
-)
+from .matchings import OrderedMatching, _max_ordered, ordered_matching_violation
 
 
 class WalkCutoffError(RuntimeError):
@@ -185,28 +180,21 @@ def walk_length(G: Graph, om: OrderedMatching, cutoff: Optional[int] = None) -> 
     return best
 
 
-_GRAPH_LENGTH_CACHE: dict[tuple[Graph, frozenset], int] = {}
+def _shortest_max_ordered(G: Graph) -> OrderedMatching:
+    """The first maximum pair set, in sorted order, whose first orientation
+    has the least operative length.
 
-
-def min_alt_path_length(G: Graph) -> int:
-    """Minimum operative length over all maximum ordered matchings.
-
-    The value is orientation-independent per pair set (property-tested), so
-    one valid orientation per pair set is evaluated and memoized.
+    The length is orientation-independent per pair set (property-tested), so
+    one orientation per pair set is evaluated.
     """
     if G.is_edgeless:
         raise GraphError("alternating-path length needs at least one edge")
-    best: Optional[int] = None
-    for pair_set in max_ordered_pair_sets(G):
-        key = (G, pair_set)
-        if key not in _GRAPH_LENGTH_CACHE:
-            om = _ordered_matchings_of_pair_set(G, pair_set)[0]
-            _GRAPH_LENGTH_CACHE[key] = alt_path_length(G, om)
-        val = _GRAPH_LENGTH_CACHE[key]
-        if best is None or val < best:
-            best = val
-    assert best is not None
-    return best
+    return min((oms[0] for _, oms in _max_ordered(G)), key=lambda om: alt_path_length(G, om))
+
+
+def min_alt_path_length(G: Graph) -> int:
+    """Minimum operative length over all maximum ordered matchings."""
+    return alt_path_length(G, _shortest_max_ordered(G))
 
 
 def stability_bound(G: Graph) -> int:

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import cache as cache_mod
-from .altpaths import min_alt_path_length, profile as alt_profile
+from .altpaths import _shortest_max_ordered, alt_path_length, walk_length
 from .depth import (
     DEFAULT_BUDGET,
     HARD_VERTEX_LIMIT,
@@ -28,10 +28,8 @@ from .linalg import FieldSpec, Rationals
 from .matchings import (
     induced_matching_number,
     matching_number,
-    max_ordered_pair_sets,
     ordered_matching_number,
-    perfect_matchings,
-    _ordered_matchings_of_pair_set,
+    unique_perfect_matching_check,
 )
 
 WALK_VERTEX_LIMIT = 10
@@ -111,7 +109,8 @@ def analyze(G: Graph, field: FieldSpec = Rationals(),
     nu = matching_number(G)
     nu_prime = induced_matching_number(G)
     nu0 = ordered_matching_number(G)
-    ell = min_alt_path_length(G)
+    shortest = _shortest_max_ordered(G)
+    ell = alt_path_length(G, shortest)
     bound = (ell + 1) // 2
     bip = is_bipartite(G)
     flags = {
@@ -124,15 +123,7 @@ def analyze(G: Graph, field: FieldSpec = Rationals(),
 
     walk_len: Optional[int] = None
     if opts.with_walk and G.vertex_count <= WALK_VERTEX_LIMIT:
-        best_set = None
-        for pair_set in max_ordered_pair_sets(G):
-            om = _ordered_matchings_of_pair_set(G, pair_set)[0]
-            prof = alt_profile(G, om)
-            if prof.length == ell:
-                best_set = om
-                break
-        if best_set is not None:
-            walk_len = alt_profile(G, best_set, with_walk=True).walk_length
+        walk_len = walk_length(G, shortest)
 
     profile_json: Optional[dict] = None
     limit = G.vertex_count - nu0 - 1
@@ -140,8 +131,6 @@ def analyze(G: Graph, field: FieldSpec = Rationals(),
         try:
             report = depth_profile(G, field, budget=opts.budget, force=opts.force)
             profile_json = report.profile
-            if stab is None:
-                stab, method = report.stability_index, "oracle"
         except BudgetRefusal:
             pass
 
@@ -194,7 +183,7 @@ def _theorem_checks(G, field, opts, flags, nu, nu0, ell, bound, stab,
         "class flags force equality" if class_flag else "no equality class applies")
     bip_bound = 2 * nu0 - 1 if flags["bipartite"] else 4 * nu0 - 3
     add("path-length-upper", ell <= bip_bound, f"{ell} <= {bip_bound}")
-    add("unique-perfect-matching", len(perfect_matchings(G)) == 1 if flags["perfect_ordered_matching"] else None,
+    add("unique-perfect-matching", unique_perfect_matching_check(G) if flags["perfect_ordered_matching"] else None,
         "graphs with a perfect ordered matching have one perfect matching")
     if opts.mode in ("auto", "oracle") and G.vertex_count < HARD_VERTEX_LIMIT and not G.is_edgeless:
         try:

@@ -27,13 +27,12 @@ def key_hash(key_obj: Any) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _blob_path(digest: str, root: Optional[Path] = None) -> Path:
-    base = root if root is not None else cache_dir()
-    return base / digest[:2] / f"{digest}.json"
+def _blob_path(digest: str) -> Path:
+    return cache_dir() / digest[:2] / f"{digest}.json"
 
 
-def get(key_obj: Any, root: Optional[Path] = None) -> Optional[Any]:
-    path = _blob_path(key_hash(key_obj), root)
+def get(key_obj: Any) -> Optional[Any]:
+    path = _blob_path(key_hash(key_obj))
     if not path.exists():
         return None
     try:
@@ -42,8 +41,8 @@ def get(key_obj: Any, root: Optional[Path] = None) -> Optional[Any]:
         return None
 
 
-def put(key_obj: Any, value: Any, root: Optional[Path] = None) -> None:
-    path = _blob_path(key_hash(key_obj), root)
+def put(key_obj: Any, value: Any) -> None:
+    path = _blob_path(key_hash(key_obj))
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = json.dumps(value, sort_keys=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")

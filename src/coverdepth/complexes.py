@@ -143,8 +143,7 @@ def _minimal_non_faces(cx: SimplicialComplex) -> list[Face]:
     return minimal
 
 
-def _boundary_rank(cx: SimplicialComplex, d: int, field: FieldSpec,
-                   faces_d: list[Face], faces_dm1: list[Face]) -> int:
+def _boundary_rank(field: FieldSpec, faces_d: list[Face], faces_dm1: list[Face]) -> int:
     """Rank of the boundary map from d-chains to (d-1)-chains."""
     if not faces_d or not faces_dm1:
         return 0
@@ -171,7 +170,7 @@ def reduced_homology(cx: SimplicialComplex, field: FieldSpec = Rationals()) -> d
     faces = {d: cx.faces_of_dim(d) for d in range(-1, top + 1)}
     ranks = {d: 0 for d in range(-1, top + 2)}
     for d in range(0, top + 1):
-        ranks[d] = _boundary_rank(cx, d, field, faces[d], faces[d - 1])
+        ranks[d] = _boundary_rank(field, faces[d], faces[d - 1])
     profile = {}
     for d in range(-1, top + 1):
         profile[d] = len(faces[d]) - ranks[d] - ranks[d + 1]

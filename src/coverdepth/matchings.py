@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .graphs import Graph, _normalize_edge
 
@@ -72,23 +72,31 @@ def _lowest_active(G: Graph, avail: int) -> int:
     return 0
 
 
-@lru_cache(maxsize=None)
-def _matching_number_mask(G: Graph, avail: int) -> int:
-    v = _lowest_active(G, avail)
-    if v == 0:
-        return 0
-    vbit = 1 << (v - 1)
-    best = _matching_number_mask(G, avail ^ vbit)  # leave v unmatched
-    nbrs = G.neighbor_masks[v] & avail
-    while nbrs:
-        wbit = nbrs & -nbrs
-        nbrs ^= wbit
-        best = max(best, 1 + _matching_number_mask(G, avail ^ vbit ^ wbit))
+@lru_cache(maxsize=64)
+def _matching_number_on(G: Graph) -> Callable[[int], int]:
+    """Matching number of the subgraph on an available-vertex mask; the
+    per-mask memo lives with the graph, so it goes when the graph does."""
+    masks = G.neighbor_masks
+
+    @lru_cache(maxsize=None)
+    def best(avail: int) -> int:
+        v = _lowest_active(G, avail)
+        if v == 0:
+            return 0
+        vbit = 1 << (v - 1)
+        out = best(avail ^ vbit)  # leave v unmatched
+        nbrs = masks[v] & avail
+        while nbrs:
+            wbit = nbrs & -nbrs
+            nbrs ^= wbit
+            out = max(out, 1 + best(avail ^ vbit ^ wbit))
+        return out
+
     return best
 
 
 def matching_number(G: Graph) -> int:
-    return _matching_number_mask(G, (1 << G.vertex_count) - 1)
+    return _matching_number_on(G)((1 << G.vertex_count) - 1)
 
 
 def iter_matchings(G: Graph, size: int) -> Iterator[frozenset[Edge]]:
@@ -97,13 +105,14 @@ def iter_matchings(G: Graph, size: int) -> Iterator[frozenset[Edge]]:
         yield frozenset()
         return
     full = (1 << G.vertex_count) - 1
+    matching_number_on = _matching_number_on(G)
 
     def rec(avail: int, chosen: list[Edge]) -> Iterator[frozenset[Edge]]:
         need = size - len(chosen)
         if need == 0:
             yield frozenset(chosen)
             return
-        if _matching_number_mask(G, avail) < need:
+        if matching_number_on(avail) < need:
             return
         v = _lowest_active(G, avail)
         if v == 0:
@@ -246,7 +255,6 @@ def _canonical_order(G: Graph, oriented: tuple[Pair, ...]) -> Optional[tuple[Pai
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def _ordered_matchings_of_pair_set(G: Graph, edges: frozenset[Edge]) -> tuple[OrderedMatching, ...]:
     """All valid orientations of one matching, each with its canonical order."""
     edge_list = sorted(edges)
@@ -272,22 +280,27 @@ def _ordered_matchings_of_pair_set(G: Graph, edges: frozenset[Edge]) -> tuple[Or
     return tuple(sorted(found, key=lambda om: om.pairs))
 
 
-def _pair_set_orientable(G: Graph, edges: frozenset[Edge]) -> bool:
-    return bool(_ordered_matchings_of_pair_set(G, edges))
-
-
-# The analyzer, the path bound, the oracle and the stability policy each ask
-# for the next two on the same graph; a small memo keeps that to one
-# enumeration per graph.
+# The analyzer, the path bound, the certificate, the oracle and the stability
+# policy all read the maximum ordered matchings of the same graph; one
+# bounded memo enumerates them once per graph for all of them.
 @lru_cache(maxsize=64)
-def ordered_matching_number(G: Graph) -> int:
-    if G.is_edgeless:
-        return 0
+def _max_ordered(G: Graph) -> tuple[tuple[frozenset[Edge], tuple[OrderedMatching, ...]], ...]:
+    """Every maximum pair set that has a valid orientation, in ``sorted``
+    order, each with its valid orientations; empty when G has no edges."""
     for s in range(matching_number(G), 0, -1):
+        found = []
         for m in iter_matchings(G, s):
-            if _pair_set_orientable(G, m):
-                return s
-    return 0
+            oms = _ordered_matchings_of_pair_set(G, m)
+            if oms:
+                found.append((m, oms))
+        if found:
+            return tuple(sorted(found, key=lambda item: sorted(item[0])))
+    return ()
+
+
+def ordered_matching_number(G: Graph) -> int:
+    found = _max_ordered(G)
+    return len(found[0][0]) if found else 0
 
 
 def enumerate_max_ordered_matchings(G: Graph) -> tuple[OrderedMatching, ...]:
@@ -296,34 +309,19 @@ def enumerate_max_ordered_matchings(G: Graph) -> tuple[OrderedMatching, ...]:
     Distinct valid orders of one oriented pair set are the same object; the
     canonical order is stored.  Output is sorted for determinism.
     """
-    s = ordered_matching_number(G)
-    if s == 0:
-        return ()
-    out: list[OrderedMatching] = []
-    for m in iter_matchings(G, s):
-        out.extend(_ordered_matchings_of_pair_set(G, m))
-    return tuple(sorted(out, key=lambda om: om.pairs))
+    return tuple(sorted((om for _, oms in _max_ordered(G) for om in oms), key=lambda om: om.pairs))
 
 
-@lru_cache(maxsize=64)
 def max_ordered_pair_sets(G: Graph) -> tuple[frozenset[Edge], ...]:
     """Pair sets (ignoring orientation) of the maximum ordered matchings."""
-    s = ordered_matching_number(G)
-    if s == 0:
-        return ()
-    out = [m for m in iter_matchings(G, s) if _pair_set_orientable(G, m)]
-    return tuple(sorted(out, key=sorted))
+    return tuple(m for m, _ in _max_ordered(G))
 
 
 def has_perfect_ordered_matching(G: Graph) -> Optional[OrderedMatching]:
-    """A perfect ordered matching when 2 * ordered_matching_number == r."""
-    if G.vertex_count % 2:
-        return None
-    for m in perfect_matchings(G):
-        oms = _ordered_matchings_of_pair_set(G, m)
-        if oms:
-            return oms[0]
-    return None
+    """A perfect ordered matching when 2 * ordered_matching_number == r: the
+    first orientation of the first perfect pair set in ``sorted`` order."""
+    found = _max_ordered(G)
+    return found[0][1][0] if found and 2 * len(found[0][0]) == G.vertex_count else None
 
 
 def unique_perfect_matching_check(G: Graph) -> bool:

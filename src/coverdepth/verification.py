@@ -18,6 +18,7 @@ from .altpaths import (
     path_exponents,
     profile,
     shifted_exponents,
+    stability_bound,
     walk_length,
 )
 from .analyzer import analyze, AnalyzeOptions
@@ -208,7 +209,7 @@ def check_bound_sweep(level: str) -> tuple[bool, str]:
     done = skipped = 0
     for inst in random_graphs(seed=417, count=100, max_r=8):
         G = inst.graph
-        bound = (min_alt_path_length(G) + 1) // 2
+        bound = stability_bound(G)
         try:
             got = stability_index_oracle(G)
         except BudgetRefusal:
@@ -225,7 +226,7 @@ def check_forest_sweep(level: str) -> tuple[bool, str]:
         G = inst.graph
         nu, nu0 = matching_number(G), ordered_matching_number(G)
         _expect(failures, nu == nu0, f"{inst.name}: nu {nu} != nu0 {nu0}")
-        bound = (min_alt_path_length(G) + 1) // 2
+        bound = stability_bound(G)
         got = stability_index_oracle(G)
         _expect(failures, got == bound, f"{inst.name}: index {got} != bound {bound}")
     return not failures, "; ".join(failures) or "50 forests: index attains the bound, nu = nu0"

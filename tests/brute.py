@@ -84,6 +84,22 @@ def brute_ordered_matching_number(G: Graph) -> int:
     return best
 
 
+def brute_max_ordered_matchings(G: Graph) -> set:
+    """Every maximum ordered matching as (pair set, free side): the matchings
+    of the largest size that have an orientation for which some index order
+    satisfies the definition, one entry per such orientation."""
+    for s in range(brute_matching_number(G), 0, -1):
+        found = set()
+        for combo in brute_matchings(G, s):
+            for orient in product((0, 1), repeat=s):
+                oriented = [(e[o], e[1 - o]) for e, o in zip(combo, orient)]
+                if any(is_ordered_by_definition(G, list(perm)) for perm in permutations(oriented)):
+                    found.add((frozenset(combo), frozenset(u for u, _ in oriented)))
+        if found:
+            return found
+    return set()
+
+
 def brute_walk_length(G: Graph, pairs, cap: int = 200) -> int:
     """Longest strictly alternating walk, plain recursion without pruning."""
     matched = {}

@@ -1,13 +1,16 @@
+import importlib
 import json
+import pkgutil
 
 import pytest
 
+import coverdepth
 from coverdepth.analyzer import AnalyzeOptions, analyze, batch
 from coverdepth.depth import cycle_stability_closed_form, path_stability_closed_form
 from coverdepth.families import parse_family_spec
 from coverdepth.graphs import Graph, builtin_graph, cycle_graph, path_graph
 from coverdepth.linalg import PrimeField
-from coverdepth.matchings import max_ordered_pair_sets, ordered_matching_number
+from coverdepth.matchings import _max_ordered
 
 
 def test_closed_forms():
@@ -79,15 +82,25 @@ def test_analyze_single_edge():
 
 
 def test_analyze_enumerates_ordered_matchings_once():
-    # the equality-class step, the path bound and the report all need the
-    # ordered matching number and the maximum pair sets of the same graph
+    # the equality-class step, the path bound, the walk diagnostic and the
+    # report all read the maximum ordered matchings of the same graph
     spider = Graph.make(5, [(1, 2), (2, 3), (3, 4), (3, 5)])
-    ordered_matching_number.cache_clear()
-    max_ordered_pair_sets.cache_clear()
+    _max_ordered.cache_clear()
     report = analyze(spider, options=AnalyzeOptions(mode="combinatorial"))
     assert report.method == "equality-class"
-    assert ordered_matching_number.cache_info().misses == 1
-    assert max_ordered_pair_sets.cache_info().misses == 1
+    assert report.walk_length is not None
+    assert _max_ordered.cache_info().misses == 1
+
+
+def test_module_level_memos_are_bounded():
+    # a memo that lives across calls must not grow without limit in a batch
+    unbounded = []
+    for info in pkgutil.iter_modules(coverdepth.__path__, "coverdepth."):
+        mod = importlib.import_module(info.name)
+        for name, obj in vars(mod).items():
+            if hasattr(obj, "cache_parameters") and obj.cache_parameters()["maxsize"] is None:
+                unbounded.append(f"{info.name}.{name}")
+    assert unbounded == []
 
 
 def test_analyze_deterministic():

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 
@@ -12,6 +13,7 @@ from coverdepth.matchings import (
     is_cameron_walker,
     is_ordered_matching,
     matching_number,
+    max_ordered_pair_sets,
     ordered_matching_number,
     ordered_matching_violation,
     ordering_feasibility,
@@ -21,7 +23,9 @@ from coverdepth.matchings import (
 from brute import (
     brute_induced_matching_number,
     brute_matching_number,
+    brute_max_ordered_matchings,
     brute_ordered_matching_number,
+    is_ordered_by_definition,
     random_small_graph,
 )
 
@@ -113,6 +117,36 @@ def test_enumeration_revalidates():
         for om in oms:
             assert is_ordered_matching(G, om.pairs)
             assert om.size == ordered_matching_number(G)
+
+
+def test_max_ordered_matchings_against_brute():
+    rng = random.Random(73)
+    graphs = [random_small_graph(rng, max_r=7) for _ in range(40)]
+    graphs += [builtin_graph("FIG1"), builtin_graph("FIG3"), builtin_graph("FAM(1)"),
+               cycle_graph(4), path_graph(5)]
+    perfect = 0
+    for G in graphs:
+        want = brute_max_ordered_matchings(G)
+        oms = enumerate_max_ordered_matchings(G)
+        assert len(oms) == len(want)
+        assert {(om.edge_set, frozenset(om.free_side)) for om in oms} == want
+        pair_sets = sorted({pair_set for pair_set, _ in want}, key=sorted)
+        assert list(max_ordered_pair_sets(G)) == pair_sets
+        om = has_perfect_ordered_matching(G)
+        if 2 * len(pair_sets[0]) != G.vertex_count:
+            assert om is None
+            continue
+        perfect += 1
+        # the first orientation of the first pair set: the least valid index
+        # order over all of its orientations
+        first = min(
+            perm
+            for pair_set, free in want if pair_set == pair_sets[0]
+            for perm in permutations(tuple(e) if e[0] in free else e[::-1] for e in pair_set)
+            if is_ordered_by_definition(G, list(perm))
+        )
+        assert om is not None and om.pairs == first
+    assert perfect >= 3  # the sweep actually exercised the perfect case
 
 
 def test_enumeration_dedup_by_orientation():
