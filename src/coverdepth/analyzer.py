@@ -185,14 +185,11 @@ def _theorem_checks(G, field, opts, flags, nu, nu0, ell, bound, stab,
     add("path-length-upper", ell <= bip_bound, f"{ell} <= {bip_bound}")
     add("unique-perfect-matching", unique_perfect_matching_check(G) if flags["perfect_ordered_matching"] else None,
         "graphs with a perfect ordered matching have one perfect matching")
-    if opts.mode in ("auto", "oracle") and G.vertex_count < HARD_VERTEX_LIMIT and not G.is_edgeless:
-        try:
-            reg = reg_edge_ideal(G, field)
-            add("constant-depth-iff", None if stab is None else ((stab == 1) == (reg == nu0 + 1)),
-                f"reg={reg}, nu0+1={nu0 + 1}")
-            add("regularity-upper", reg <= nu + 1, f"reg={reg} <= nu+1={nu + 1}")
-        except BudgetRefusal:
-            add("constant-depth-iff", None, "regularity not computed (budget)")
+    if opts.mode in ("auto", "oracle") and G.vertex_count < HARD_VERTEX_LIMIT:
+        reg = reg_edge_ideal(G, field)
+        add("constant-depth-iff", None if stab is None else ((stab == 1) == (reg == nu0 + 1)),
+            f"reg={reg}, nu0+1={nu0 + 1}")
+        add("regularity-upper", reg <= nu + 1, f"reg={reg} <= nu+1={nu + 1}")
     else:
         add("constant-depth-iff", None, "algebra disabled in this mode")
     if profile_json is not None:

@@ -1,4 +1,4 @@
-"""Simplicial complexes given by facets: links, cones, Alexander duality and
+"""Simplicial complexes given by facets: cones, Alexander duality and
 reduced homology over an exact field.
 
 A complex is stored as (ground set, facet antichain).  Two degenerate values
@@ -59,9 +59,6 @@ class SimplicialComplex:
             raise ComplexError("the void complex has no dimension")
         return max(len(f) for f in self.facets) - 1
 
-    def vertices_used(self) -> tuple[int, ...]:
-        return tuple(sorted({v for f in self.facets for v in f}))
-
     def faces_of_dim(self, d: int) -> list[Face]:
         """d-faces, enumerated from facets on demand (no global face table)."""
         if self.is_void or d < -1 or d > self.dim:
@@ -83,13 +80,6 @@ class SimplicialComplex:
     def has_face(self, face: Iterable[int]) -> bool:
         fs = frozenset(face)
         return not self.is_void and any(fs <= f for f in self.facets)
-
-    def link(self, face: Iterable[int]) -> "SimplicialComplex":
-        fs = frozenset(face)
-        if not self.has_face(fs):
-            raise ComplexError(f"{sorted(fs)} is not a face")
-        ground = tuple(v for v in self.ground if v not in fs)
-        return SimplicialComplex.make(ground, [f - fs for f in self.facets if fs <= f])
 
     def is_cone(self) -> Optional[int]:
         """A vertex lying in every facet, if one exists (cones are acyclic)."""

@@ -20,7 +20,8 @@ nonzero dual homology in degree j, the contribution is
 so the depth is r - 2 - max(j) over all supports, grids and degrees.  The
 grid is searched vertex by vertex, merging equal partial states, so only
 distinct qualifying edge sets come out; the homology of each is memoized
-(the edge set determines the complex).
+(the edge set determines the complex) in a bounded memo that
+``reg_edge_ideal`` shares.
 """
 
 from __future__ import annotations
@@ -87,6 +88,7 @@ def _check_budget(G: Graph, n: int, budget: int, force: bool) -> None:
 
 # -- memoized homology of qualifying graphs --------------------------------
 
+_MAX_DEGREE_CACHE_SIZE = 1 << 16
 _MAX_DEGREE_CACHE: dict[tuple[frozenset, FieldSpec], Optional[int]] = {}
 
 
@@ -98,6 +100,8 @@ def _max_nonzero_degree(edge_key: frozenset, field: FieldSpec) -> Optional[int]:
         verts = tuple(sorted({v for e in edge_key for v in e}))
         cx = _independence_complex(verts, sorted(edge_key))
         nz = nonzero_degrees(reduced_homology(cx, field))
+        if len(_MAX_DEGREE_CACHE) >= _MAX_DEGREE_CACHE_SIZE:
+            del _MAX_DEGREE_CACHE[next(iter(_MAX_DEGREE_CACHE))]  # oldest first
         _MAX_DEGREE_CACHE[key] = max(nz) if nz else None
     return _MAX_DEGREE_CACHE[key]
 
@@ -196,8 +200,10 @@ def depth_symbolic(G: Graph, n: int, field: FieldSpec = Rationals(), *,
 
 
 def reg_edge_ideal(G: Graph, field: FieldSpec = Rationals(), *, force: bool = False) -> int:
-    """Regularity of the edge ideal from link homology of the independence
-    complex: 1 + max degree d with some link having homology in degree d - 1."""
+    """Regularity of the edge ideal: 2 + the top degree of homology over the
+    links of Ind(G).  The link of a face F is Ind(G - N[F]), a cone when some
+    vertex of W = V - N[F] has no neighbour in W; any other link's top degree
+    comes from the oracle's memo."""
     if G.is_edgeless:
         raise GraphError("the edge ideal of an edgeless graph is zero")
     if G.vertex_count >= HARD_VERTEX_LIMIT and not force:
@@ -205,13 +211,14 @@ def reg_edge_ideal(G: Graph, field: FieldSpec = Rationals(), *, force: bool = Fa
             f"refusing r={G.vertex_count} >= {HARD_VERTEX_LIMIT} vertices for the link scan",
             2 ** G.vertex_count, 0,
         )
-    cx = independence_complex(G)
-    best = 0
-    for face in cx.all_faces():
-        prof = reduced_homology(cx.link(face), field)
-        for d in nonzero_degrees(prof):
-            best = max(best, d + 1)
-    return best + 1
+    top = -1  # the link of a facet is {{}}, with homology in degree -1
+    for face in independence_complex(G).all_faces():
+        closed = set(face).union(*(G.neighbors[v] for v in face))
+        edges = frozenset(e for e in G.edge_list if closed.isdisjoint(e))
+        if edges and len(closed) + len({v for e in edges for v in e}) == G.vertex_count:
+            jmax = _max_nonzero_degree(edges, field)
+            top = top if jmax is None else max(top, jmax)
+    return top + 2
 
 
 # -- stability index --------------------------------------------------------

@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's own code paths: matchings by subset
 scan, ordered matchings by trying every orientation and permutation against
-the raw definition, alternating walks by unpruned recursion, and matrix rank
-by Fraction-based elimination.
+the raw definition, alternating walks by unpruned recursion, matrix rank
+by Fraction-based elimination, and regularity by Hochster's formula over
+induced subgraphs.
 """
 
 from __future__ import annotations
@@ -218,6 +219,25 @@ def brute_symbolic_depth(G: Graph, n: int, field=None) -> int:
                     i = d + len(support) + 1
                     best = i if best is None else min(best, i)
     return best
+
+
+def brute_reg_edge_ideal(G: Graph, field=None) -> int:
+    """Regularity by Hochster's formula: 2 plus the top degree of nonzero
+    homology of Ind(G[W]) over every vertex subset W with |W| >= 2.  No
+    links, no cone pruning, no memo."""
+    from coverdepth.complexes import nonzero_degrees, reduced_homology
+    from coverdepth.degree import independence_complex
+    from coverdepth.graphs import induced_subgraph
+    from coverdepth.linalg import Rationals
+
+    field = field or Rationals()
+    best = None
+    for size in range(2, G.vertex_count + 1):
+        for W in combinations(G.vertices(), size):
+            H, _ = induced_subgraph(G, W)
+            for j in nonzero_degrees(reduced_homology(independence_complex(H), field)):
+                best = j if best is None else max(best, j)
+    return 2 + best
 
 
 def random_small_graph(rng, max_r: int = 6) -> Graph:

@@ -63,15 +63,6 @@ def test_alexander_dual_full_simplex_is_void():
     assert from_facets(3, []).alexander_dual() == full
 
 
-def test_link_examples():
-    assert TRIANGLE.link([1]).facets == (frozenset({2}), frozenset({3}))
-    assert TRIANGLE.link([]) == TRIANGLE
-    tet = from_facets(3, [(1, 2, 3)])
-    assert tet.link([1, 2]).facets == (frozenset({3}),)
-    with pytest.raises(ComplexError):
-        TRIANGLE.link([1, 2, 3])
-
-
 def test_is_cone_examples():
     assert from_facets(3, [(1, 2), (1, 3)]).is_cone() == 1
     assert TRIANGLE.is_cone() is None

@@ -9,6 +9,7 @@ import pytest
 
 import coverdepth
 
+from coverdepth import depth
 from coverdepth.depth import (
     _frontier_order,
     _qualifying_subsets,
@@ -25,9 +26,9 @@ from coverdepth.depth import (
     stability_index_oracle,
 )
 from coverdepth.graphs import Graph, GraphError, builtin_graph, cycle_graph, path_graph
-from coverdepth.linalg import PrimeField
+from coverdepth.linalg import PrimeField, Rationals
 from coverdepth.matchings import has_perfect_ordered_matching
-from brute import brute_qualifying_subsets, brute_symbolic_depth, random_small_graph
+from brute import brute_qualifying_subsets, brute_reg_edge_ideal, brute_symbolic_depth, random_small_graph
 
 
 def test_depth_examples():
@@ -194,6 +195,38 @@ def test_depth_reg_duality_random():
     for _ in range(10):
         G = random_small_graph(rng, max_r=6)
         assert depth_symbolic(G, 1) == G.vertex_count - reg_edge_ideal(G)
+
+
+def test_reg_against_hochster_formula():
+    # link scan through the oracle's memo against Hochster's formula over
+    # every induced subgraph, with no links and no memo
+    rng = random.Random(53)
+    graphs = [random_small_graph(rng, max_r=7) for _ in range(30)]
+    graphs += [cycle_graph(5), cycle_graph(7), cycle_graph(8)]
+    graphs += [builtin_graph(name) for name in ("FIG1", "FIG3", "FAM(1)")]
+    for G in graphs:
+        for field in (Rationals(), PrimeField(2)):
+            assert reg_edge_ideal(G, field) == brute_reg_edge_ideal(G, field), (G.edge_list, field)
+
+
+def test_max_degree_cache_is_bounded(monkeypatch):
+    # a tiny cap evicts constantly; the dict never outgrows it and every
+    # answer matches the run with the full-size memo
+    rng = random.Random(67)
+    graphs = [random_small_graph(rng, max_r=6) for _ in range(8)] + [cycle_graph(7)]
+    expected = [(depth_symbolic(G, 2), reg_edge_ideal(G)) for G in graphs]
+
+    class Watched(dict):
+        peak = 0
+
+        def __setitem__(self, key, value):
+            super().__setitem__(key, value)
+            Watched.peak = max(Watched.peak, len(self))
+
+    monkeypatch.setattr(depth, "_MAX_DEGREE_CACHE_SIZE", 4)
+    monkeypatch.setattr(depth, "_MAX_DEGREE_CACHE", Watched())
+    assert [(depth_symbolic(G, 2), reg_edge_ideal(G)) for G in graphs] == expected
+    assert 0 < Watched.peak <= 4
 
 
 def test_depth_over_gf2_matches_rationals_on_torsion_free_instances():
