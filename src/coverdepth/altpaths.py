@@ -129,27 +129,24 @@ def alt_path_length(G: Graph, om: OrderedMatching) -> int:
     return max(base_length(lengths), bridged_length(G, om, lengths))
 
 
-def profile(G: Graph, om: OrderedMatching, *, with_walk: bool = False,
-            cutoff: Optional[int] = None) -> AltPathProfile:
+def profile(G: Graph, om: OrderedMatching, *, with_walk: bool = False) -> AltPathProfile:
     lengths = partner_path_lengths(G, om)
     b0 = base_length(lengths)
     b1 = bridged_length(G, om, lengths)
-    walk = walk_length(G, om, cutoff=cutoff) if with_walk else None
+    walk = walk_length(G, om) if with_walk else None
     return AltPathProfile(om.pairs, lengths, b0, b1, max(b0, b1), walk)
 
 
-def walk_length(G: Graph, om: OrderedMatching, cutoff: Optional[int] = None) -> int:
+def walk_length(G: Graph, om: OrderedMatching) -> int:
     """Length of a longest alternating walk (diagnostic, exhaustive search).
 
     Walks may revisit vertices and edges; membership in the matching must
     strictly alternate along the walk.  Raises :class:`WalkCutoffError` if any
-    walk reaches the cutoff (default 4s + 2, above the provable maximum).
+    walk reaches the safety cutoff 4s + 2, above the provable maximum.
     """
     _require_valid(G, om)
     s = om.size
-    limit = 4 * s + 2 if cutoff is None else cutoff
-    if limit < 4 * s + 2:
-        raise ValueError(f"cutoff {limit} below the safe minimum {4 * s + 2}")
+    limit = 4 * s + 2
     partner_of: dict[int, int] = {}
     for u, v in om.pairs:
         partner_of[u] = v

@@ -8,19 +8,24 @@ order.
 Oracle layout.  depth R/J^(n) is the least i with a nonvanishing graded
 piece of the i-th local cohomology.  Gradings split into a negative support
 S (only the support matters, entries normalized to -1) and a nonnegative
-rest vector a' capped at n - 1: any vertex with a'_v >= n sits on no
-qualifying edge, so its complex is a cone or void and contributes nothing.
-Each (S, a') yields the degree complex whose facets are complements of the
-qualifying edges; its homology is read off the Alexander-dual side, the
-independence complex of the qualifying graph Q.  With m' = r - |S| and
-nonzero dual homology in degree j, the contribution is
+rest vector a' on V - S; an edge qualifies when it misses S and its
+exponents sum to at most n - 1.  Each (S, a') yields the degree complex
+whose facets are complements of the qualifying edges; its homology is read
+off the Alexander-dual side, the independence complex of the qualifying
+graph Q.  With m' = r - |S| and nonzero dual homology in degree j, the
+contribution is
 
     i = (m' - 3 - j) + |S| + 1 = r - 2 - j,
 
-so the depth is r - 2 - max(j) over all supports, grids and degrees.  The
-grid is searched vertex by vertex, merging equal partial states, so only
-distinct qualifying edge sets come out; the homology of each is memoized
-(the edge set determines the complex) in a bounded memo that
+so the depth is r - 2 - max(j) over all supports, grids and degrees.  One
+search over {0..n}^V per power serves every support: (1) the value n kills
+every edge at its vertex, as membership in S does; (2) a set E that leaves
+a vertex of V - S uncovered (a cone) is the set that the support V - V(E)
+yields with every vertex covered, so E stands for V - V(E) and cones need
+no filter; (3) i >= |S| = r - |V(E)|, so visiting E by ascending
+r - |V(E)| keeps the stop once no larger support can beat the best value.
+The grid is searched vertex by vertex, merging equal partial states; the
+homology of each distinct edge set is memoized in a bounded memo that
 ``reg_edge_ideal`` shares.
 """
 
@@ -28,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
-from itertools import combinations
 from typing import Optional
 
 from .altpaths import alt_path_length, stability_bound
@@ -138,7 +142,8 @@ def _qualifying_subsets(rest: list[int], induced: list[tuple[int, int]],
         keep = [k for k, a in enumerate(frontier) if last[a] > i]
         grow = last[i] > i
         nxt: dict[tuple[int, ...], set[int]] = {}
-        for vals, codes in states.items():
+        while states:  # consume the old states as the new ones grow
+            vals, codes = states.popitem()
             kept = tuple([vals[k] for k in keep])
             for x in range(min(cap, n) + 1) if checks or grow else (0,):
                 add = 0
@@ -154,14 +159,18 @@ def _qualifying_subsets(rest: list[int], induced: list[tuple[int, int]],
 
 
 def depth_symbolic(G: Graph, n: int, field: FieldSpec = Rationals(), *,
-                   budget: int = DEFAULT_BUDGET, force: bool = False,
-                   _alpha_cap: Optional[int] = None) -> int:
+                   budget: int = DEFAULT_BUDGET, force: bool = False) -> int:
     """depth of R modulo the n-th symbolic power of the cover ideal.
 
-    Exhausts supports by ascending size (a support of size k can only
-    contribute i >= k, so the loop stops once it cannot beat the best value)
-    and all capped exponent grids; the private cap override exists for the
-    capped-versus-uncapped consistency test.
+    One search over the grid {0..n}^V stands for every negative support S
+    with its grid {0..n-1}^(V - S).  It is exact because (1) the grid value
+    n kills every edge at its vertex, exactly as membership in S does; (2)
+    an edge set E from (S, a') that leaves a vertex of V - S uncovered is
+    the set that (V - V(E), a' restricted to V(E)) yields with every vertex
+    covered, so each distinct E stands for the support V - V(E) and cones
+    need no filter; (3) i = r - 2 - j >= |S| = r - |V(E)|, since Ind(E) on
+    V(E) has dimension at most |V(E)| - 2, so visiting E by ascending |S|
+    and stopping once |S| exceeds the best value loses nothing.
     """
     if G.is_edgeless:
         raise GraphError("depth of a cover ideal needs at least one edge")
@@ -169,31 +178,23 @@ def depth_symbolic(G: Graph, n: int, field: FieldSpec = Rationals(), *,
         raise ValueError(f"power must be >= 1, got {n}")
     _check_budget(G, n, budget, force)
     r = G.vertex_count
-    cap = (n - 1) if _alpha_cap is None else _alpha_cap
-    order = _frontier_order(G)
+    by_support: dict[tuple[int, ...], list] = {}  # V - V(E) -> its sets E, in ascending bit code
+    for E in _qualifying_subsets(list(_frontier_order(G)), list(G.edge_list), n, n):
+        by_support.setdefault(tuple(sorted(set(G.vertices()).difference(*E))), []).append(E)
     lower = 0 if r == 2 else 1  # the maximal ideal is associated only when r = 2
     best: Optional[int] = None
-    for size in range(0, r):
-        if best is not None and size > best:
+    for S in sorted(by_support, key=lambda S: (len(S), S)):
+        if best is not None and len(S) > best:
             break
-        for support in combinations(G.vertices(), size):
-            sset = set(support)
-            induced = [(u, v) for u, v in G.edge_list if u not in sset and v not in sset]
-            if not induced:
+        for subset in by_support[S]:
+            jmax = _max_nonzero_degree(frozenset(subset), field)
+            if jmax is None:
                 continue
-            rest = [v for v in order if v not in sset]
-            for subset in _qualifying_subsets(rest, induced, n, cap):
-                covered = {v for e in subset for v in e}
-                if len(covered) != len(rest):
-                    continue  # a vertex misses every qualifying edge: cone, acyclic
-                jmax = _max_nonzero_degree(frozenset(subset), field)
-                if jmax is None:
-                    continue
-                i = r - 2 - jmax
-                if best is None or i < best:
-                    best = i
-                    if best <= lower:
-                        return best
+            i = r - 2 - jmax
+            if best is None or i < best:
+                best = i
+                if best <= lower:
+                    return best
     if best is None:
         raise DepthEngineError("no local cohomology contribution found")
     return best
@@ -201,9 +202,10 @@ def depth_symbolic(G: Graph, n: int, field: FieldSpec = Rationals(), *,
 
 def reg_edge_ideal(G: Graph, field: FieldSpec = Rationals(), *, force: bool = False) -> int:
     """Regularity of the edge ideal: 2 + the top degree of homology over the
-    links of Ind(G).  The link of a face F is Ind(G - N[F]), a cone when some
-    vertex of W = V - N[F] has no neighbour in W; any other link's top degree
-    comes from the oracle's memo."""
+    links of Ind(G).  The link of a face F is Ind(G - N[F]), so each distinct
+    closed neighbourhood N[F] is read once; the link is a cone when some
+    vertex of W = V - N[F] has no neighbour in W, and any other link's top
+    degree comes from the oracle's memo."""
     if G.is_edgeless:
         raise GraphError("the edge ideal of an edgeless graph is zero")
     if G.vertex_count >= HARD_VERTEX_LIMIT and not force:
@@ -212,8 +214,8 @@ def reg_edge_ideal(G: Graph, field: FieldSpec = Rationals(), *, force: bool = Fa
             2 ** G.vertex_count, 0,
         )
     top = -1  # the link of a facet is {{}}, with homology in degree -1
-    for face in independence_complex(G).all_faces():
-        closed = set(face).union(*(G.neighbors[v] for v in face))
+    faces = independence_complex(G).all_faces()
+    for closed in dict.fromkeys(frozenset(face).union(*(G.neighbors[v] for v in face)) for face in faces):
         edges = frozenset(e for e in G.edge_list if closed.isdisjoint(e))
         if edges and len(closed) + len({v for e in edges for v in e}) == G.vertex_count:
             jmax = _max_nonzero_degree(edges, field)

@@ -26,8 +26,8 @@ class FamilyInstance:
     seed: Optional[int] = None
 
 
-def random_graph(rng: random.Random, max_r: int, min_r: int = 2) -> Graph:
-    r = rng.randint(min_r, max_r)
+def random_graph(rng: random.Random, max_r: int) -> Graph:
+    r = rng.randint(2, max_r)
     p = rng.uniform(0.2, 0.6)
     edges = [
         (u, v)
@@ -41,8 +41,8 @@ def random_graph(rng: random.Random, max_r: int, min_r: int = 2) -> Graph:
     return Graph.make(r, edges)
 
 
-def random_forest(rng: random.Random, max_r: int, min_r: int = 2) -> Graph:
-    r = rng.randint(min_r, max_r)
+def random_forest(rng: random.Random, max_r: int) -> Graph:
+    r = rng.randint(2, max_r)
     edges = []
     for v in range(2, r + 1):
         if rng.random() < 0.8:

@@ -3,8 +3,8 @@
 These deliberately avoid the library's own code paths: matchings by subset
 scan, ordered matchings by trying every orientation and permutation against
 the raw definition, alternating walks by unpruned recursion, matrix rank
-by Fraction-based elimination, and regularity by Hochster's formula over
-induced subgraphs.
+by Fraction-based elimination, regularity by Hochster's formula over
+induced subgraphs, and symbolic depth by one grid scan per negative support.
 """
 
 from __future__ import annotations
@@ -218,6 +218,32 @@ def brute_symbolic_depth(G: Graph, n: int, field=None) -> int:
                 if h:
                     i = d + len(support) + 1
                     best = i if best is None else min(best, i)
+    return best
+
+
+def brute_support_depth(G: Graph, n: int, field=None) -> int:
+    """Depth support by support: for every negative support S, every
+    qualifying edge set of the grid {0..n-1}^(V - S) that covers V - S (any
+    other is a cone), read r - 2 - j off the homology of its independence
+    complex, computed afresh.  No memo, no early exit."""
+    from coverdepth.complexes import nonzero_degrees, reduced_homology
+    from coverdepth.degree import independence_complex
+    from coverdepth.linalg import Rationals
+
+    field = field or Rationals()
+    r = G.vertex_count
+    best = None
+    for size in range(r):
+        for support in combinations(G.vertices(), size):
+            rest = [v for v in G.vertices() if v not in support]
+            induced = [e for e in G.edge_list if not set(support).intersection(e)]
+            pos = {v: k + 1 for k, v in enumerate(rest)}
+            for subset in brute_qualifying_subsets(rest, induced, n, n - 1):
+                if {v for e in subset for v in e} != set(rest):
+                    continue
+                Q = Graph.make(len(rest), [(pos[u], pos[v]) for u, v in subset])
+                for j in nonzero_degrees(reduced_homology(independence_complex(Q), field)):
+                    best = r - 2 - j if best is None else min(best, r - 2 - j)
     return best
 
 

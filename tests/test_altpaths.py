@@ -87,11 +87,6 @@ def test_walk_against_brute_enumeration():
     assert checked >= 20
 
 
-def test_walk_cutoff_validation():
-    with pytest.raises(ValueError):
-        walk_length(builtin_graph("FIG1"), M_1234, cutoff=10)
-
-
 def test_invalid_matching_rejected():
     with pytest.raises(ValueError, match="index condition"):
         partner_path_lengths(cycle_graph(4), OrderedMatching(((1, 2), (3, 4))))

@@ -1,6 +1,8 @@
+import ast
 import importlib
 import json
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -101,6 +103,23 @@ def test_module_level_memos_are_bounded():
             if hasattr(obj, "cache_parameters") and obj.cache_parameters()["maxsize"] is None:
                 unbounded.append(f"{info.name}.{name}")
     assert unbounded == []
+
+
+def test_module_level_imports_are_used():
+    # no lint tool is required, so an ast scan stands in for an unused-import check
+    unused = []
+    for path in sorted(Path(coverdepth.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)) and getattr(stmt, "module", None) != "__future__":
+                for alias in stmt.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}: {name}")
+    assert unused == []
 
 
 def test_analyze_deterministic():

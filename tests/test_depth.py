@@ -28,7 +28,13 @@ from coverdepth.depth import (
 from coverdepth.graphs import Graph, GraphError, builtin_graph, cycle_graph, path_graph
 from coverdepth.linalg import PrimeField, Rationals
 from coverdepth.matchings import has_perfect_ordered_matching
-from brute import brute_qualifying_subsets, brute_reg_edge_ideal, brute_symbolic_depth, random_small_graph
+from brute import (
+    brute_qualifying_subsets,
+    brute_reg_edge_ideal,
+    brute_support_depth,
+    brute_symbolic_depth,
+    random_small_graph,
+)
 
 
 def test_depth_examples():
@@ -168,15 +174,21 @@ def test_stability_auto_reports_budget_instead_of_raising():
     assert (res.value, res.method) == (None, "not computed (budget)")
 
 
-def test_exponent_cap_is_lossless():
-    # widening the exponent grid beyond n-1 never changes the depth
+def test_one_grid_search_matches_support_loop():
+    # the single {0..n}^V search against one grid scan per negative support
+    # with the cone filter, over Q and GF(2); the graphs include isolated
+    # vertices, disconnected graphs, complete graphs and cycles
     rng = random.Random(79)
-    for _ in range(10):
-        G = random_small_graph(rng, max_r=5)
-        for n in (1, 2):
-            capped = depth_symbolic(G, n)
-            wide = depth_symbolic(G, n, _alpha_cap=n + 1)
-            assert capped == wide
+    graphs = [random_small_graph(rng, max_r=5) for _ in range(10)]
+    rng = random.Random(181)
+    graphs += [random_small_graph(rng, max_r=7) for _ in range(6)]
+    graphs += [cycle_graph(r) for r in (5, 6, 7, 8)]
+    graphs += [Graph.make(k, combinations(range(1, k + 1), 2)) for k in (5, 6)]
+    graphs += [Graph.make(5, [(1, 2), (3, 4)]), Graph.make(7, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6)])]
+    for G in graphs:
+        for n in (1, 2, 3):
+            for field in (Rationals(), PrimeField(2)):
+                assert depth_symbolic(G, n, field) == brute_support_depth(G, n, field), (G.edge_list, n, field)
 
 
 def test_depth_against_naive_takayama_enumeration():
@@ -271,8 +283,9 @@ def _assert_matches_scan(G, rest, induced, n, cap, rng):
 
 
 def test_qualifying_subsets_match_grid_scan():
-    # the frontier search against a scan of every grid point, for the
-    # default cap n - 1 and the widened cap n + 1, in three vertex orders
+    # the frontier search against a scan of every grid point, for the caps
+    # n - 1, n (the oracle's, value n marking the support) and n + 1, in
+    # three vertex orders
     rng = random.Random(223)
     cases = [(builtin_graph(name), 2) for name in ("FIG1", "FIG2", "FIG3", "FAM(1)", "FAM(2)")]
     cases += [(random_small_graph(rng, max_r=8), 3) for _ in range(10)]
@@ -280,7 +293,7 @@ def test_qualifying_subsets_match_grid_scan():
     for G, top in cases:
         assert sorted(_frontier_order(G)) == list(G.vertices())
         for n in range(1, top + 1):
-            for cap in (n - 1, n + 1):
+            for cap in (n - 1, n, n + 1):
                 for rest, induced in _grid_instances(G, rng):
                     if (cap + 1) ** len(rest) <= GRID_SCAN_LIMIT:
                         _assert_matches_scan(G, rest, induced, n, cap, rng)
