@@ -37,14 +37,8 @@ from .altpaths import (
     stability_bound,
     walk_length,
 )
-from .complexes import SimplicialComplex, dual_homology_check, from_facets, reduced_homology
-from .degree import (
-    cover_complex,
-    degree_complex,
-    independence_complex,
-    qualifying_graph,
-    symbolic_membership,
-)
+from .complexes import SimplicialComplex, from_facets, reduced_homology
+from .degree import independence_complex, qualifying_graph
 from .depth import (
     BudgetRefusal,
     DepthReport,

@@ -1,5 +1,5 @@
-"""Simplicial complexes given by facets: cones, Alexander duality and
-reduced homology over an exact field.
+"""Simplicial complexes given by facets: cones and reduced homology over an
+exact field.
 
 A complex is stored as (ground set, facet antichain).  Two degenerate values
 are kept distinct: the void complex (no faces at all, empty facet tuple) and
@@ -77,10 +77,6 @@ class SimplicialComplex:
         for d in range(-1, self.dim + 1):
             yield from self.faces_of_dim(d)
 
-    def has_face(self, face: Iterable[int]) -> bool:
-        fs = frozenset(face)
-        return not self.is_void and any(fs <= f for f in self.facets)
-
     def is_cone(self) -> Optional[int]:
         """A vertex lying in every facet, if one exists (cones are acyclic)."""
         if self.is_void:
@@ -91,12 +87,6 @@ class SimplicialComplex:
             if not common:
                 return None
         return min(common) if common else None
-
-    def alexander_dual(self) -> "SimplicialComplex":
-        """Complements of the non-faces, over the same ground set."""
-        gset = set(self.ground)
-        non_faces = _minimal_non_faces(self)
-        return SimplicialComplex.make(self.ground, [gset - nf for nf in non_faces])
 
     def relabel(self, mapping: dict[int, int]) -> "SimplicialComplex":
         return SimplicialComplex.make(
@@ -114,23 +104,6 @@ class SimplicialComplex:
 def from_facets(ground_size: int, facets: Iterable[Iterable[int]]) -> SimplicialComplex:
     """Classic constructor on ground set {1..m}; [] is void, [[]] is {{}}."""
     return SimplicialComplex.make(range(1, ground_size + 1), facets)
-
-
-def _minimal_non_faces(cx: SimplicialComplex) -> list[Face]:
-    if cx.is_void:
-        # every subset is a non-face; the empty set is the minimal one
-        return [frozenset()]
-    ground = cx.ground
-    minimal: list[Face] = []
-    for size in range(1, len(ground) + 1):
-        for sub in combinations(ground, size):
-            fs = frozenset(sub)
-            if cx.has_face(fs):
-                continue
-            if any(nf <= fs for nf in minimal):
-                continue
-            minimal.append(fs)
-    return minimal
 
 
 def _boundary_rank(field: FieldSpec, faces_d: list[Face], faces_dm1: list[Face]) -> int:
@@ -175,15 +148,3 @@ def reduced_homology(cx: SimplicialComplex, field: FieldSpec = Rationals()) -> d
 
 def nonzero_degrees(profile: dict[int, int]) -> list[int]:
     return sorted(d for d, h in profile.items() if h)
-
-
-def dual_homology_check(cx: SimplicialComplex, field: FieldSpec = Rationals()) -> bool:
-    """Dimension identity H_{i-1}(dual) = H_{m-2-i}(complex) across all i."""
-    m = len(cx.ground)
-    prof = reduced_homology(cx, field)
-    dual_prof = reduced_homology(cx.alexander_dual(), field)
-    degrees = set(prof) | {m - 3 - d for d in dual_prof}
-    for d in degrees:
-        if prof.get(d, 0) != dual_prof.get(m - 3 - d, 0):
-            return False
-    return True

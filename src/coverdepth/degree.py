@@ -1,5 +1,4 @@
-"""Cover-ideal combinatorics: membership in symbolic powers, the cover
-complex, independence complexes and degree complexes.
+"""Cover-ideal combinatorics: independence complexes and qualifying graphs.
 
 For a graph G the cover ideal is the intersection of the edge primes
 (x_u, x_v); a monomial x^a lies in the n-th symbolic power exactly when
@@ -27,14 +26,6 @@ def _check_alpha(G: Graph, alpha: Sequence[int]) -> tuple[int, ...]:
 
 def negative_support(alpha: Sequence[int]) -> tuple[int, ...]:
     return tuple(i + 1 for i, x in enumerate(alpha) if x < 0)
-
-
-def cover_complex(G: Graph) -> SimplicialComplex:
-    """Facets are the edge complements V minus {u, v}."""
-    if G.is_edgeless:
-        raise GraphError("the cover complex needs at least one edge")
-    full = set(G.vertices())
-    return SimplicialComplex.make(full, [full - set(e) for e in G.edge_list])
 
 
 def independence_complex(G: Graph) -> SimplicialComplex:
@@ -67,16 +58,6 @@ def _independence_complex(vertices: tuple[int, ...], edges: Iterable[tuple[int, 
     return SimplicialComplex.make(verts, facets)
 
 
-def symbolic_membership(G: Graph, n: int, alpha: Sequence[int]) -> bool:
-    """x^alpha lies in the n-th symbolic power iff every edge sum reaches n."""
-    a = _check_alpha(G, alpha)
-    if n < 1:
-        raise ValueError(f"power must be >= 1, got {n}")
-    if any(x < 0 for x in a):
-        raise GraphError("membership expects a nonnegative exponent vector")
-    return all(a[u - 1] + a[v - 1] >= n for u, v in G.edges)
-
-
 def qualifying_edges(G: Graph, n: int, alpha: Sequence[int]) -> list[tuple[int, int]]:
     """Edges avoiding the negative support whose exponent sum is at most n - 1."""
     a = _check_alpha(G, alpha)
@@ -86,26 +67,6 @@ def qualifying_edges(G: Graph, n: int, alpha: Sequence[int]) -> list[tuple[int, 
         for u, v in G.edge_list
         if u not in neg and v not in neg and a[u - 1] + a[v - 1] <= n - 1
     ]
-
-
-def degree_complex(G: Graph, n: int, alpha: Sequence[int]) -> SimplicialComplex:
-    """Degree complex on the host labels V minus the negative support.
-
-    Void exactly when the restricted exponent vector lies in the localized
-    ideal (no qualifying edge); otherwise the facets are the complements of
-    the qualifying edges.  Only the negative support matters below zero, so
-    negative entries are canonicalized to -1 before processing.
-    """
-    a = _check_alpha(G, alpha)
-    if n < 1:
-        raise ValueError(f"power must be >= 1, got {n}")
-    neg = set(negative_support(a))
-    rest = [v for v in G.vertices() if v not in neg]
-    quals = qualifying_edges(G, n, a)
-    if not quals:
-        return SimplicialComplex.make(rest, [])
-    rest_set = set(rest)
-    return SimplicialComplex.make(rest, [rest_set - set(e) for e in quals])
 
 
 def qualifying_graph(G: Graph, n: int, alpha: Sequence[int]) -> tuple[Graph, tuple[int, ...]]:

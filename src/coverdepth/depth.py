@@ -24,9 +24,15 @@ a vertex of V - S uncovered (a cone) is the set that the support V - V(E)
 yields with every vertex covered, so E stands for V - V(E) and cones need
 no filter; (3) i >= |S| = r - |V(E)|, so visiting E by ascending
 r - |V(E)| keeps the stop once no larger support can beat the best value.
-The grid is searched vertex by vertex, merging equal partial states; the
-homology of each distinct edge set is memoized in a bounded memo that
-``reg_edge_ideal`` shares.
+The grid is searched vertex by vertex, merging equal partial states.  Each
+distinct edge set is reduced before its homology: (a) fold, deleting v while
+N(u) lies in N(v) for some u != v, which keeps the homotopy type; (b) cone,
+a vertex left with no neighbour makes the set acyclic; (c) components, what
+is left splits into connected parts; (d) join, a disjoint union gives the
+join of the parts' complexes, so over a field their top degrees add, plus
+one per extra part.  A lone edge has top 0, and only a part that no rule
+shrinks reaches the dense engine.  Edge sets and parts share one bounded
+memo with ``reg_edge_ideal``.
 """
 
 from __future__ import annotations
@@ -96,18 +102,77 @@ _MAX_DEGREE_CACHE_SIZE = 1 << 16
 _MAX_DEGREE_CACHE: dict[tuple[frozenset, FieldSpec], Optional[int]] = {}
 
 
+def _folded_components(edge_key: frozenset) -> Optional[list[frozenset]]:
+    """The edge sets of the connected components left once every fold is
+    made (while N(u) is inside N(v) for some u != v, delete v); None when a
+    vertex is left with no neighbour, which makes the complex a cone."""
+    nbr: dict[int, int] = {}
+    for u, v in edge_key:
+        nbr[u] = nbr.get(u, 0) | 1 << v
+        nbr[v] = nbr.get(v, 0) | 1 << u
+    folded = True
+    while folded:
+        folded = False
+        for v in list(nbr):
+            Nv = nbr[v]
+            for u, Nu in nbr.items():
+                if not Nu & ~Nv and u != v:
+                    break
+            else:
+                continue
+            del nbr[v]
+            folded = True
+            for w in nbr:
+                if Nv >> w & 1:
+                    nbr[w] &= ~(1 << v)
+                    if not nbr[w]:
+                        return None
+    parts: list[frozenset] = []
+    left = sum(1 << v for v in nbr)
+    while left:
+        part, grown = 0, left & -left
+        while grown != part:
+            part = grown
+            for w, Nw in nbr.items():
+                if part >> w & 1:
+                    grown |= Nw
+        left &= ~part
+        parts.append(frozenset(e for e in edge_key if part >> e[0] & part >> e[1] & 1))
+    return parts
+
+
 def _max_nonzero_degree(edge_key: frozenset, field: FieldSpec) -> Optional[int]:
     """Largest degree with nonzero homology of the independence complex of the
-    given edge set (vertices = covered vertices); None when acyclic."""
+    given edge set (vertices = covered vertices); None when acyclic.
+
+    Exact reductions come first: a fold keeps the homotopy type (Engstrom
+    2008), a vertex left without neighbours makes a cone, and a disjoint
+    union gives a join of complexes (Adamaszek 2012), whose top degree over
+    a field is the sum of the parts' plus one per extra part.  Components
+    are read through this memo; a lone edge has top 0, and a component that
+    no rule shrinks goes to the dense engine."""
     key = (edge_key, field)
-    if key not in _MAX_DEGREE_CACHE:
+    if key in _MAX_DEGREE_CACHE:
+        return _MAX_DEGREE_CACHE[key]
+    parts = _folded_components(edge_key)
+    if parts is None:
+        top = None
+    elif parts == [edge_key]:
         verts = tuple(sorted({v for e in edge_key for v in e}))
-        cx = _independence_complex(verts, sorted(edge_key))
-        nz = nonzero_degrees(reduced_homology(cx, field))
-        if len(_MAX_DEGREE_CACHE) >= _MAX_DEGREE_CACHE_SIZE:
-            del _MAX_DEGREE_CACHE[next(iter(_MAX_DEGREE_CACHE))]  # oldest first
-        _MAX_DEGREE_CACHE[key] = max(nz) if nz else None
-    return _MAX_DEGREE_CACHE[key]
+        nz = nonzero_degrees(reduced_homology(_independence_complex(verts, sorted(edge_key)), field))
+        top = max(nz) if nz else None
+    else:
+        top = len(parts) - 1
+        for part in parts:
+            j = 0 if len(part) == 1 else _max_nonzero_degree(part, field)
+            if j is None:
+                top = None
+                break
+            top += j
+    if len(_MAX_DEGREE_CACHE) >= _MAX_DEGREE_CACHE_SIZE:
+        del _MAX_DEGREE_CACHE[next(iter(_MAX_DEGREE_CACHE))]  # oldest first
+    _MAX_DEGREE_CACHE[key] = top
+    return top
 
 
 @lru_cache(maxsize=64)
@@ -128,7 +193,8 @@ def _qualifying_subsets(rest: list[int], induced: list[tuple[int, int]],
     Vertices take values in the order of ``rest``; a state is the code of the
     edges decided so far plus the values of the frontier (placed vertices with
     an unplaced neighbour), and equal states merge, so the work follows the
-    distinct states, not the grid points.  Values >= n count as one."""
+    distinct states, not the grid points.  Values >= n count as one.  A state
+    holds a bare int while it has one code and a set once a second merges."""
     closing: list[list[tuple[int, int]]] = [[] for _ in rest]  # (1 << edge bit, earlier step)
     last = list(range(len(rest)))  # step of each vertex's last neighbour, its own if none later
     for bit, (u, v) in enumerate(induced):
@@ -136,12 +202,12 @@ def _qualifying_subsets(rest: list[int], induced: list[tuple[int, int]],
         closing[b].append((1 << bit, a))
         last[a] = max(last[a], b)
     frontier: list[int] = []
-    states: dict[tuple[int, ...], set[int]] = {(): {0}}  # frontier values -> edge codes
+    states: dict[tuple[int, ...], int | set[int]] = {(): 0}  # frontier values -> edge codes
     for i in range(len(rest)):
         checks = [(w, frontier.index(a)) for w, a in closing[i]]
         keep = [k for k, a in enumerate(frontier) if last[a] > i]
         grow = last[i] > i
-        nxt: dict[tuple[int, ...], set[int]] = {}
+        nxt: dict[tuple[int, ...], int | set[int]] = {}
         while states:  # consume the old states as the new ones grow
             vals, codes = states.popitem()
             kept = tuple([vals[k] for k in keep])
@@ -150,11 +216,24 @@ def _qualifying_subsets(rest: list[int], induced: list[tuple[int, int]],
                 for w, k in checks:
                     if vals[k] + x < n:
                         add |= w
-                target = nxt.setdefault(kept + (x,) if grow else kept, set())
-                target.update([c | add for c in codes] if add else codes)
+                key = kept + (x,) if grow else kept
+                new = codes | add if type(codes) is int else {c | add for c in codes}
+                old = nxt.get(key)
+                if old is None:
+                    nxt[key] = new
+                elif type(old) is int:
+                    if type(new) is set:
+                        new.add(old)
+                        nxt[key] = new
+                    elif new != old:
+                        nxt[key] = {old, new}
+                elif type(new) is set:
+                    old.update(new)
+                else:
+                    old.add(new)
         states = nxt
         frontier = [frontier[k] for k in keep] + [i] * grow
-    codes = sorted(set().union(*states.values()) - {0})
+    codes = sorted({c for v in states.values() for c in ((v,) if type(v) is int else v)} - {0})
     return [tuple([e for bit, e in enumerate(induced) if code >> bit & 1]) for code in codes]
 
 

@@ -4,7 +4,13 @@ These deliberately avoid the library's own code paths: matchings by subset
 scan, ordered matchings by trying every orientation and permutation against
 the raw definition, alternating walks by unpruned recursion, matrix rank
 by Fraction-based elimination, regularity by Hochster's formula over
-induced subgraphs, and symbolic depth by one grid scan per negative support.
+induced subgraphs, symbolic depth by one grid scan per negative support, and
+the top homology degree of an independence complex by the dense engine with
+no reduction and no memo.
+
+It also holds the reference side of the algebra that the library itself no
+longer needs: the cover complex, Alexander duality, degree complexes and
+membership in symbolic powers.
 """
 
 from __future__ import annotations
@@ -12,7 +18,16 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from coverdepth.graphs import Graph
+from coverdepth.complexes import SimplicialComplex, nonzero_degrees, reduced_homology
+from coverdepth.degree import (
+    _check_alpha,
+    _independence_complex,
+    independence_complex,
+    negative_support,
+    qualifying_edges,
+)
+from coverdepth.graphs import Graph, GraphError, induced_subgraph
+from coverdepth.linalg import Rationals
 
 
 def edges_disjoint(edges) -> bool:
@@ -189,15 +204,82 @@ def brute_qualifying_subsets(rest, induced, n: int, cap: int) -> set:
     return found
 
 
+def cover_complex(G: Graph) -> SimplicialComplex:
+    """Facets are the edge complements V minus {u, v}."""
+    if G.is_edgeless:
+        raise GraphError("the cover complex needs at least one edge")
+    full = set(G.vertices())
+    return SimplicialComplex.make(full, [full - set(e) for e in G.edge_list])
+
+
+def symbolic_membership(G: Graph, n: int, alpha) -> bool:
+    """x^alpha lies in the n-th symbolic power iff every edge sum reaches n."""
+    a = _check_alpha(G, alpha)
+    if n < 1:
+        raise ValueError(f"power must be >= 1, got {n}")
+    if any(x < 0 for x in a):
+        raise GraphError("membership expects a nonnegative exponent vector")
+    return all(a[u - 1] + a[v - 1] >= n for u, v in G.edges)
+
+
+def degree_complex(G: Graph, n: int, alpha) -> SimplicialComplex:
+    """Degree complex on the host labels V minus the negative support.
+
+    Void exactly when the restricted exponent vector lies in the localized
+    ideal (no qualifying edge); otherwise the facets are the complements of
+    the qualifying edges.  Only the negative support matters below zero.
+    """
+    a = _check_alpha(G, alpha)
+    if n < 1:
+        raise ValueError(f"power must be >= 1, got {n}")
+    neg = set(negative_support(a))
+    rest = [v for v in G.vertices() if v not in neg]
+    rest_set = set(rest)
+    return SimplicialComplex.make(rest, [rest_set - set(e) for e in qualifying_edges(G, n, a)])
+
+
+def _minimal_non_faces(cx: SimplicialComplex) -> list:
+    if cx.is_void:
+        # every subset is a non-face; the empty set is the minimal one
+        return [frozenset()]
+    minimal: list = []
+    for size in range(1, len(cx.ground) + 1):
+        for sub in combinations(cx.ground, size):
+            fs = frozenset(sub)
+            if any(fs <= f for f in cx.facets) or any(nf <= fs for nf in minimal):
+                continue
+            minimal.append(fs)
+    return minimal
+
+
+def alexander_dual(cx: SimplicialComplex) -> SimplicialComplex:
+    """Complements of the non-faces, over the same ground set."""
+    gset = set(cx.ground)
+    return SimplicialComplex.make(cx.ground, [gset - nf for nf in _minimal_non_faces(cx)])
+
+
+def dual_homology_check(cx: SimplicialComplex, field=None) -> bool:
+    """Dimension identity H_{i-1}(dual) = H_{m-2-i}(complex) across all i."""
+    field = field or Rationals()
+    m = len(cx.ground)
+    prof = reduced_homology(cx, field)
+    dual_prof = reduced_homology(alexander_dual(cx), field)
+    degrees = set(prof) | {m - 3 - d for d in dual_prof}
+    return all(prof.get(d, 0) == dual_prof.get(m - 3 - d, 0) for d in degrees)
+
+
+def dense_max_nonzero_degree(edges, field=None):
+    """Top degree of nonzero reduced homology of Ind on the covered vertices
+    of ``edges``, from the full complex and its boundary ranks; None when
+    acyclic.  No fold, no component split, no memo."""
+    verts = tuple(sorted({v for e in edges for v in e}))
+    nz = nonzero_degrees(reduced_homology(_independence_complex(verts, sorted(edges)), field or Rationals()))
+    return max(nz) if nz else None
+
+
 def brute_symbolic_depth(G: Graph, n: int, field=None) -> int:
     """Depth by direct degree-complex homology: every support, every grid,
     no dual shortcut, no cone pruning, no deduplication."""
-    from itertools import product as iproduct
-
-    from coverdepth.complexes import reduced_homology
-    from coverdepth.degree import degree_complex
-    from coverdepth.linalg import Rationals
-
     field = field or Rationals()
     r = G.vertex_count
     verts = list(G.vertices())
@@ -205,7 +287,7 @@ def brute_symbolic_depth(G: Graph, n: int, field=None) -> int:
     for mask in range(2 ** r):
         support = [v for v in verts if mask >> (v - 1) & 1]
         rest = [v for v in verts if v not in support]
-        for grid in iproduct(range(n), repeat=len(rest)):
+        for grid in product(range(n), repeat=len(rest)):
             alpha = [0] * r
             for v in support:
                 alpha[v - 1] = -1
@@ -226,9 +308,6 @@ def brute_support_depth(G: Graph, n: int, field=None) -> int:
     qualifying edge set of the grid {0..n-1}^(V - S) that covers V - S (any
     other is a cone), read r - 2 - j off the homology of its independence
     complex, computed afresh.  No memo, no early exit."""
-    from coverdepth.complexes import nonzero_degrees, reduced_homology
-    from coverdepth.degree import independence_complex
-    from coverdepth.linalg import Rationals
 
     field = field or Rationals()
     r = G.vertex_count
@@ -251,10 +330,6 @@ def brute_reg_edge_ideal(G: Graph, field=None) -> int:
     """Regularity by Hochster's formula: 2 plus the top degree of nonzero
     homology of Ind(G[W]) over every vertex subset W with |W| >= 2.  No
     links, no cone pruning, no memo."""
-    from coverdepth.complexes import nonzero_degrees, reduced_homology
-    from coverdepth.degree import independence_complex
-    from coverdepth.graphs import induced_subgraph
-    from coverdepth.linalg import Rationals
 
     field = field or Rationals()
     best = None

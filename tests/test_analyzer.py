@@ -95,12 +95,16 @@ def test_analyze_enumerates_ordered_matchings_once():
 
 
 def test_module_level_memos_are_bounded():
-    # a memo that lives across calls must not grow without limit in a batch
+    # a memo that lives across calls must not grow without limit in a batch:
+    # every lru_cache has a maxsize, and every module-level dict named
+    # *_CACHE has a *_CACHE_SIZE cap beside it
     unbounded = []
     for info in pkgutil.iter_modules(coverdepth.__path__, "coverdepth."):
         mod = importlib.import_module(info.name)
         for name, obj in vars(mod).items():
             if hasattr(obj, "cache_parameters") and obj.cache_parameters()["maxsize"] is None:
+                unbounded.append(f"{info.name}.{name}")
+            if isinstance(obj, dict) and name.endswith("_CACHE") and not hasattr(mod, name + "_SIZE"):
                 unbounded.append(f"{info.name}.{name}")
     assert unbounded == []
 

@@ -6,13 +6,12 @@ import pytest
 from coverdepth.complexes import (
     ComplexError,
     SimplicialComplex,
-    dual_homology_check,
     from_facets,
     nonzero_degrees,
     reduced_homology,
 )
 from coverdepth.linalg import PrimeField, Rationals, parse_field, rank, rank_mod, rank_rational
-from brute import naive_rank, naive_rank_mod
+from brute import alexander_dual, dual_homology_check, naive_rank, naive_rank_mod
 
 RP2 = from_facets(6, [
     (1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
@@ -54,13 +53,13 @@ def test_alexander_dual_involution():
     rng = random.Random(3)
     for _ in range(20):
         cx = random_complex(rng, m=5)
-        assert cx.alexander_dual().alexander_dual() == cx
+        assert alexander_dual(alexander_dual(cx)) == cx
 
 
 def test_alexander_dual_full_simplex_is_void():
     full = from_facets(3, [(1, 2, 3)])
-    assert full.alexander_dual().is_void
-    assert from_facets(3, []).alexander_dual() == full
+    assert alexander_dual(full).is_void
+    assert alexander_dual(from_facets(3, [])) == full
 
 
 def test_is_cone_examples():

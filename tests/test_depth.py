@@ -11,7 +11,9 @@ import coverdepth
 
 from coverdepth import depth
 from coverdepth.depth import (
+    _folded_components,
     _frontier_order,
+    _max_nonzero_degree,
     _qualifying_subsets,
     BudgetRefusal,
     CertificateInapplicableError,
@@ -25,11 +27,14 @@ from coverdepth.depth import (
     stability_index,
     stability_index_oracle,
 )
+from coverdepth.families import random_graphs
 from coverdepth.graphs import Graph, GraphError, builtin_graph, cycle_graph, path_graph
 from coverdepth.linalg import PrimeField, Rationals
 from coverdepth.matchings import has_perfect_ordered_matching
+from coverdepth.verification import _duality_instances
 from brute import (
     brute_qualifying_subsets,
+    dense_max_nonzero_degree,
     brute_reg_edge_ideal,
     brute_support_depth,
     brute_symbolic_depth,
@@ -221,24 +226,118 @@ def test_reg_against_hochster_formula():
             assert reg_edge_ideal(G, field) == brute_reg_edge_ideal(G, field), (G.edge_list, field)
 
 
+C5 = [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]
+C5_C5 = frozenset(C5 + [(u + 5, v + 5) for u, v in C5])
+# connected, no fold applies, and Ind is acyclic over Q and GF(2)
+ACYCLIC_UNFOLDABLE = [(1, 3), (1, 4), (2, 5), (2, 9), (3, 5), (3, 6), (4, 7), (4, 8),
+                      (5, 7), (5, 9), (6, 8), (6, 9)]
+UNION_WITH_ACYCLIC = [(10, 11), (12, 13)] + ACYCLIC_UNFOLDABLE
+
+
+def _disjoint_edges(m):
+    return frozenset((2 * k + 1, 2 * k + 2) for k in range(m))
+
+
+def _kernel_and_dense(edges, field=Rationals()):
+    key = frozenset(edges)
+    return depth._max_nonzero_degree(key, field), dense_max_nonzero_degree(key, field)
+
+
+@pytest.fixture
+def empty_memo(monkeypatch):
+    monkeypatch.setattr(depth, "_MAX_DEGREE_CACHE", {})
+
+
+def test_fold_reduces_star_to_an_edge(empty_memo):
+    star = [(1, 2), (1, 3), (1, 4)]  # K_{1,3}: the leaves fold onto one
+    parts = _folded_components(frozenset(star))
+    assert len(parts) == 1 and len(parts[0]) == 1
+    assert _kernel_and_dense(star) == (0, 0)
+
+
+def test_cone_left_after_a_fold(empty_memo):
+    # P4: N(1) lies in N(3), so 3 goes, and 4 is left with no neighbour
+    p4 = [(1, 2), (2, 3), (3, 4)]
+    assert _folded_components(frozenset(p4)) is None
+    assert _kernel_and_dense(p4) == (None, None)
+
+
+def test_disjoint_edges_add_one_each(empty_memo):
+    for m in range(1, 5):
+        assert len(_folded_components(_disjoint_edges(m))) == m
+        for field in (Rationals(), PrimeField(2)):
+            assert _kernel_and_dense(_disjoint_edges(m), field) == (m - 1, m - 1)
+
+
+def test_two_pentagons_join_to_a_three_sphere(empty_memo):
+    assert len(_folded_components(C5_C5)) == 2
+    assert _kernel_and_dense(C5_C5) == (3, 3)  # 1 + 1 + one join
+    assert depth._MAX_DEGREE_CACHE[(frozenset(C5), Rationals())] == 1
+
+
+def test_acyclic_component_makes_the_union_acyclic(empty_memo):
+    assert _folded_components(frozenset(ACYCLIC_UNFOLDABLE)) == [frozenset(ACYCLIC_UNFOLDABLE)]
+    assert len(_folded_components(frozenset(UNION_WITH_ACYCLIC))) == 3
+    for field in (Rationals(), PrimeField(2)):
+        assert _kernel_and_dense(UNION_WITH_ACYCLIC, field) == (None, None)
+
+
+def test_reduced_kernel_matches_dense(monkeypatch):
+    # the fold, cone and component rules against the dense engine with no
+    # memo, over Q and GF(2): every edge set the grid search returns for
+    # n = 1..3 on seeded random graphs with r <= 9, and every link that
+    # reg_edge_ideal reads on the criterion-4/5 graphs
+    edge_sets = set()
+    for inst in random_graphs(seed=0, count=8, max_r=9):
+        G = inst.graph
+        for n in (1, 2, 3):
+            edge_sets.update(map(frozenset, _qualifying_subsets(list(_frontier_order(G)), list(G.edge_list), n, n)))
+    kernel = depth._max_nonzero_degree
+
+    def recording(edge_key, field):
+        edge_sets.add(edge_key)
+        return kernel(edge_key, field)
+
+    monkeypatch.setattr(depth, "_max_nonzero_degree", recording)
+    for G in [cycle_graph(r) for r in (5, 7, 8)] + [G for _, G in _duality_instances("full")]:
+        reg_edge_ideal(G)
+    monkeypatch.setattr(depth, "_max_nonzero_degree", kernel)
+    monkeypatch.setattr(depth, "_MAX_DEGREE_CACHE", {})
+    assert len(edge_sets) > 3000
+    for key in edge_sets:
+        for field in (Rationals(), PrimeField(2)):
+            assert kernel(key, field) == dense_max_nonzero_degree(key, field), (sorted(key), field)
+
+
 def test_max_degree_cache_is_bounded(monkeypatch):
-    # a tiny cap evicts constantly; the dict never outgrows it and every
-    # answer matches the run with the full-size memo
+    # a tiny cap evicts constantly, also while a union is split into
+    # components that go through the same memo; the dict never outgrows the
+    # cap and every answer matches the run with the full-size memo
     rng = random.Random(67)
     graphs = [random_small_graph(rng, max_r=6) for _ in range(8)] + [cycle_graph(7)]
-    expected = [(depth_symbolic(G, 2), reg_edge_ideal(G)) for G in graphs]
+    unions = [C5_C5, _disjoint_edges(3), frozenset(UNION_WITH_ACYCLIC), frozenset(C5 + [(6, 7), (8, 9)])]
+    fields = (Rationals(), PrimeField(2))
+
+    def answers():
+        return ([(depth_symbolic(G, 2), reg_edge_ideal(G)) for G in graphs],
+                [_max_nonzero_degree(key, field) for key in unions for field in fields])
+
+    expected = answers()
 
     class Watched(dict):
         peak = 0
+        stored: list = []
 
         def __setitem__(self, key, value):
             super().__setitem__(key, value)
             Watched.peak = max(Watched.peak, len(self))
+            Watched.stored.append(key[0])
 
     monkeypatch.setattr(depth, "_MAX_DEGREE_CACHE_SIZE", 4)
     monkeypatch.setattr(depth, "_MAX_DEGREE_CACHE", Watched())
-    assert [(depth_symbolic(G, 2), reg_edge_ideal(G)) for G in graphs] == expected
+    assert answers() == expected
     assert 0 < Watched.peak <= 4
+    assert frozenset(C5) in Watched.stored  # a component read through the memo
 
 
 def test_depth_over_gf2_matches_rationals_on_torsion_free_instances():
