@@ -72,13 +72,6 @@ class ExponentCertificate:
     def vector(self) -> tuple[int, ...]:
         return tuple(self.values[v] for v in sorted(self.values))
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.power,
-            "alpha": {str(v): a for v, a in sorted(self.values.items())},
-            "pairs": [list(p) for p in self.pairs],
-        }
-
 
 def _require_valid(G: Graph, om: OrderedMatching) -> None:
     reason = ordered_matching_violation(G, om.pairs)

@@ -221,8 +221,7 @@ def batch(family_spec: str, out_path: str | Path, field: FieldSpec = Rationals()
     opts = options or AnalyzeOptions()
     instances = parse_family_spec(family_spec, default_seed=seed)
     out_file = Path(out_path)
-    if out_file.parent and not out_file.parent.exists():
-        out_file.parent.mkdir(parents=True, exist_ok=True)
+    out_file.parent.mkdir(parents=True, exist_ok=True)
 
     options = {k: v for k, v in asdict(opts).items() if k != "use_cache"}
 

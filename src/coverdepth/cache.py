@@ -32,11 +32,8 @@ def _blob_path(digest: str) -> Path:
 
 
 def get(key_obj: Any) -> Optional[Any]:
-    path = _blob_path(key_hash(key_obj))
-    if not path.exists():
-        return None
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(_blob_path(key_hash(key_obj)).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError):
         return None
 

@@ -18,28 +18,30 @@ contribution is
     i = (m' - 3 - j) + |S| + 1 = r - 2 - j,
 
 so the depth is r - 2 - max(j) over all supports, grids and degrees.  One
-search over {0..n}^V per power serves every support: (1) the value n kills
-every edge at its vertex, as membership in S does; (2) a set E that leaves
-a vertex of V - S uncovered (a cone) is the set that the support V - V(E)
-yields with every vertex covered, so E stands for V - V(E) and cones need
-no filter; (3) i >= |S| = r - |V(E)|, so visiting E by ascending
-r - |V(E)| keeps the stop once no larger support can beat the best value.
-The grid is searched vertex by vertex, merging equal partial states.  Each
-distinct edge set is reduced before its homology: (a) fold, deleting v while
-N(u) lies in N(v) for some u != v, which keeps the homotopy type; (b) cone,
-a vertex left with no neighbour makes the set acyclic; (c) components, what
-is left splits into connected parts; (d) join, a disjoint union gives the
-join of the parts' complexes, so over a field their top degrees add, plus
-one per extra part.  A lone edge has top 0, and only a part that no rule
-shrinks reaches the dense engine.  Edge sets and parts share one bounded
-memo with ``reg_edge_ideal``.
+search over {0..n}^V per power stands for every support S with its grid
+{0..n-1}^(V - S), and it is exact because (1) the value n kills every edge
+at its vertex, exactly as membership in S does; (2) a set E from (S, a')
+that leaves a vertex of V - S uncovered (a cone) is the set that
+(V - V(E), a' restricted to V(E)) yields with every vertex covered, so each
+distinct E stands for the support V - V(E) and cones need no filter; (3)
+i = r - 2 - j >= |S| = r - |V(E)|, since Ind(E) on V(E) has dimension at
+most |V(E)| - 2, so visiting E by ascending r - |V(E)| and stopping once
+that size exceeds the best value loses nothing.  The grid is searched
+vertex by vertex, merging equal partial states.  Each distinct edge set is
+reduced before its homology: (a) fold, deleting v while N(u) lies in N(v)
+for some u != v, which keeps the homotopy type; (b) cone, a vertex left
+with no neighbour makes the set acyclic; (c) components, what is left
+splits into connected parts; (d) join, a disjoint union gives the join of
+the parts' complexes, so over a field their top degrees add, plus one per
+extra part.  A lone edge has top 0, and only a part that no rule shrinks
+reaches the dense engine.  Edge sets and parts share one bounded memo with
+``reg_edge_ideal``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
-from typing import Optional
+from dataclasses import dataclass
+from typing import Iterator, Optional
 
 from .altpaths import alt_path_length, stability_bound
 from .complexes import nonzero_degrees, reduced_homology
@@ -175,7 +177,6 @@ def _max_nonzero_degree(edge_key: frozenset, field: FieldSpec) -> Optional[int]:
     return top
 
 
-@lru_cache(maxsize=64)
 def _frontier_order(G: Graph) -> tuple[int, ...]:
     """Greedy vertex order for the grid search: each step places the vertex
     that leaves the fewest placed vertices with an unplaced neighbour."""
@@ -241,15 +242,12 @@ def depth_symbolic(G: Graph, n: int, field: FieldSpec = Rationals(), *,
                    budget: int = DEFAULT_BUDGET, force: bool = False) -> int:
     """depth of R modulo the n-th symbolic power of the cover ideal.
 
-    One search over the grid {0..n}^V stands for every negative support S
-    with its grid {0..n-1}^(V - S).  It is exact because (1) the grid value
-    n kills every edge at its vertex, exactly as membership in S does; (2)
-    an edge set E from (S, a') that leaves a vertex of V - S uncovered is
-    the set that (V - V(E), a' restricted to V(E)) yields with every vertex
-    covered, so each distinct E stands for the support V - V(E) and cones
-    need no filter; (3) i = r - 2 - j >= |S| = r - |V(E)|, since Ind(E) on
-    V(E) has dimension at most |V(E)| - 2, so visiting E by ascending |S|
-    and stopping once |S| exceeds the best value loses nothing.
+    One search over the grid {0..n}^V stands for every negative support;
+    the module's "Oracle layout" gives the argument (1)-(3) that makes it
+    exact.  The distinct edge sets E are visited by ascending support size
+    r - |V(E)|, in ascending bit code within one size, and the visit stops
+    once that size exceeds the best value or the best reaches the least
+    possible depth.
     """
     if G.is_edgeless:
         raise GraphError("depth of a cover ideal needs at least one edge")
@@ -257,23 +255,25 @@ def depth_symbolic(G: Graph, n: int, field: FieldSpec = Rationals(), *,
         raise ValueError(f"power must be >= 1, got {n}")
     _check_budget(G, n, budget, force)
     r = G.vertex_count
-    by_support: dict[tuple[int, ...], list] = {}  # V - V(E) -> its sets E, in ascending bit code
-    for E in _qualifying_subsets(list(_frontier_order(G)), list(G.edge_list), n, n):
-        by_support.setdefault(tuple(sorted(set(G.vertices()).difference(*E))), []).append(E)
+
+    def support(E: tuple[tuple[int, int], ...]) -> int:
+        return r - len({v for e in E for v in e})
+
+    edge_sets = _qualifying_subsets(list(_frontier_order(G)), list(G.edge_list), n, n)
+    edge_sets.sort(key=support)  # stable, so ascending bit code within one size
     lower = 0 if r == 2 else 1  # the maximal ideal is associated only when r = 2
     best: Optional[int] = None
-    for S in sorted(by_support, key=lambda S: (len(S), S)):
-        if best is not None and len(S) > best:
+    for E in edge_sets:
+        if best is not None and support(E) > best:
             break
-        for subset in by_support[S]:
-            jmax = _max_nonzero_degree(frozenset(subset), field)
-            if jmax is None:
-                continue
-            i = r - 2 - jmax
-            if best is None or i < best:
-                best = i
-                if best <= lower:
-                    return best
+        jmax = _max_nonzero_degree(frozenset(E), field)
+        if jmax is None:
+            continue
+        i = r - 2 - jmax
+        if best is None or i < best:
+            best = i
+            if best <= lower:
+                return best
     if best is None:
         raise DepthEngineError("no local cohomology contribution found")
     return best
@@ -287,11 +287,7 @@ def reg_edge_ideal(G: Graph, field: FieldSpec = Rationals(), *, force: bool = Fa
     degree comes from the oracle's memo."""
     if G.is_edgeless:
         raise GraphError("the edge ideal of an edgeless graph is zero")
-    if G.vertex_count >= HARD_VERTEX_LIMIT and not force:
-        raise BudgetRefusal(
-            f"refusing r={G.vertex_count} >= {HARD_VERTEX_LIMIT} vertices for the link scan",
-            2 ** G.vertex_count, 0,
-        )
+    _check_budget(G, 1, DEFAULT_BUDGET, force)  # the link scan costs what the n = 1 oracle does
     top = -1  # the link of a facet is {{}}, with homology in degree -1
     faces = independence_complex(G).all_faces()
     for closed in dict.fromkeys(frozenset(face).union(*(G.neighbors[v] for v in face)) for face in faces):
@@ -306,30 +302,31 @@ def reg_edge_ideal(G: Graph, field: FieldSpec = Rationals(), *, force: bool = Fa
 
 @dataclass
 class DepthReport:
-    graph: dict
-    field: FieldSpec
     nu0: int
     limit_depth: int
     profile: dict[int, int]
     stability_index: int
-    method: str
-    witnesses: dict = dc_field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {
-            "graph": self.graph,
-            "field": self.field.label,
             "nu0": self.nu0,
             "limit_depth": self.limit_depth,
             "profile": {str(n): d for n, d in sorted(self.profile.items())},
             "sdstab": self.stability_index,
-            "method": self.method,
-            "witnesses": self.witnesses,
         }
 
 
 def limit_depth(G: Graph) -> int:
     return G.vertex_count - ordered_matching_number(G) - 1
+
+
+def _power_scan(G: Graph, field: FieldSpec, budget: int, force: bool) -> Iterator[tuple[int, int]]:
+    """(n, depth R/J^(n)) for n = 1 .. 2*nu0 - 1, by which the depth has
+    reached its limit."""
+    if G.is_edgeless:
+        raise GraphError("the symbolic depth function needs at least one edge")
+    for n in range(1, max(2 * ordered_matching_number(G) - 1, 1) + 1):
+        yield n, depth_symbolic(G, n, field, budget=budget, force=force)
 
 
 def depth_profile(G: Graph, field: FieldSpec = Rationals(), *,
@@ -342,35 +339,27 @@ def depth_profile(G: Graph, field: FieldSpec = Rationals(), *,
     On bipartite graphs symbolic and ordinary powers coincide, so the same
     report describes the ordinary depth function as well.
     """
-    if G.is_edgeless:
-        raise GraphError("depth profile needs at least one edge")
-    nu0 = ordered_matching_number(G)
-    limit = G.vertex_count - nu0 - 1
-    profile: dict[int, int] = {}
-    for n in range(1, max(2 * nu0 - 1, 1) + 1):
-        profile[n] = depth_symbolic(G, n, field, budget=budget, force=force)
-    values = [profile[n] for n in sorted(profile)]
+    profile = dict(_power_scan(G, field, budget, force))
+    limit = limit_depth(G)
+    values = list(profile.values())
     if any(a < b for a, b in zip(values, values[1:])):
         raise DepthEngineError(f"profile {profile} is not non-increasing")
     if values[-1] != limit:
         raise DepthEngineError(f"profile ends at {values[-1]}, expected {limit}")
     if any(v < limit for v in values):
         raise DepthEngineError(f"profile {profile} dips below its limit {limit}")
-    stab = min(n for n in sorted(profile) if profile[n] <= limit)
-    return DepthReport(G.to_json(), field, nu0, limit, profile, stab, "oracle")
+    stab = min(n for n, d in profile.items() if d <= limit)
+    return DepthReport(ordered_matching_number(G), limit, profile, stab)
 
 
 def stability_index_oracle(G: Graph, field: FieldSpec = Rationals(), *,
                            budget: int = DEFAULT_BUDGET, force: bool = False) -> int:
     """Least n with depth R/J^(n) <= r - nu0 - 1, scanning n upward."""
-    if G.is_edgeless:
-        raise GraphError("stability index needs at least one edge")
-    nu0 = ordered_matching_number(G)
-    limit = G.vertex_count - nu0 - 1
-    for n in range(1, max(2 * nu0 - 1, 1) + 1):
-        if depth_symbolic(G, n, field, budget=budget, force=force) <= limit:
+    limit = limit_depth(G)
+    for n, d in _power_scan(G, field, budget, force):
+        if d <= limit:
             return n
-    raise DepthEngineError(f"depth never reached its limit {limit} by n = {2 * nu0 - 1}")
+    raise DepthEngineError(f"depth never reached its limit {limit} by n = {n}")
 
 
 # -- perfect-matching certificate -------------------------------------------
@@ -396,7 +385,6 @@ def feasible_exponents(G: Graph, om: OrderedMatching, n: int) -> Optional[dict[i
     assigned pairs check immediately."""
     pairs = om.pairs
     covered = om.covered
-    pair_edges = om.edge_set
     # per pair: edges from its endpoints into later pairs (assigned before it)
     later_edges: list[list[tuple[int, int]]] = []
     position = {}
@@ -407,7 +395,7 @@ def feasible_exponents(G: Graph, om: OrderedMatching, n: int) -> Optional[dict[i
         lst = []
         for x in (u, v):
             for w in G.neighbors[x]:
-                if w in covered and position[w] > i and tuple(sorted((x, w))) not in pair_edges:
+                if w in covered and position[w] > i:
                     lst.append((x, w))
         later_edges.append(lst)
     values: dict[int, int] = {}

@@ -263,9 +263,6 @@ def builtin_graph(name: str) -> Graph:
     raise GraphError(f"unknown builtin graph {name!r}")
 
 
-BUILTIN_NAMES = ("FIG1", "FIG2", "FIG3", "FAM(s)", "CHAR16")
-
-
 # -- predicates ----------------------------------------------------------
 
 def is_bipartite(G: Graph) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:

@@ -27,10 +27,6 @@ def _is_prime(p: int) -> bool:
 class Rationals:
     label: str = "q"
 
-    @property
-    def characteristic(self) -> int:
-        return 0
-
     def __str__(self) -> str:
         return "QQ"
 
@@ -46,10 +42,6 @@ class PrimeField:
     @property
     def label(self) -> str:
         return f"gf:{self.p}"
-
-    @property
-    def characteristic(self) -> int:
-        return self.p
 
     def __str__(self) -> str:
         return f"GF({self.p})"

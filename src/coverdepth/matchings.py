@@ -73,9 +73,11 @@ def _lowest_active(G: Graph, avail: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def _matching_number_on(G: Graph) -> Callable[[int], int]:
-    """Matching number of the subgraph on an available-vertex mask; the
-    per-mask memo lives with the graph, so it goes when the graph does."""
+def _matching_number_on(G: Graph, induced: bool = False) -> Callable[[int], int]:
+    """Matching number of the subgraph on an available-vertex mask, or its
+    induced matching number, where taking an edge (v, w) also evicts
+    N(v) and N(w); the per-mask memo lives with the graph, so it goes when
+    the graph does."""
     masks = G.neighbor_masks
 
     @lru_cache(maxsize=None)
@@ -89,7 +91,10 @@ def _matching_number_on(G: Graph) -> Callable[[int], int]:
         while nbrs:
             wbit = nbrs & -nbrs
             nbrs ^= wbit
-            out = max(out, 1 + best(avail ^ vbit ^ wbit))
+            evict = vbit | wbit
+            if induced:
+                evict |= masks[v] | masks[wbit.bit_length()]
+            out = max(out, 1 + best(avail & ~evict))
         return out
 
     return best
@@ -138,25 +143,7 @@ def perfect_matchings(G: Graph) -> list[frozenset[Edge]]:
 
 
 def induced_matching_number(G: Graph) -> int:
-    masks = G.neighbor_masks
-
-    @lru_cache(maxsize=None)
-    def best(avail: int) -> int:
-        v = _lowest_active(G, avail)
-        if v == 0:
-            return 0
-        vbit = 1 << (v - 1)
-        out = best(avail ^ vbit)
-        nbrs = masks[v] & avail
-        while nbrs:
-            wbit = nbrs & -nbrs
-            nbrs ^= wbit
-            w = wbit.bit_length()
-            # taking (v, w) evicts both closed neighborhoods
-            out = max(out, 1 + best(avail & ~(masks[v] | masks[w] | vbit | wbit)))
-        return out
-
-    return best((1 << G.vertex_count) - 1)
+    return _matching_number_on(G, induced=True)((1 << G.vertex_count) - 1)
 
 
 def is_cameron_walker(G: Graph) -> bool:

@@ -347,12 +347,12 @@ def run_verification(level: str = "quick",
     return results
 
 
-def verify_corpus(level: str = "quick", *, printer=print) -> bool:
+def verify_corpus(level: str = "quick") -> bool:
     """Run the requested level and print one pass/fail line per criterion."""
     results = run_verification(level)
     ok = True
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         ok &= res.passed
-        printer(f"[{status}] {res.criterion:>2} {res.name} ({res.seconds:.1f}s): {res.detail}")
+        print(f"[{status}] {res.criterion:>2} {res.name} ({res.seconds:.1f}s): {res.detail}")
     return ok

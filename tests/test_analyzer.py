@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import coverdepth
+from coverdepth import cache
 from coverdepth.analyzer import AnalyzeOptions, analyze, batch
 from coverdepth.depth import cycle_stability_closed_form, path_stability_closed_form
 from coverdepth.families import parse_family_spec
@@ -59,6 +60,15 @@ def test_analyze_with_profile():
     statuses = {c.name: c.status for c in report.checks}
     assert statuses["profile-monotone"] == "pass"
     assert statuses["profile-stabilizes"] == "pass"
+
+
+def test_analyze_profile_refused_by_budget():
+    # the index comes from the closed form; the profile's oracle refuses the
+    # budget, so the report carries no profile and no profile checks
+    report = analyze(path_graph(4), options=AnalyzeOptions(with_profile=True, budget=10))
+    assert report.profile is None
+    assert not [c.name for c in report.checks if c.name.startswith("profile-")]
+    assert (report.stability_index, report.method) == (2, "closed-form")
 
 
 def test_analyze_char16_combinatorial():
@@ -124,6 +134,38 @@ def test_module_level_imports_are_used():
                     if name not in used:
                         unused.append(f"{path.name}: {name}")
     assert unused == []
+
+
+def test_module_level_names_are_referenced():
+    # every function, class and constant a module defines is read somewhere
+    # in the sources, the tests or the benchmark: as a loaded name, an
+    # attribute, an imported name or a string (the benchmark's tracer and
+    # monkeypatch name their targets); dunders are exempt
+    repo = Path(__file__).resolve().parents[1]
+    referenced = set()
+    for path in sorted(p for root in ("src", "tests", "perfbench") for p in (repo / root).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                referenced.add(node.value)
+    unreferenced = []
+    for path in sorted((repo / "src" / "coverdepth").glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [node.id for t in targets for node in ast.walk(t) if isinstance(node, ast.Name)]
+            else:
+                continue
+            unreferenced += [f"{path.name}: {name}" for name in names
+                             if name not in referenced and not (name.startswith("__") and name.endswith("__"))]
+    assert unreferenced == []
 
 
 def test_analyze_deterministic():
@@ -194,6 +236,16 @@ def test_batch_forests_deterministic(tmp_path):
     assert out1.read_text() == out2.read_text()
     first = json.loads(out1.read_text().splitlines()[0])
     assert first["seed"] == 3
+
+
+def test_cache_missing_or_corrupt_blob_is_a_miss(tmp_path, monkeypatch):
+    monkeypatch.setenv("COVERDEPTH_CACHE", str(tmp_path / "cache"))
+    key = {"op": "analyze", "graph": "P2"}
+    assert cache.get(key) is None
+    cache.put(key, {"stability_index": 1})
+    assert cache.get(key) == {"stability_index": 1}
+    cache._blob_path(cache.key_hash(key)).write_text("{not json", encoding="utf-8")
+    assert cache.get(key) is None
 
 
 def test_batch_cache_hit_keeps_instance_name(tmp_path, monkeypatch):

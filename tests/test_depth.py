@@ -285,12 +285,15 @@ def test_acyclic_component_makes_the_union_acyclic(empty_memo):
 def test_reduced_kernel_matches_dense(monkeypatch):
     # the fold, cone and component rules against the dense engine with no
     # memo, over Q and GF(2): every edge set the grid search returns for
-    # n = 1..3 on seeded random graphs with r <= 9, and every link that
-    # reg_edge_ideal reads on the criterion-4/5 graphs
+    # n = 1..3 on seeded random graphs with r <= 9 and for n = 1..sdstab on
+    # the bound sweep's graphs, and every link that reg_edge_ideal reads on
+    # the criterion-4/5 graphs
+    powers = [(inst.graph, range(1, 4)) for inst in random_graphs(seed=0, count=8, max_r=9)]
+    powers += [(inst.graph, range(1, stability_index_oracle(inst.graph) + 1))
+               for inst in random_graphs(seed=417, count=100, max_r=8)]
     edge_sets = set()
-    for inst in random_graphs(seed=0, count=8, max_r=9):
-        G = inst.graph
-        for n in (1, 2, 3):
+    for G, ns in powers:
+        for n in ns:
             edge_sets.update(map(frozenset, _qualifying_subsets(list(_frontier_order(G)), list(G.edge_list), n, n)))
     kernel = depth._max_nonzero_degree
 
@@ -303,7 +306,7 @@ def test_reduced_kernel_matches_dense(monkeypatch):
         reg_edge_ideal(G)
     monkeypatch.setattr(depth, "_max_nonzero_degree", kernel)
     monkeypatch.setattr(depth, "_MAX_DEGREE_CACHE", {})
-    assert len(edge_sets) > 3000
+    assert len(edge_sets) > 17000
     for key in edge_sets:
         for field in (Rationals(), PrimeField(2)):
             assert kernel(key, field) == dense_max_nonzero_degree(key, field), (sorted(key), field)
