@@ -16,7 +16,6 @@ from . import cache as cache_mod
 from .altpaths import _shortest_max_ordered, alt_path_length, walk_length
 from .depth import (
     DEFAULT_BUDGET,
-    HARD_VERTEX_LIMIT,
     BudgetRefusal,
     depth_profile,
     reg_edge_ideal,
@@ -89,7 +88,6 @@ class AnalysisReport:
 
     def to_json(self) -> dict:
         out = asdict(self)
-        out["checks"] = [asdict(c) for c in self.checks]
         if self.profile is not None:
             out["profile"] = {str(k): v for k, v in sorted(self.profile.items())}
         return out
@@ -125,19 +123,47 @@ def analyze(G: Graph, field: FieldSpec = Rationals(),
     if opts.with_walk and G.vertex_count <= WALK_VERTEX_LIMIT:
         walk_len = walk_length(G, shortest)
 
+    # a refusal of the link scan or of the profile leaves its checks out
+    reg: Optional[int] = None
     profile_json: Optional[dict] = None
     limit = G.vertex_count - nu0 - 1
-    if opts.with_profile and opts.mode in ("auto", "oracle"):
+    if opts.mode in ("auto", "oracle"):
         try:
-            report = depth_profile(G, field, budget=opts.budget, force=opts.force)
-            profile_json = report.profile
+            reg = reg_edge_ideal(G, field, budget=opts.budget, force=opts.force)
+            if opts.with_profile:
+                profile_json = depth_profile(G, field, budget=opts.budget, force=opts.force).profile
         except BudgetRefusal:
             pass
 
     equality = "unknown" if stab is None else ("attained" if stab == bound else "strict")
     equality_source = method if stab is not None else "none"
 
-    checks = _theorem_checks(G, field, opts, flags, nu, nu0, ell, bound, stab, profile_json, limit)
+    checks: list[TheoremCheck] = []
+
+    def add(name: str, ok: Optional[bool], detail: str = "") -> None:
+        status = "skipped" if ok is None else ("pass" if ok else "fail")
+        checks.append(TheoremCheck(name, status, detail))
+
+    add("bound", None if stab is None else stab <= bound,
+        f"stability_index={stab}, bound={bound}")
+    class_flag = flags["perfect_ordered_matching"] or flags["forest"] or flags["pentagon_free_fully_ordered"]
+    add("equality-classes", (stab == bound) if (stab is not None and class_flag) else None,
+        "class flags force equality" if class_flag else "no equality class applies")
+    bip_bound = 2 * nu0 - 1 if flags["bipartite"] else 4 * nu0 - 3
+    add("path-length-upper", ell <= bip_bound, f"{ell} <= {bip_bound}")
+    add("unique-perfect-matching", unique_perfect_matching_check(G) if flags["perfect_ordered_matching"] else None,
+        "graphs with a perfect ordered matching have one perfect matching")
+    if reg is not None:
+        add("constant-depth-iff", None if stab is None else ((stab == 1) == (reg == nu0 + 1)),
+            f"reg={reg}, nu0+1={nu0 + 1}")
+        add("regularity-upper", reg <= nu + 1, f"reg={reg} <= nu+1={nu + 1}")
+    else:
+        add("constant-depth-iff", None, "algebra disabled in this mode")
+    if profile_json is not None:
+        vals = [profile_json[n] for n in sorted(profile_json)]
+        add("profile-monotone", all(a >= b for a, b in zip(vals, vals[1:])), f"{vals}")
+        add("profile-stabilizes", vals[-1] == limit, f"final={vals[-1]}, limit={limit}")
+
     notes = []
     key = name.strip().upper()
     if key in CORPUS_NOTES:
@@ -166,37 +192,6 @@ def analyze(G: Graph, field: FieldSpec = Rationals(),
         notes=notes,
         seed=seed,
     )
-
-
-def _theorem_checks(G, field, opts, flags, nu, nu0, ell, bound, stab,
-                    profile_json, limit) -> list[TheoremCheck]:
-    checks: list[TheoremCheck] = []
-
-    def add(name: str, ok: Optional[bool], detail: str = "") -> None:
-        status = "skipped" if ok is None else ("pass" if ok else "fail")
-        checks.append(TheoremCheck(name, status, detail))
-
-    add("bound", None if stab is None else stab <= bound,
-        f"stability_index={stab}, bound={bound}")
-    class_flag = flags["perfect_ordered_matching"] or flags["forest"] or flags["pentagon_free_fully_ordered"]
-    add("equality-classes", (stab == bound) if (stab is not None and class_flag) else None,
-        "class flags force equality" if class_flag else "no equality class applies")
-    bip_bound = 2 * nu0 - 1 if flags["bipartite"] else 4 * nu0 - 3
-    add("path-length-upper", ell <= bip_bound, f"{ell} <= {bip_bound}")
-    add("unique-perfect-matching", unique_perfect_matching_check(G) if flags["perfect_ordered_matching"] else None,
-        "graphs with a perfect ordered matching have one perfect matching")
-    if opts.mode in ("auto", "oracle") and G.vertex_count < HARD_VERTEX_LIMIT:
-        reg = reg_edge_ideal(G, field)
-        add("constant-depth-iff", None if stab is None else ((stab == 1) == (reg == nu0 + 1)),
-            f"reg={reg}, nu0+1={nu0 + 1}")
-        add("regularity-upper", reg <= nu + 1, f"reg={reg} <= nu+1={nu + 1}")
-    else:
-        add("constant-depth-iff", None, "algebra disabled in this mode")
-    if profile_json is not None:
-        vals = [profile_json[n] for n in sorted(profile_json)]
-        add("profile-monotone", all(a >= b for a, b in zip(vals, vals[1:])), f"{vals}")
-        add("profile-stabilizes", vals[-1] == limit, f"final={vals[-1]}, limit={limit}")
-    return checks
 
 
 # -- batch runner ------------------------------------------------------------

@@ -47,7 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--mode", default="auto", choices=MODES)
     an.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="oracle operation budget")
     an.add_argument("--force", action="store_true",
-                    help="override the size guardrail (large instances may run for a very long time)")
+                    help="skip the vertex cap and the budget for every oracle call "
+                         "(large instances may run for a very long time)")
     an.add_argument("--profile", action="store_true", help="also compute the full depth profile")
     an.add_argument("--no-walk", action="store_true", help="skip the walk diagnostic")
     an.add_argument("--out", help="write the JSON report here instead of stdout")

@@ -82,20 +82,16 @@ def oracle_cost_estimate(r: int, n: int) -> int:
 
 
 def _check_budget(G: Graph, n: int, budget: int, force: bool) -> None:
-    r = G.vertex_count
+    """The one admission rule for every oracle call; ``force`` waives it."""
     if force:
         return
-    if r >= HARD_VERTEX_LIMIT:
-        raise BudgetRefusal(
-            f"refusing r={r} >= {HARD_VERTEX_LIMIT} vertices (pass force=True to override)",
-            oracle_cost_estimate(r, n), budget,
-        )
+    r = G.vertex_count
     est = oracle_cost_estimate(r, n)
+    if r >= HARD_VERTEX_LIMIT:
+        raise BudgetRefusal(f"refusing r={r} >= {HARD_VERTEX_LIMIT} vertices (pass force=True to override)",
+                            est, budget)
     if est > budget:
-        raise BudgetRefusal(
-            f"estimated cost {est} exceeds budget {budget} (r={r}, n={n})",
-            est, budget,
-        )
+        raise BudgetRefusal(f"estimated cost {est} exceeds budget {budget} (r={r}, n={n})", est, budget)
 
 
 # -- memoized homology of qualifying graphs --------------------------------
@@ -279,7 +275,8 @@ def depth_symbolic(G: Graph, n: int, field: FieldSpec = Rationals(), *,
     return best
 
 
-def reg_edge_ideal(G: Graph, field: FieldSpec = Rationals(), *, force: bool = False) -> int:
+def reg_edge_ideal(G: Graph, field: FieldSpec = Rationals(), *,
+                   budget: int = DEFAULT_BUDGET, force: bool = False) -> int:
     """Regularity of the edge ideal: 2 + the top degree of homology over the
     links of Ind(G).  The link of a face F is Ind(G - N[F]), so each distinct
     closed neighbourhood N[F] is read once; the link is a cone when some
@@ -287,7 +284,7 @@ def reg_edge_ideal(G: Graph, field: FieldSpec = Rationals(), *, force: bool = Fa
     degree comes from the oracle's memo."""
     if G.is_edgeless:
         raise GraphError("the edge ideal of an edgeless graph is zero")
-    _check_budget(G, 1, DEFAULT_BUDGET, force)  # the link scan costs what the n = 1 oracle does
+    _check_budget(G, 1, budget, force)  # the link scan costs what the n = 1 oracle does
     top = -1  # the link of a facet is {{}}, with homology in degree -1
     faces = independence_complex(G).all_faces()
     for closed in dict.fromkeys(frozenset(face).union(*(G.neighbors[v] for v in face)) for face in faces):
@@ -495,9 +492,9 @@ def stability_index(G: Graph, field: FieldSpec = Rationals(), mode: str = "auto"
        and cycles (``closed-form``).
     2. Every mode but ``oracle``: the perfect-ordered-matching certificate,
        with the exponent vector as ``witness``.  ``auto`` cross-checks it
-       against the oracle when the oracle's cost estimate is small
-       (``certificate+oracle``; a disagreement raises DepthEngineError),
-       otherwise the value stands alone (``certificate``).  ``certificate``
+       against the oracle if ``_check_budget`` admits CROSS_CHECK_ESTIMATE_LIMIT
+       (``certificate+oracle``; a disagreement raises DepthEngineError); on
+       any refusal the value stands alone (``certificate``).  ``certificate``
        mode raises CertificateInapplicableError when no perfect ordered
        matching exists.
     3. ``auto`` and ``oracle``: the homology oracle (``oracle``).  A budget
@@ -526,9 +523,12 @@ def stability_index(G: Graph, field: FieldSpec = Rationals(), mode: str = "auto"
                 raise
             out = None
         if out is not None:
-            if (mode == "auto" and r < HARD_VERTEX_LIMIT
-                    and oracle_cost_estimate(r, out.value) <= CROSS_CHECK_ESTIMATE_LIMIT):
-                oracle_value = stability_index_oracle(G, field, budget=budget, force=force)
+            if mode == "auto":
+                try:
+                    _check_budget(G, out.value, CROSS_CHECK_ESTIMATE_LIMIT, False)
+                    oracle_value = stability_index_oracle(G, field, budget=budget, force=force)
+                except BudgetRefusal:
+                    return StabilityResult(out.value, "certificate", out)
                 if oracle_value != out.value:
                     raise DepthEngineError(f"certificate {out.value} != oracle {oracle_value}")
                 return StabilityResult(out.value, "certificate+oracle", out)

@@ -69,6 +69,18 @@ def test_analyze_profile_refused_by_budget():
     assert report.profile is None
     assert not [c.name for c in report.checks if c.name.startswith("profile-")]
     assert (report.stability_index, report.method) == (2, "closed-form")
+    # the link scan asks the same budget, so its checks are left out too
+    checks = {c.name: c.status for c in report.checks}
+    assert checks["constant-depth-iff"] == "skipped"
+    assert "regularity-upper" not in checks
+
+
+def test_analyze_force_reaches_the_link_scan():
+    # r = 13 is refused by the vertex cap unless forced; P13's links are cheap
+    checks = {c.name: c.status for c in analyze(path_graph(13), options=AnalyzeOptions(force=True)).checks}
+    assert checks["regularity-upper"] == "pass"
+    checks = {c.name: c.status for c in analyze(path_graph(13)).checks}
+    assert checks["constant-depth-iff"] == "skipped" and "regularity-upper" not in checks
 
 
 def test_analyze_char16_combinatorial():
@@ -134,6 +146,28 @@ def test_module_level_imports_are_used():
                     if name not in used:
                         unused.append(f"{path.name}: {name}")
     assert unused == []
+
+
+def test_oracle_admission_lives_in_check_budget():
+    # depth._check_budget is the one admission rule for the oracle: the
+    # vertex cap and the cost estimate are read, and BudgetRefusal is raised,
+    # nowhere else under the package (imports count as reads)
+    guarded = {"HARD_VERTEX_LIMIT", "oracle_cost_estimate"}
+    places = set()
+
+    def scan(node, where):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Name) and child.id in guarded and isinstance(child.ctx, ast.Load)
+                    or isinstance(child, ast.alias) and child.name in guarded
+                    or isinstance(child, ast.Raise) and child.exc is not None
+                    and any(isinstance(n, ast.Name) and n.id == "BudgetRefusal" for n in ast.walk(child.exc))):
+                places.add(where)
+            inner = f"{where}.{child.name}" if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else where
+            scan(child, inner)
+
+    for path in sorted(Path(coverdepth.__file__).parent.glob("*.py")):
+        scan(ast.parse(path.read_text()), path.stem)
+    assert places == {"depth._check_budget"}
 
 
 def test_module_level_names_are_referenced():
@@ -217,6 +251,15 @@ def test_batch_paths(tmp_path, monkeypatch):
     reports = [json.loads(line) for line in lines]
     assert [r["stability_index"] for r in reports] == [1, 1, 2, 1, 3, 2, 4]
     assert all(r["method"] == "closed-form" for r in reports)
+
+
+def test_batch_small_budget_falls_back(tmp_path):
+    # a refused cross-check or oracle never ends an auto batch
+    out = tmp_path / "graphs.jsonl"
+    assert batch("graphs seed=0 count=8 maxr=6", out, options=AnalyzeOptions(budget=1000)) == 8
+    reports = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(reports) == 8
+    assert {r["method"] for r in reports} == {"equality-class", "oracle", "certificate"}
 
 
 def test_batch_cache_resume(tmp_path, monkeypatch):

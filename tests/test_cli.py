@@ -54,6 +54,13 @@ def test_tiny_budget_refusal_via_cli(capsys):
     assert "exceeds budget 10" in err
 
 
+def test_small_budget_auto_falls_back_to_certificate(capsys):
+    code = main(["analyze", "--graph", "builtin:FIG3", "--budget", "1000", "--no-walk"])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["stability_index"], report["method"]) == (3, "certificate")
+
+
 def test_batch_cli(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("COVERDEPTH_CACHE", str(tmp_path / "cache"))
     out = tmp_path / "cycles.jsonl"

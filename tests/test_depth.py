@@ -152,6 +152,13 @@ def test_stability_auto_skips_expensive_cross_check():
     assert res.method == "certificate"
 
 
+def test_stability_auto_cross_check_refusal_keeps_certificate():
+    # FIG3's cross-check passes the cross-check limit, but a budget of 1000
+    # refuses the oracle it runs; auto then returns the bare certificate
+    res = stability_index(builtin_graph("FIG3"), budget=1000)
+    assert (res.value, res.method) == (3, "certificate")
+
+
 def test_budget_refusal_large_graph():
     with pytest.raises(BudgetRefusal):
         depth_symbolic(builtin_graph("CHAR16"), 1)
