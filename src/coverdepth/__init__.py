@@ -12,7 +12,6 @@ from .graphs import (
     GraphParseError,
     builtin_graph,
     cycle_graph,
-    induced_subgraph,
     parse_graph,
     path_graph,
 )
@@ -21,11 +20,9 @@ from .matchings import (
     enumerate_max_ordered_matchings,
     has_perfect_ordered_matching,
     induced_matching_number,
-    is_cameron_walker,
     is_ordered_matching,
     matching_number,
     ordered_matching_number,
-    ordering_feasibility,
     unique_perfect_matching_check,
 )
 from .altpaths import (
@@ -38,7 +35,6 @@ from .altpaths import (
     walk_length,
 )
 from .complexes import SimplicialComplex, from_facets, reduced_homology
-from .degree import independence_complex, qualifying_graph
 from .depth import (
     BudgetRefusal,
     DepthReport,

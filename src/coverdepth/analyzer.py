@@ -125,6 +125,7 @@ def analyze(G: Graph, field: FieldSpec = Rationals(),
 
     # a refusal of the link scan or of the profile leaves its checks out
     reg: Optional[int] = None
+    reg_skipped = "algebra disabled in this mode"
     profile_json: Optional[dict] = None
     limit = G.vertex_count - nu0 - 1
     if opts.mode in ("auto", "oracle"):
@@ -132,8 +133,8 @@ def analyze(G: Graph, field: FieldSpec = Rationals(),
             reg = reg_edge_ideal(G, field, budget=opts.budget, force=opts.force)
             if opts.with_profile:
                 profile_json = depth_profile(G, field, budget=opts.budget, force=opts.force).profile
-        except BudgetRefusal:
-            pass
+        except BudgetRefusal as refusal:
+            reg_skipped = str(refusal)  # only read when the link scan, which runs first, was refused
 
     equality = "unknown" if stab is None else ("attained" if stab == bound else "strict")
     equality_source = method if stab is not None else "none"
@@ -158,7 +159,7 @@ def analyze(G: Graph, field: FieldSpec = Rationals(),
             f"reg={reg}, nu0+1={nu0 + 1}")
         add("regularity-upper", reg <= nu + 1, f"reg={reg} <= nu+1={nu + 1}")
     else:
-        add("constant-depth-iff", None, "algebra disabled in this mode")
+        add("constant-depth-iff", None, reg_skipped)
     if profile_json is not None:
         vals = [profile_json[n] for n in sorted(profile_json)]
         add("profile-monotone", all(a >= b for a, b in zip(vals, vals[1:])), f"{vals}")

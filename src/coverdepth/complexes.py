@@ -1,4 +1,4 @@
-"""Simplicial complexes given by facets: cones and reduced homology over an
+"""Simplicial complexes given by facets, and their reduced homology over an
 exact field.
 
 A complex is stored as (ground set, facet antichain).  Two degenerate values
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import FrozenSet, Iterable, Iterator, Optional
+from typing import FrozenSet, Iterable
 
 from .linalg import FieldSpec, Rationals, rank
 
@@ -70,35 +70,6 @@ class SimplicialComplex:
             if len(f) >= d + 1:
                 out.update(frozenset(c) for c in combinations(sorted(f), d + 1))
         return sorted(out, key=sorted)
-
-    def all_faces(self) -> Iterator[Face]:
-        if self.is_void:
-            return
-        for d in range(-1, self.dim + 1):
-            yield from self.faces_of_dim(d)
-
-    def is_cone(self) -> Optional[int]:
-        """A vertex lying in every facet, if one exists (cones are acyclic)."""
-        if self.is_void:
-            return None
-        common = set(self.facets[0])
-        for f in self.facets[1:]:
-            common &= f
-            if not common:
-                return None
-        return min(common) if common else None
-
-    def relabel(self, mapping: dict[int, int]) -> "SimplicialComplex":
-        return SimplicialComplex.make(
-            [mapping[v] for v in self.ground],
-            [[mapping[v] for v in f] for f in self.facets],
-        )
-
-    def to_json(self) -> dict:
-        out = {"m": len(self.ground), "facets": [sorted(f) for f in self.facets]}
-        if self.ground != tuple(range(1, len(self.ground) + 1)):
-            out["labels"] = list(self.ground)
-        return out
 
 
 def from_facets(ground_size: int, facets: Iterable[Iterable[int]]) -> SimplicialComplex:

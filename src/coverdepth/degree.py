@@ -1,4 +1,4 @@
-"""Cover-ideal combinatorics: independence complexes and qualifying graphs.
+"""Cover-ideal combinatorics: independence complexes and qualifying edges.
 
 For a graph G the cover ideal is the intersection of the edge primes
 (x_u, x_v); a monomial x^a lies in the n-th symbolic power exactly when
@@ -26,11 +26,6 @@ def _check_alpha(G: Graph, alpha: Sequence[int]) -> tuple[int, ...]:
 
 def negative_support(alpha: Sequence[int]) -> tuple[int, ...]:
     return tuple(i + 1 for i, x in enumerate(alpha) if x < 0)
-
-
-def independence_complex(G: Graph) -> SimplicialComplex:
-    """Faces are the independent sets; Alexander dual of the cover complex."""
-    return _independence_complex(tuple(G.vertices()), G.edge_list)
 
 
 def _independence_complex(vertices: tuple[int, ...], edges: Iterable[tuple[int, int]]) -> SimplicialComplex:
@@ -67,19 +62,3 @@ def qualifying_edges(G: Graph, n: int, alpha: Sequence[int]) -> list[tuple[int, 
         for u, v in G.edge_list
         if u not in neg and v not in neg and a[u - 1] + a[v - 1] <= n - 1
     ]
-
-
-def qualifying_graph(G: Graph, n: int, alpha: Sequence[int]) -> tuple[Graph, tuple[int, ...]]:
-    """Subgraph of qualifying edges on V minus the negative support.
-
-    Returned relabeled 1..m with the label map, like induced subgraphs; its
-    independence complex is the Alexander dual of the degree complex.
-    """
-    a = _check_alpha(G, alpha)
-    neg = set(negative_support(a))
-    rest = [v for v in G.vertices() if v not in neg]
-    if not rest:
-        raise GraphError("negative support covers every vertex")
-    pos = {v: i + 1 for i, v in enumerate(rest)}
-    edges = [(pos[u], pos[v]) for u, v in qualifying_edges(G, n, a)]
-    return Graph.make(len(rest), edges, allow_edgeless=True), tuple(rest)

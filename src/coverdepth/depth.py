@@ -40,12 +40,13 @@ reaches the dense engine.  Edge sets and parts share one bounded memo with
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .altpaths import alt_path_length, stability_bound
 from .complexes import nonzero_degrees, reduced_homology
-from .degree import _independence_complex, independence_complex
+from .degree import _independence_complex
 from .graphs import Graph, GraphError, connected_components, has_cycle_of_length, is_forest
 from .linalg import FieldSpec, Rationals
 from .matchings import (
@@ -97,7 +98,7 @@ def _check_budget(G: Graph, n: int, budget: int, force: bool) -> None:
 # -- memoized homology of qualifying graphs --------------------------------
 
 _MAX_DEGREE_CACHE_SIZE = 1 << 16
-_MAX_DEGREE_CACHE: dict[tuple[frozenset, FieldSpec], Optional[int]] = {}
+_MAX_DEGREE_CACHE: OrderedDict[tuple[frozenset, FieldSpec], Optional[int]] = OrderedDict()
 
 
 def _folded_components(edge_key: frozenset) -> Optional[list[frozenset]]:
@@ -168,7 +169,7 @@ def _max_nonzero_degree(edge_key: frozenset, field: FieldSpec) -> Optional[int]:
                 break
             top += j
     if len(_MAX_DEGREE_CACHE) >= _MAX_DEGREE_CACHE_SIZE:
-        del _MAX_DEGREE_CACHE[next(iter(_MAX_DEGREE_CACHE))]  # oldest first
+        _MAX_DEGREE_CACHE.popitem(last=False)  # oldest first
     _MAX_DEGREE_CACHE[key] = top
     return top
 
@@ -251,16 +252,13 @@ def depth_symbolic(G: Graph, n: int, field: FieldSpec = Rationals(), *,
         raise ValueError(f"power must be >= 1, got {n}")
     _check_budget(G, n, budget, force)
     r = G.vertex_count
-
-    def support(E: tuple[tuple[int, int], ...]) -> int:
-        return r - len({v for e in E for v in e})
-
     edge_sets = _qualifying_subsets(list(_frontier_order(G)), list(G.edge_list), n, n)
-    edge_sets.sort(key=support)  # stable, so ascending bit code within one size
+    visits = [(r - len({v for e in E for v in e}), E) for E in edge_sets]  # (support size, E)
+    visits.sort(key=lambda visit: visit[0])  # stable, so ascending bit code within one size
     lower = 0 if r == 2 else 1  # the maximal ideal is associated only when r = 2
     best: Optional[int] = None
-    for E in edge_sets:
-        if best is not None and support(E) > best:
+    for size, E in visits:
+        if best is not None and size > best:
             break
         jmax = _max_nonzero_degree(frozenset(E), field)
         if jmax is None:
@@ -281,15 +279,25 @@ def reg_edge_ideal(G: Graph, field: FieldSpec = Rationals(), *,
     links of Ind(G).  The link of a face F is Ind(G - N[F]), so each distinct
     closed neighbourhood N[F] is read once; the link is a cone when some
     vertex of W = V - N[F] has no neighbour in W, and any other link's top
-    degree comes from the oracle's memo."""
+    degree comes from the oracle's memo.
+
+    The distinct N[F] are generated directly as bit masks (bit v - 1 for v),
+    in one pass over the vertices: N[F + v] = N[F] | N[v], and F + v is
+    independent exactly when v lies outside N[F], so each vertex v adds
+    c | N[v] for every mask c so far that does not hold v.  No face of
+    Ind(G) is listed."""
     if G.is_edgeless:
         raise GraphError("the edge ideal of an edgeless graph is zero")
     _check_budget(G, 1, budget, force)  # the link scan costs what the n = 1 oracle does
+    masks = G.neighbor_masks
+    closed_masks = {0}  # N[{}] is empty
+    for v in G.vertices():
+        bit = 1 << (v - 1)
+        closed_masks |= {c | bit | masks[v] for c in closed_masks if not c & bit}
     top = -1  # the link of a facet is {{}}, with homology in degree -1
-    faces = independence_complex(G).all_faces()
-    for closed in dict.fromkeys(frozenset(face).union(*(G.neighbors[v] for v in face)) for face in faces):
-        edges = frozenset(e for e in G.edge_list if closed.isdisjoint(e))
-        if edges and len(closed) + len({v for e in edges for v in e}) == G.vertex_count:
+    for closed in closed_masks:
+        edges = frozenset(e for e in G.edge_list if not (closed >> (e[0] - 1) | closed >> (e[1] - 1)) & 1)
+        if edges and closed.bit_count() + len({v for e in edges for v in e}) == G.vertex_count:
             jmax = _max_nonzero_degree(edges, field)
             top = top if jmax is None else max(top, jmax)
     return top + 2

@@ -12,7 +12,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 
@@ -175,30 +174,6 @@ def cycle_graph(r: int) -> Graph:
     return Graph.make(r, [(i, i + 1) for i in range(1, r)] + [(1, r)])
 
 
-def induced_subgraph(G: Graph, subset: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
-    """Induced subgraph on ``subset``, relabeled 1..|subset| preserving order.
-
-    Returns (graph, labels) where labels[i-1] is the original vertex now
-    called i.  An edge-free result is allowed and flagged edgeless.
-    """
-    labels = vertex_set(subset, G.vertex_count)
-    if not labels:
-        raise GraphError("empty vertex subset")
-    pos = {v: i + 1 for i, v in enumerate(labels)}
-    keep = set(labels)
-    edges = [(pos[u], pos[v]) for u, v in G.edge_list if u in keep and v in keep]
-    return Graph.make(len(labels), edges, allow_edgeless=True), labels
-
-
-def vertex_set(subset: Iterable[int], vertex_count: int) -> tuple[int, ...]:
-    """Validate and canonicalize a vertex subset as a sorted tuple."""
-    out = sorted(set(int(v) for v in subset))
-    for v in out:
-        if not (1 <= v <= vertex_count):
-            raise GraphError(f"vertex {v} out of range 1..{vertex_count}")
-    return tuple(out)
-
-
 # -- builtin corpus ------------------------------------------------------
 
 _FIG1_EDGES = [(1, 5), (2, 6), (3, 7), (4, 8), (1, 6), (2, 7), (3, 8), (5, 6)]
@@ -338,8 +313,3 @@ def has_cycle_of_length(G: Graph, k: int) -> bool:
         if extend([start], {start}):
             return True
     return False
-
-
-def is_independent(G: Graph, subset: Iterable[int]) -> bool:
-    vs = vertex_set(subset, G.vertex_count)
-    return all(not G.has_edge(u, v) for u, v in combinations(vs, 2))

@@ -11,20 +11,12 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .graphs import Graph, _normalize_edge
 
 Edge = tuple[int, int]
 Pair = tuple[int, int]  # oriented: (free, partner)
-
-
-class MatchingError(ValueError):
-    pass
-
-
-class FreeSideDependentError(MatchingError):
-    """The chosen free side is not an independent set."""
 
 
 @dataclass(frozen=True)
@@ -36,10 +28,6 @@ class OrderedMatching:
     @property
     def size(self) -> int:
         return len(self.pairs)
-
-    @property
-    def free_side(self) -> tuple[int, ...]:
-        return tuple(u for u, _ in self.pairs)
 
     @property
     def partner_side(self) -> tuple[int, ...]:
@@ -146,11 +134,6 @@ def induced_matching_number(G: Graph) -> int:
     return _matching_number_on(G, induced=True)((1 << G.vertex_count) - 1)
 
 
-def is_cameron_walker(G: Graph) -> bool:
-    """Induced matching number equals matching number."""
-    return induced_matching_number(G) == matching_number(G)
-
-
 # -- ordered matchings -----------------------------------------------------
 
 def ordered_matching_violation(G: Graph, pairs: Sequence[Sequence[int]]) -> Optional[str]:
@@ -178,42 +161,6 @@ def ordered_matching_violation(G: Graph, pairs: Sequence[Sequence[int]]) -> Opti
 
 def is_ordered_matching(G: Graph, pairs: Sequence[Sequence[int]]) -> bool:
     return ordered_matching_violation(G, pairs) is None
-
-
-def ordering_feasibility(
-    G: Graph, matching: Iterable[Sequence[int]], free_vertices: Iterable[int]
-) -> Optional[tuple[Pair, ...]]:
-    """Valid canonical index order for the oriented pair set, if one exists.
-
-    The pair digraph has an arc p -> q whenever free(p) is adjacent to
-    partner(q); valid orders are exactly its topological orders.  Raises
-    :class:`FreeSideDependentError` when the free side is not independent,
-    returns None when the digraph is cyclic.
-    """
-    free = set(int(v) for v in free_vertices)
-    oriented: list[Pair] = []
-    for raw in matching:
-        u, v = int(raw[0]), int(raw[1])
-        if not G.has_edge(u, v):
-            raise MatchingError(f"({u},{v}) is not an edge")
-        if u in free and v in free:
-            raise MatchingError(f"both endpoints of ({u},{v}) marked free")
-        if u in free:
-            oriented.append((u, v))
-        elif v in free:
-            oriented.append((v, u))
-        else:
-            raise MatchingError(f"no endpoint of ({u},{v}) marked free")
-    if len(set(p for pr in oriented for p in pr)) != 2 * len(oriented):
-        raise MatchingError("pairs are not vertex-disjoint")
-    frees = [u for u, _ in oriented]
-    for i in range(len(frees)):
-        for j in range(i + 1, len(frees)):
-            if G.has_edge(frees[i], frees[j]):
-                raise FreeSideDependentError(
-                    f"free side not independent: edge ({frees[i]},{frees[j]})"
-                )
-    return _canonical_order(G, tuple(sorted(oriented)))
 
 
 def _canonical_order(G: Graph, oriented: tuple[Pair, ...]) -> Optional[tuple[Pair, ...]]:

@@ -23,7 +23,7 @@ from .altpaths import (
 )
 from .analyzer import analyze, AnalyzeOptions
 from .complexes import from_facets, reduced_homology
-from .degree import qualifying_graph
+from .degree import negative_support, qualifying_edges
 from .depth import (
     BudgetRefusal,
     cycle_stability_closed_form,
@@ -160,10 +160,9 @@ def check_fig3(level: str) -> tuple[bool, str]:
     _expect(failures, lengths == {5: 5, 6: 5, 7: 3, 8: 1}, f"partner lengths {lengths}")
     alpha = path_exponents(G, om)
     _expect(failures, alpha.vector() == FIG3_ALPHA, f"alpha {alpha.vector()} != {FIG3_ALPHA}")
-    qg, labels = qualifying_graph(G, 3, FIG3_ALPHA)
-    _expect(failures, labels == tuple(range(1, 9)), "unexpected relabeling")
-    _expect(failures, qg.edges == frozenset(FIG1_PAIRS),
-            f"qualifying edges {sorted(qg.edges)} != matching")
+    _expect(failures, negative_support(FIG3_ALPHA) == (), "unexpected negative support")
+    edges = qualifying_edges(G, 3, FIG3_ALPHA)
+    _expect(failures, set(edges) == set(FIG1_PAIRS), f"qualifying edges {edges} != matching")
     got = stability_index_oracle(G)
     _expect(failures, got == 3, f"oracle {got} != 3")
     return not failures, "; ".join(failures) or "alpha vector, qualifying graph and oracle agree"

@@ -9,8 +9,9 @@ the top homology degree of an independence complex by the dense engine with
 no reduction and no memo.
 
 It also holds the reference side of the algebra that the library itself no
-longer needs: the cover complex, Alexander duality, degree complexes and
-membership in symbolic powers.
+longer needs: the cover complex, Alexander duality, degree complexes,
+membership in symbolic powers, the independence complex of a whole graph and
+induced subgraphs.
 """
 
 from __future__ import annotations
@@ -22,11 +23,10 @@ from coverdepth.complexes import SimplicialComplex, nonzero_degrees, reduced_hom
 from coverdepth.degree import (
     _check_alpha,
     _independence_complex,
-    independence_complex,
     negative_support,
     qualifying_edges,
 )
-from coverdepth.graphs import Graph, GraphError, induced_subgraph
+from coverdepth.graphs import Graph, GraphError
 from coverdepth.linalg import Rationals
 
 
@@ -324,6 +324,35 @@ def brute_support_depth(G: Graph, n: int, field=None) -> int:
                 for j in nonzero_degrees(reduced_homology(independence_complex(Q), field)):
                     best = r - 2 - j if best is None else min(best, r - 2 - j)
     return best
+
+
+def independence_complex(G: Graph) -> SimplicialComplex:
+    """Faces are the independent sets; Alexander dual of the cover complex."""
+    return _independence_complex(tuple(G.vertices()), G.edge_list)
+
+
+def vertex_set(subset, vertex_count: int) -> tuple[int, ...]:
+    """Validate and canonicalize a vertex subset as a sorted tuple."""
+    out = sorted(set(int(v) for v in subset))
+    for v in out:
+        if not (1 <= v <= vertex_count):
+            raise GraphError(f"vertex {v} out of range 1..{vertex_count}")
+    return tuple(out)
+
+
+def induced_subgraph(G: Graph, subset) -> tuple[Graph, tuple[int, ...]]:
+    """Induced subgraph on ``subset``, relabeled 1..|subset| preserving order.
+
+    Returns (graph, labels) where labels[i-1] is the original vertex now
+    called i.  An edge-free result is allowed and flagged edgeless.
+    """
+    labels = vertex_set(subset, G.vertex_count)
+    if not labels:
+        raise GraphError("empty vertex subset")
+    pos = {v: i + 1 for i, v in enumerate(labels)}
+    keep = set(labels)
+    edges = [(pos[u], pos[v]) for u, v in G.edge_list if u in keep and v in keep]
+    return Graph.make(len(labels), edges, allow_edgeless=True), labels
 
 
 def brute_reg_edge_ideal(G: Graph, field=None) -> int:

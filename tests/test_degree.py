@@ -3,7 +3,7 @@ import random
 import pytest
 
 from coverdepth.complexes import reduced_homology
-from coverdepth.degree import independence_complex, qualifying_edges, qualifying_graph
+from coverdepth.degree import _independence_complex, negative_support, qualifying_edges
 from coverdepth.graphs import Graph, GraphError, builtin_graph, cycle_graph, path_graph
 from brute import (
     alexander_dual,
@@ -11,6 +11,7 @@ from brute import (
     cover_complex,
     degree_complex,
     dual_homology_check,
+    independence_complex,
     random_small_graph,
     symbolic_membership,
 )
@@ -45,7 +46,8 @@ def test_independence_complex_faces_are_independent_sets():
     for _ in range(15):
         G = random_small_graph(rng, max_r=6)
         cx = independence_complex(G)
-        assert set(cx.all_faces()) == set(brute_independent_sets(G))
+        faces = {f for d in range(-1, cx.dim + 1) for f in cx.faces_of_dim(d)}
+        assert faces == set(brute_independent_sets(G))
 
 
 def test_cover_dual_is_independence_complex():
@@ -94,14 +96,14 @@ def test_degree_complex_negative_support():
 
 
 def test_qualifying_graph_examples():
-    qg, labels = qualifying_graph(builtin_graph("FIG3"), 3, FIG3_ALPHA)
-    assert labels == tuple(range(1, 9))
-    assert qg.edges == {(1, 5), (2, 6), (3, 7), (4, 8)}
+    # the qualifying graph: the qualifying edges on V minus the negative support
+    assert negative_support(FIG3_ALPHA) == ()
+    assert set(qualifying_edges(builtin_graph("FIG3"), 3, FIG3_ALPHA)) == {(1, 5), (2, 6), (3, 7), (4, 8)}
     G = cycle_graph(5)
-    same, labels = qualifying_graph(G, 1, (0,) * 5)
-    assert same == G and labels == tuple(range(1, 6))
-    empty, _ = qualifying_graph(G, 1, (1,) * 5)
-    assert empty.is_edgeless
+    assert qualifying_edges(G, 1, (0,) * 5) == list(G.edge_list)
+    assert qualifying_edges(G, 1, (1,) * 5) == []
+    assert negative_support((0, -1, 2, -3)) == (2, 4)
+    assert qualifying_edges(G, 2, (0, -1, 0, 1, 0)) == [(1, 5), (3, 4), (4, 5)]
 
 
 def test_void_iff_membership_property():
@@ -122,9 +124,8 @@ def test_degree_complex_dual_is_qualifying_independence_property():
         cx = degree_complex(G, n, alpha)
         if cx.is_void:
             continue
-        qg, labels = qualifying_graph(G, n, alpha)
-        relabel = {i + 1: lab for i, lab in enumerate(labels)}
-        dual = independence_complex(qg).relabel(relabel)
+        rest = tuple(v for v in G.vertices() if v not in negative_support(alpha))
+        dual = _independence_complex(rest, qualifying_edges(G, n, alpha))
         assert alexander_dual(cx) == dual
 
 
@@ -139,7 +140,7 @@ def test_cone_iff_uncovered_vertex_property():
             continue
         covered = {v for e in qualifying_edges(G, n, alpha) for v in e}
         lonely = set(cx.ground) - covered
-        assert (cx.is_cone() is not None) == bool(lonely)
+        assert bool(frozenset.intersection(*cx.facets)) == bool(lonely)  # a vertex in every facet
 
 
 def test_raising_exponents_shrinks_qualifying_set():
@@ -166,9 +167,8 @@ def test_takayama_degree_shift_identity():
         cx = degree_complex(G, n, alpha)
         if cx.is_void:
             continue
-        qg, labels = qualifying_graph(G, n, alpha)
-        relabel = {i + 1: lab for i, lab in enumerate(labels)}
-        dual = independence_complex(qg).relabel(relabel)
+        rest = tuple(v for v in G.vertices() if v not in negative_support(alpha))
+        dual = _independence_complex(rest, qualifying_edges(G, n, alpha))
         m = len(cx.ground)
         prof = reduced_homology(cx)
         dual_prof = reduced_homology(dual)

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import OrderedDict
 from itertools import combinations
 from pathlib import Path
 
@@ -223,11 +224,15 @@ def test_depth_reg_duality_random():
 
 def test_reg_against_hochster_formula():
     # link scan through the oracle's memo against Hochster's formula over
-    # every induced subgraph, with no links and no memo
+    # every induced subgraph, with no links and no memo; the dense graphs
+    # (FIG2, FAM(2), seeded 8-vertex graphs with edge probability >= 0.5)
+    # have many faces that share one closed neighbourhood N[F]
     rng = random.Random(53)
     graphs = [random_small_graph(rng, max_r=7) for _ in range(30)]
     graphs += [cycle_graph(5), cycle_graph(7), cycle_graph(8)]
-    graphs += [builtin_graph(name) for name in ("FIG1", "FIG3", "FAM(1)")]
+    graphs += [builtin_graph(name) for name in ("FIG1", "FIG2", "FIG3", "FAM(1)", "FAM(2)")]
+    for p in (0.5, 0.6, 0.7, 0.8):
+        graphs.append(Graph.make(8, [e for e in combinations(range(1, 9), 2) if rng.random() < p]))
     for G in graphs:
         for field in (Rationals(), PrimeField(2)):
             assert reg_edge_ideal(G, field) == brute_reg_edge_ideal(G, field), (G.edge_list, field)
@@ -252,7 +257,7 @@ def _kernel_and_dense(edges, field=Rationals()):
 
 @pytest.fixture
 def empty_memo(monkeypatch):
-    monkeypatch.setattr(depth, "_MAX_DEGREE_CACHE", {})
+    monkeypatch.setattr(depth, "_MAX_DEGREE_CACHE", OrderedDict())
 
 
 def test_fold_reduces_star_to_an_edge(empty_memo):
@@ -312,7 +317,7 @@ def test_reduced_kernel_matches_dense(monkeypatch):
     for G in [cycle_graph(r) for r in (5, 7, 8)] + [G for _, G in _duality_instances("full")]:
         reg_edge_ideal(G)
     monkeypatch.setattr(depth, "_max_nonzero_degree", kernel)
-    monkeypatch.setattr(depth, "_MAX_DEGREE_CACHE", {})
+    monkeypatch.setattr(depth, "_MAX_DEGREE_CACHE", OrderedDict())
     assert len(edge_sets) > 17000
     for key in edge_sets:
         for field in (Rationals(), PrimeField(2)):
@@ -322,7 +327,8 @@ def test_reduced_kernel_matches_dense(monkeypatch):
 def test_max_degree_cache_is_bounded(monkeypatch):
     # a tiny cap evicts constantly, also while a union is split into
     # components that go through the same memo; the dict never outgrows the
-    # cap and every answer matches the run with the full-size memo
+    # cap, it evicts the oldest entry first, and every answer matches the run
+    # with the full-size memo
     rng = random.Random(67)
     graphs = [random_small_graph(rng, max_r=6) for _ in range(8)] + [cycle_graph(7)]
     unions = [C5_C5, _disjoint_edges(3), frozenset(UNION_WITH_ACYCLIC), frozenset(C5 + [(6, 7), (8, 9)])]
@@ -334,20 +340,28 @@ def test_max_degree_cache_is_bounded(monkeypatch):
 
     expected = answers()
 
-    class Watched(dict):
+    class Watched(OrderedDict):
         peak = 0
-        stored: list = []
+        inserted: list = []
+        evicted: list = []
 
         def __setitem__(self, key, value):
             super().__setitem__(key, value)
             Watched.peak = max(Watched.peak, len(self))
-            Watched.stored.append(key[0])
+            Watched.inserted.append(key)
+
+        def popitem(self, last=True):
+            item = super().popitem(last=last)
+            Watched.evicted.append(item[0])
+            return item
 
     monkeypatch.setattr(depth, "_MAX_DEGREE_CACHE_SIZE", 4)
     monkeypatch.setattr(depth, "_MAX_DEGREE_CACHE", Watched())
     assert answers() == expected
     assert 0 < Watched.peak <= 4
-    assert frozenset(C5) in Watched.stored  # a component read through the memo
+    # first in, first out: the evictions replay the insertions in order
+    assert Watched.evicted and Watched.evicted == Watched.inserted[:len(Watched.evicted)]
+    assert frozenset(C5) in {key[0] for key in Watched.inserted}  # a component read through the memo
 
 
 def test_depth_over_gf2_matches_rationals_on_torsion_free_instances():

@@ -10,15 +10,12 @@ from coverdepth.graphs import (
     connected_components,
     cycle_graph,
     has_cycle_of_length,
-    induced_subgraph,
     is_bipartite,
     is_forest,
-    is_independent,
     parse_graph,
     path_graph,
-    vertex_set,
 )
-from brute import random_small_graph
+from brute import independence_complex, induced_subgraph, random_small_graph, vertex_set
 
 
 def test_parse_path4():
@@ -145,8 +142,9 @@ def test_pentagon_subgraph_not_induced():
 
 
 def test_independent_set_fig3():
-    assert is_independent(builtin_graph("FIG3"), [1, 2, 3, 4])
-    assert not is_independent(cycle_graph(4), [1, 2])
+    # the independent sets are the faces of the independence complex
+    assert frozenset({1, 2, 3, 4}) in independence_complex(builtin_graph("FIG3")).faces_of_dim(3)
+    assert frozenset({1, 2}) not in independence_complex(cycle_graph(4)).faces_of_dim(1)
 
 
 def test_vertex_set_validation():

@@ -1,22 +1,18 @@
 import random
 from itertools import permutations
 
-import pytest
-
 from coverdepth.graphs import Graph, builtin_graph, cycle_graph, path_graph
 from coverdepth.matchings import (
-    FreeSideDependentError,
     OrderedMatching,
+    _canonical_order,
     enumerate_max_ordered_matchings,
     has_perfect_ordered_matching,
     induced_matching_number,
-    is_cameron_walker,
     is_ordered_matching,
     matching_number,
     max_ordered_pair_sets,
     ordered_matching_number,
     ordered_matching_violation,
-    ordering_feasibility,
     perfect_matchings,
     unique_perfect_matching_check,
 )
@@ -46,9 +42,13 @@ def test_induced_matching_examples():
 
 
 def test_cameron_walker_examples():
-    assert is_cameron_walker(STAR3)
-    assert not is_cameron_walker(path_graph(4))
-    assert is_cameron_walker(Graph.make(6, [(1, 2), (3, 4), (5, 6)]))
+    # Cameron-Walker: the induced matching number equals the matching number
+    def cameron_walker(G):
+        return induced_matching_number(G) == matching_number(G)
+
+    assert cameron_walker(STAR3)
+    assert not cameron_walker(path_graph(4))
+    assert cameron_walker(Graph.make(6, [(1, 2), (3, 4), (5, 6)]))
 
 
 def test_is_ordered_matching_examples():
@@ -66,23 +66,23 @@ def test_violation_messages():
 
 
 def test_ordering_feasibility_fig1():
+    # a valid index order of an oriented pair set is a topological order of
+    # its pair digraph; the canonical one is the least
     fig1 = builtin_graph("FIG1")
-    order = ordering_feasibility(fig1, [(1, 5), (2, 6), (3, 7), (4, 8)], [1, 2, 3, 4])
+    order = _canonical_order(fig1, ((1, 5), (2, 6), (3, 7), (4, 8)))
     assert order == ((1, 5), (2, 6), (3, 7), (4, 8))
 
 
 def test_ordering_feasibility_c4_all_orientations():
     c4 = cycle_graph(4)
-    m = [(1, 2), (3, 4)]
-    assert ordering_feasibility(c4, m, [1, 3]) is None
-    assert ordering_feasibility(c4, m, [2, 4]) is None
-    for free in ([1, 4], [2, 3]):
-        with pytest.raises(FreeSideDependentError):
-            ordering_feasibility(c4, m, free)
+    assert _canonical_order(c4, ((1, 2), (3, 4))) is None
+    assert _canonical_order(c4, ((2, 1), (4, 3))) is None
+    for pairs in (((1, 2), (4, 3)), ((2, 1), (3, 4))):
+        assert "not independent" in ordered_matching_violation(c4, pairs)
 
 
 def test_ordering_feasibility_single_edge():
-    assert ordering_feasibility(path_graph(2), [(1, 2)], [1]) == ((1, 2),)
+    assert _canonical_order(path_graph(2), ((1, 2),)) == ((1, 2),)
 
 
 def test_ordered_matching_number_examples():
@@ -129,7 +129,7 @@ def test_max_ordered_matchings_against_brute():
         want = brute_max_ordered_matchings(G)
         oms = enumerate_max_ordered_matchings(G)
         assert len(oms) == len(want)
-        assert {(om.edge_set, frozenset(om.free_side)) for om in oms} == want
+        assert {(om.edge_set, frozenset(u for u, _ in om.pairs)) for om in oms} == want
         pair_sets = sorted({pair_set for pair_set, _ in want}, key=sorted)
         assert list(max_ordered_pair_sets(G)) == pair_sets
         om = has_perfect_ordered_matching(G)
