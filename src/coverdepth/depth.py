@@ -25,17 +25,20 @@ that leaves a vertex of V - S uncovered (a cone) is the set that
 (V - V(E), a' restricted to V(E)) yields with every vertex covered, so each
 distinct E stands for the support V - V(E) and cones need no filter; (3)
 i = r - 2 - j >= |S| = r - |V(E)|, since Ind(E) on V(E) has dimension at
-most |V(E)| - 2, so visiting E by ascending r - |V(E)| and stopping once
-that size exceeds the best value loses nothing.  The grid is searched
-vertex by vertex, merging equal partial states.  Each distinct edge set is
-reduced before its homology: (a) fold, deleting v while N(u) lies in N(v)
-for some u != v, which keeps the homotopy type; (b) cone, a vertex left
-with no neighbour makes the set acyclic; (c) components, what is left
-splits into connected parts; (d) join, a disjoint union gives the join of
-the parts' complexes, so over a field their top degrees add, plus one per
-extra part.  A lone edge has top 0, and only a part that no rule shrinks
-reaches the dense engine.  Edge sets and parts share one bounded memo with
-``reg_edge_ideal``.
+most |V(E)| - 2; (4) a tighter ceiling holds over every field: j + 2 <=
+reg I(E) by Hochster's formula (1977), and reg I(E) <= nu(E) + 1 <=
+floor(|V(E)|/2) + 1 (Ha and Van Tuyl, J. Algebraic Combin. 2008), so
+i >= r - 1 - floor(|V(E)|/2).  Neither bound falls as |V(E)| falls, so
+visiting E by descending |V(E)| and stopping once (4) reaches the best
+value loses nothing.  The grid is searched vertex by vertex, merging equal
+partial states.  Each distinct edge set is reduced before its homology:
+(a) fold, deleting v while N(u) lies in N(v) for some u != v, which keeps
+the homotopy type; (b) cone, a vertex left with no neighbour makes the set
+acyclic; (c) components, what is left splits into connected parts; (d)
+join, a disjoint union gives the join of the parts' complexes, so over a
+field their top degrees add, plus one per extra part.  A lone edge has top
+0, and only a part that no rule shrinks reaches the dense engine.  Edge
+sets and parts share one bounded memo with ``reg_edge_ideal``.
 """
 
 from __future__ import annotations
@@ -240,10 +243,11 @@ def depth_symbolic(G: Graph, n: int, field: FieldSpec = Rationals(), *,
     """depth of R modulo the n-th symbolic power of the cover ideal.
 
     One search over the grid {0..n}^V stands for every negative support;
-    the module's "Oracle layout" gives the argument (1)-(3) that makes it
+    the module's "Oracle layout" gives the argument (1)-(4) that makes it
     exact.  The distinct edge sets E are visited by ascending support size
-    r - |V(E)|, in ascending bit code within one size, and the visit stops
-    once that size exceeds the best value or the best reaches the least
+    r - |V(E)|, in ascending bit code within one size.  The visit stops once
+    the ceiling (4), i >= r - 1 - floor(|V(E)|/2), reaches the best value,
+    since no later edge set can lower it, or once the best reaches the least
     possible depth.
     """
     if G.is_edgeless:
@@ -253,12 +257,12 @@ def depth_symbolic(G: Graph, n: int, field: FieldSpec = Rationals(), *,
     _check_budget(G, n, budget, force)
     r = G.vertex_count
     edge_sets = _qualifying_subsets(list(_frontier_order(G)), list(G.edge_list), n, n)
-    visits = [(r - len({v for e in E for v in e}), E) for E in edge_sets]  # (support size, E)
-    visits.sort(key=lambda visit: visit[0])  # stable, so ascending bit code within one size
+    visits = [(len({v for e in E for v in e}), E) for E in edge_sets]  # (|V(E)|, E)
+    visits.sort(key=lambda visit: -visit[0])  # stable, so ascending bit code within one size
     lower = 0 if r == 2 else 1  # the maximal ideal is associated only when r = 2
     best: Optional[int] = None
-    for size, E in visits:
-        if best is not None and size > best:
+    for covered, E in visits:
+        if best is not None and r - 1 - covered // 2 >= best:
             break
         jmax = _max_nonzero_degree(frozenset(E), field)
         if jmax is None:
@@ -289,6 +293,9 @@ def reg_edge_ideal(G: Graph, field: FieldSpec = Rationals(), *,
     if G.is_edgeless:
         raise GraphError("the edge ideal of an edgeless graph is zero")
     _check_budget(G, 1, budget, force)  # the link scan costs what the n = 1 oracle does
+    # Unlike depth_symbolic's visit, the scan is not cut by the ceiling
+    # reg I(H) <= nu(H) + 1: it is the independent reference for the n = 1
+    # duality, and the analyzer's regularity-upper check tests that ceiling.
     masks = G.neighbor_masks
     closed_masks = {0}  # N[{}] is empty
     for v in G.vertices():

@@ -204,6 +204,42 @@ def test_one_grid_search_matches_support_loop():
                 assert depth_symbolic(G, n, field) == brute_support_depth(G, n, field), (G.edge_list, n, field)
 
 
+def test_matching_ceiling_cut_matches_support_loop(monkeypatch):
+    # the visit stops once r - 1 - floor(|V(E)|/2) reaches the best value;
+    # against the support loop, which has no early exit, on G(7, 10..12),
+    # G(8, 12), C7 and C8 at n = 2, 3, one power over Q and the other over
+    # GF(2).  At this seed a cut one step earlier gives a wrong depth.  The
+    # top-level kernel calls count the edge sets visited: fewer than the
+    # weaker rule (3), stop once r - |V(E)| exceeds the best, visits, which
+    # is every E with r - |V(E)| <= depth, so fewer than the grid has
+    rng = random.Random(1)
+    graphs = [Graph.make(r, rng.sample(list(combinations(range(1, r + 1), 2)), m))
+              for r, m in ((7, 10), (7, 11), (7, 12), (8, 12))]
+    cases = [(G, n, field) for G in graphs[:3] + [cycle_graph(7), cycle_graph(8)]
+             for n, field in ((2, Rationals()), (3, PrimeField(2)))]
+    cases.append((graphs[3], 2, Rationals()))
+    kernel = depth._max_nonzero_degree
+    calls, nesting = [0], [0]
+
+    def counting(edge_key, field):
+        calls[0] += not nesting[0]  # the kernel's own calls on components are not visits
+        nesting[0] += 1
+        try:
+            return kernel(edge_key, field)
+        finally:
+            nesting[0] -= 1
+
+    monkeypatch.setattr(depth, "_max_nonzero_degree", counting)
+    for G, n, field in cases:
+        r = G.vertex_count
+        grid = _qualifying_subsets(list(_frontier_order(G)), list(G.edge_list), n, n)
+        calls[0] = 0
+        d = depth_symbolic(G, n, field)
+        assert d == brute_support_depth(G, n, field), (G.edge_list, n, field)
+        former = sum(1 for E in grid if r - len({v for e in E for v in e}) <= d)
+        assert calls[0] < former, (G.edge_list, n, calls[0], former)
+
+
 def test_depth_against_naive_takayama_enumeration():
     # the vectorized dual-side oracle against a direct degree-complex scan
     rng = random.Random(139)
@@ -320,8 +356,11 @@ def test_reduced_kernel_matches_dense(monkeypatch):
     monkeypatch.setattr(depth, "_MAX_DEGREE_CACHE", OrderedDict())
     assert len(edge_sets) > 17000
     for key in edge_sets:
+        ceiling = len({v for e in key for v in e}) // 2 - 1  # j + 2 <= reg I(E) <= nu(E) + 1
         for field in (Rationals(), PrimeField(2)):
-            assert kernel(key, field) == dense_max_nonzero_degree(key, field), (sorted(key), field)
+            dense = dense_max_nonzero_degree(key, field)
+            assert kernel(key, field) == dense, (sorted(key), field)
+            assert dense is None or dense <= ceiling, (sorted(key), field)
 
 
 def test_max_degree_cache_is_bounded(monkeypatch):
