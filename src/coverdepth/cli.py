@@ -62,8 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     ba.add_argument("--field", default="q")
     ba.add_argument("--mode", default="auto", choices=MODES)
     ba.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    ba.add_argument("--force", action="store_true",
-                    help="skip the vertex cap and the budget for every oracle call")
     ba.add_argument("--seed", type=int, default=0)
     ba.add_argument("--no-cache", action="store_true")
     return parser
@@ -94,7 +92,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
             return EXIT_OK if verify_corpus(args.level) else EXIT_VERIFY_FAILED
         if args.command == "batch":
-            opts = AnalyzeOptions(mode=args.mode, budget=args.budget, force=args.force,
+            opts = AnalyzeOptions(mode=args.mode, budget=args.budget,
                                   use_cache=not args.no_cache)
             count = batch(args.family, args.out, parse_field(args.field), opts, seed=args.seed)
             print(f"wrote {count} reports to {args.out}")

@@ -69,23 +69,6 @@ def test_batch_cli(tmp_path, monkeypatch, capsys):
     assert len(out.read_text().splitlines()) == 4
 
 
-def test_batch_force_reaches_the_oracle(tmp_path, capsys):
-    # budget 1 refuses every oracle call unless --force waives it; then the
-    # forests without a closed form are answered by the oracle
-    def methods(*extra):
-        out = tmp_path / "forests.jsonl"
-        code = main(["batch", "--family", "forests seed=1 count=6 maxr=7", "--out", str(out),
-                     "--no-cache", "--budget", "1", *extra])
-        assert code == 0
-        return [(r["name"], r["method"], r["stability_index"])
-                for r in map(json.loads, out.read_text().splitlines())]
-
-    plain, forced = methods(), methods("--force")
-    assert [m for _, m, _ in forced if m != "closed-form"] == ["oracle"] * 3
-    assert [m for _, m, _ in plain if m != "closed-form"] == ["equality-class"] * 3
-    assert [(name, value) for name, _, value in plain] == [(name, value) for name, _, value in forced]
-
-
 def test_batch_bad_family(tmp_path, capsys):
     assert main(["batch", "--family", "nonsense", "--out", str(tmp_path / "x.jsonl")]) == 2
 

@@ -187,10 +187,20 @@ def test_stability_auto_reports_budget_instead_of_raising():
     assert (res.value, res.method) == (None, "not computed (budget)")
 
 
+def _dense_graphs():
+    # seeded G(7, 10..12) and G(8, 12): dense enough that the visit stops
+    # at the matching ceiling well before the former rule would
+    rng = random.Random(1)
+    return [Graph.make(r, rng.sample(list(combinations(range(1, r + 1), 2)), m))
+            for r, m in ((7, 10), (7, 11), (7, 12), (8, 12))]
+
+
 def test_one_grid_search_matches_support_loop():
-    # the single {0..n}^V search against one grid scan per negative support
-    # with the cone filter, over Q and GF(2); the graphs include isolated
-    # vertices, disconnected graphs, complete graphs and cycles
+    # the single {0..n}^V search, with its visit stopped at the matching
+    # ceiling, against one grid scan per negative support with the cone
+    # filter and no early exit, over Q and GF(2); the graphs include
+    # isolated vertices, disconnected graphs, complete graphs, cycles and the
+    # dense graphs (at their seed a cut one step earlier gives a wrong depth)
     rng = random.Random(79)
     graphs = [random_small_graph(rng, max_r=5) for _ in range(10)]
     rng = random.Random(181)
@@ -198,26 +208,18 @@ def test_one_grid_search_matches_support_loop():
     graphs += [cycle_graph(r) for r in (5, 6, 7, 8)]
     graphs += [Graph.make(k, combinations(range(1, k + 1), 2)) for k in (5, 6)]
     graphs += [Graph.make(5, [(1, 2), (3, 4)]), Graph.make(7, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6)])]
+    graphs += _dense_graphs()
     for G in graphs:
         for n in (1, 2, 3):
             for field in (Rationals(), PrimeField(2)):
                 assert depth_symbolic(G, n, field) == brute_support_depth(G, n, field), (G.edge_list, n, field)
 
 
-def test_matching_ceiling_cut_matches_support_loop(monkeypatch):
-    # the visit stops once r - 1 - floor(|V(E)|/2) reaches the best value;
-    # against the support loop, which has no early exit, on G(7, 10..12),
-    # G(8, 12), C7 and C8 at n = 2, 3, one power over Q and the other over
-    # GF(2).  At this seed a cut one step earlier gives a wrong depth.  The
-    # top-level kernel calls count the edge sets visited: fewer than the
-    # weaker rule (3), stop once r - |V(E)| exceeds the best, visits, which
-    # is every E with r - |V(E)| <= depth, so fewer than the grid has
-    rng = random.Random(1)
-    graphs = [Graph.make(r, rng.sample(list(combinations(range(1, r + 1), 2)), m))
-              for r, m in ((7, 10), (7, 11), (7, 12), (8, 12))]
-    cases = [(G, n, field) for G in graphs[:3] + [cycle_graph(7), cycle_graph(8)]
-             for n, field in ((2, Rationals()), (3, PrimeField(2)))]
-    cases.append((graphs[3], 2, Rationals()))
+def test_matching_ceiling_cut_skips_edge_sets(monkeypatch):
+    # the visit stops once r - 1 - floor(|V(E)|/2) reaches the best value.
+    # The top-level kernel calls count the edge sets visited: fewer than the
+    # former rule, stop once r - |V(E)| exceeds the best, visits, which is
+    # every E with r - |V(E)| <= depth
     kernel = depth._max_nonzero_degree
     calls, nesting = [0], [0]
 
@@ -230,14 +232,13 @@ def test_matching_ceiling_cut_matches_support_loop(monkeypatch):
             nesting[0] -= 1
 
     monkeypatch.setattr(depth, "_max_nonzero_degree", counting)
-    for G, n, field in cases:
+    for G in _dense_graphs() + [cycle_graph(7), cycle_graph(8)]:
         r = G.vertex_count
-        grid = _qualifying_subsets(list(_frontier_order(G)), list(G.edge_list), n, n)
+        grid = _qualifying_subsets(list(_frontier_order(G)), list(G.edge_list), 2, 2)
         calls[0] = 0
-        d = depth_symbolic(G, n, field)
-        assert d == brute_support_depth(G, n, field), (G.edge_list, n, field)
+        d = depth_symbolic(G, 2, Rationals())
         former = sum(1 for E in grid if r - len({v for e in E for v in e}) <= d)
-        assert calls[0] < former, (G.edge_list, n, calls[0], former)
+        assert calls[0] < former, (G.edge_list, calls[0], former)
 
 
 def test_depth_against_naive_takayama_enumeration():
