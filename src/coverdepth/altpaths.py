@@ -43,21 +43,6 @@ class AltPathProfile:
     base_max: int
     bridged_max: int
     length: int
-    walk_length: Optional[int] = None
-
-    def to_json(self) -> dict:
-        out = {
-            "pairs": [list(p) for p in self.pairs],
-            "A": [u for u, _ in self.pairs],
-            "B": [v for _, v in self.pairs],
-            "ell_v": {str(v): l for v, l in sorted(self.partner_lengths.items())},
-            "ell0": self.base_max,
-            "ell1": self.bridged_max,
-            "ell_formula": self.length,
-        }
-        if self.walk_length is not None:
-            out["ell_walk"] = self.walk_length
-        return out
 
 
 @dataclass
@@ -101,11 +86,7 @@ def partner_path_lengths(G: Graph, om: OrderedMatching) -> dict[int, int]:
     return {om.pairs[i][1]: 2 * k[i] - 1 for i in range(len(k))}
 
 
-def base_length(lengths: dict[int, int]) -> int:
-    return max(lengths.values())
-
-
-def bridged_length(G: Graph, om: OrderedMatching, lengths: dict[int, int]) -> int:
+def _bridged_length(G: Graph, om: OrderedMatching, lengths: dict[int, int]) -> int:
     """Best join of two partner paths through a partner-partner edge; 0 if none."""
     partners = om.partner_side
     best = 0
@@ -119,15 +100,14 @@ def bridged_length(G: Graph, om: OrderedMatching, lengths: dict[int, int]) -> in
 def alt_path_length(G: Graph, om: OrderedMatching) -> int:
     """The operative alternating-path length of the matching."""
     lengths = partner_path_lengths(G, om)
-    return max(base_length(lengths), bridged_length(G, om, lengths))
+    return max(max(lengths.values()), _bridged_length(G, om, lengths))
 
 
-def profile(G: Graph, om: OrderedMatching, *, with_walk: bool = False) -> AltPathProfile:
+def profile(G: Graph, om: OrderedMatching) -> AltPathProfile:
     lengths = partner_path_lengths(G, om)
-    b0 = base_length(lengths)
-    b1 = bridged_length(G, om, lengths)
-    walk = walk_length(G, om) if with_walk else None
-    return AltPathProfile(om.pairs, lengths, b0, b1, max(b0, b1), walk)
+    b0 = max(lengths.values())
+    b1 = _bridged_length(G, om, lengths)
+    return AltPathProfile(om.pairs, lengths, b0, b1, max(b0, b1))
 
 
 def walk_length(G: Graph, om: OrderedMatching) -> int:

@@ -52,7 +52,6 @@ class AnalyzeOptions:
     mode: str = "auto"
     budget: int = DEFAULT_BUDGET
     force: bool = False
-    with_walk: bool = True
     with_profile: bool = False
     use_cache: bool = False
 
@@ -119,9 +118,7 @@ def analyze(G: Graph, field: FieldSpec = Rationals(),
         "cameron_walker": nu_prime == nu,
     }
 
-    walk_len: Optional[int] = None
-    if opts.with_walk and G.vertex_count <= WALK_VERTEX_LIMIT:
-        walk_len = walk_length(G, shortest)
+    walk_len = walk_length(G, shortest) if G.vertex_count <= WALK_VERTEX_LIMIT else None
 
     # a refusal of the link scan or of the profile leaves its checks out
     reg: Optional[int] = None

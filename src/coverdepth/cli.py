@@ -50,7 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="skip the vertex cap and the budget for every oracle call "
                          "(large instances may run for a very long time)")
     an.add_argument("--profile", action="store_true", help="also compute the full depth profile")
-    an.add_argument("--no-walk", action="store_true", help="skip the walk diagnostic")
     an.add_argument("--out", help="write the JSON report here instead of stdout")
 
     ve = sub.add_parser("verify", help="run the corpus verification suite")
@@ -77,7 +76,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 mode=args.mode,
                 budget=args.budget,
                 force=args.force,
-                with_walk=not args.no_walk,
                 with_profile=args.profile,
             )
             report = analyze(graph, parse_field(args.field), opts, name=name)

@@ -49,10 +49,6 @@ class SimplicialComplex:
         return not self.facets
 
     @property
-    def is_irrelevant(self) -> bool:
-        return len(self.facets) == 1 and not next(iter(self.facets))
-
-    @property
     def dim(self) -> int:
         """Dimension; -1 for the irrelevant complex.  Undefined (raises) on void."""
         if self.is_void:

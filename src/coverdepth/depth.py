@@ -245,10 +245,11 @@ def depth_symbolic(G: Graph, n: int, field: FieldSpec = Rationals(), *,
     One search over the grid {0..n}^V stands for every negative support;
     the module's "Oracle layout" gives the argument (1)-(4) that makes it
     exact.  The distinct edge sets E are visited by ascending support size
-    r - |V(E)|, in ascending bit code within one size.  The visit stops once
-    the ceiling (4), i >= r - 1 - floor(|V(E)|/2), reaches the best value,
-    since no later edge set can lower it, or once the best reaches the least
-    possible depth.
+    r - |V(E)|, in ascending bit code within one size.  The one stop rule is
+    the ceiling (4): the visit ends once r - 1 - floor(|V(E)|/2) reaches the
+    best value, since no later edge set can lower it.  The least possible
+    depth needs no rule of its own: once the best is 1 (0 when r = 2), the
+    ceiling is at least the best for every edge set.
     """
     if G.is_edgeless:
         raise GraphError("depth of a cover ideal needs at least one edge")
@@ -259,7 +260,6 @@ def depth_symbolic(G: Graph, n: int, field: FieldSpec = Rationals(), *,
     edge_sets = _qualifying_subsets(list(_frontier_order(G)), list(G.edge_list), n, n)
     visits = [(len({v for e in E for v in e}), E) for E in edge_sets]  # (|V(E)|, E)
     visits.sort(key=lambda visit: -visit[0])  # stable, so ascending bit code within one size
-    lower = 0 if r == 2 else 1  # the maximal ideal is associated only when r = 2
     best: Optional[int] = None
     for covered, E in visits:
         if best is not None and r - 1 - covered // 2 >= best:
@@ -270,8 +270,6 @@ def depth_symbolic(G: Graph, n: int, field: FieldSpec = Rationals(), *,
         i = r - 2 - jmax
         if best is None or i < best:
             best = i
-            if best <= lower:
-                return best
     if best is None:
         raise DepthEngineError("no local cohomology contribution found")
     return best
@@ -319,14 +317,6 @@ class DepthReport:
     profile: dict[int, int]
     stability_index: int
 
-    def to_json(self) -> dict:
-        return {
-            "nu0": self.nu0,
-            "limit_depth": self.limit_depth,
-            "profile": {str(n): d for n, d in sorted(self.profile.items())},
-            "sdstab": self.stability_index,
-        }
-
 
 def limit_depth(G: Graph) -> int:
     return G.vertex_count - ordered_matching_number(G) - 1
@@ -358,8 +348,6 @@ def depth_profile(G: Graph, field: FieldSpec = Rationals(), *,
         raise DepthEngineError(f"profile {profile} is not non-increasing")
     if values[-1] != limit:
         raise DepthEngineError(f"profile ends at {values[-1]}, expected {limit}")
-    if any(v < limit for v in values):
-        raise DepthEngineError(f"profile {profile} dips below its limit {limit}")
     stab = min(n for n, d in profile.items() if d <= limit)
     return DepthReport(ordered_matching_number(G), limit, profile, stab)
 
@@ -463,15 +451,11 @@ def stability_certificate(G: Graph) -> CertificateOutcome:
 # -- resolution policy ------------------------------------------------------
 
 def _structural_path_or_cycle(G: Graph) -> Optional[str]:
-    r = G.vertex_count
-    if len(connected_components(G)) != 1:
+    """A connected graph of maximum degree at most 2 is a path when it has
+    r - 1 edges and a cycle otherwise (it then has r)."""
+    if len(connected_components(G)) != 1 or any(G.degree(v) > 2 for v in G.vertices()):
         return None
-    degrees = sorted(G.degree(v) for v in G.vertices())
-    if len(G.edges) == r - 1 and (r == 2 and degrees == [1, 1] or degrees[:2] == [1, 1] and all(d == 2 for d in degrees[2:])):
-        return "path"
-    if len(G.edges) == r and all(d == 2 for d in degrees):
-        return "cycle"
-    return None
+    return "path" if len(G.edges) == G.vertex_count - 1 else "cycle"
 
 
 def path_stability_closed_form(r: int) -> int:

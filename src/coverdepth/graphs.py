@@ -34,6 +34,19 @@ def _normalize_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _add_edge(u: int, v: int, vertex_count: int, seen: set[Edge]) -> None:
+    """Add the normalized edge to ``seen`` once it passes the loop, range and
+    duplicate checks; the one edge check of ``Graph.make`` and ``parse_graph``."""
+    if u == v:
+        raise GraphError(f"loop edge ({u},{v})")
+    if not (1 <= u <= vertex_count and 1 <= v <= vertex_count):
+        raise GraphError(f"edge ({u},{v}) out of range 1..{vertex_count}")
+    e = _normalize_edge(u, v)
+    if e in seen:
+        raise GraphError(f"duplicate edge {e}")
+    seen.add(e)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable simple graph. Build through :meth:`make` or the helpers below."""
@@ -47,15 +60,7 @@ class Graph:
             raise GraphError(f"vertex count must be positive, got {vertex_count}")
         seen: set[Edge] = set()
         for raw in edges:
-            u, v = int(raw[0]), int(raw[1])
-            if u == v:
-                raise GraphError(f"loop edge ({u},{v})")
-            if not (1 <= u <= vertex_count and 1 <= v <= vertex_count):
-                raise GraphError(f"edge ({u},{v}) out of range 1..{vertex_count}")
-            e = _normalize_edge(u, v)
-            if e in seen:
-                raise GraphError(f"duplicate edge {e}")
-            seen.add(e)
+            _add_edge(int(raw[0]), int(raw[1]), vertex_count, seen)
         if not seen and not allow_edgeless:
             raise GraphError("empty edge set (pass allow_edgeless=True for an edgeless graph)")
         return Graph(vertex_count, frozenset(seen))
@@ -110,8 +115,6 @@ def parse_graph(text: str) -> Graph:
     :class:`GraphParseError` naming its line.
     """
     header: Optional[tuple[int, int, int]] = None  # (line_no, r, m)
-    edges: list[Edge] = []
-    edge_lines: list[int] = []
     seen: set[Edge] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -139,25 +142,18 @@ def parse_graph(text: str) -> Graph:
                 u, v = int(parts[1]), int(parts[2])
             except ValueError:
                 raise GraphParseError(line_no, f"malformed edge line {line!r}") from None
-            r = header[1]
-            if u == v:
-                raise GraphParseError(line_no, f"loop edge ({u},{v})")
-            if not (1 <= u <= r and 1 <= v <= r):
-                raise GraphParseError(line_no, f"vertex out of range in ({u},{v}), r={r}")
-            e = _normalize_edge(u, v)
-            if e in seen:
-                raise GraphParseError(line_no, f"duplicate edge {e}")
-            seen.add(e)
-            edges.append(e)
-            edge_lines.append(line_no)
+            try:
+                _add_edge(u, v, header[1], seen)
+            except GraphError as exc:
+                raise GraphParseError(line_no, str(exc)) from None
         else:
             raise GraphParseError(line_no, f"unrecognized line {line!r}")
     if header is None:
         raise GraphParseError(1, "missing header")
     line_no, r, m = header
-    if len(edges) != m:
-        raise GraphParseError(line_no, f"header announced {m} edges, found {len(edges)}")
-    return Graph.make(r, edges, allow_edgeless=True)
+    if len(seen) != m:
+        raise GraphParseError(line_no, f"header announced {m} edges, found {len(seen)}")
+    return Graph(r, frozenset(seen))
 
 
 # -- generators ----------------------------------------------------------

@@ -41,9 +41,6 @@ class OrderedMatching:
     def covered(self) -> frozenset[int]:
         return frozenset(v for p in self.pairs for v in p)
 
-    def to_json(self) -> list[list[int]]:
-        return [[u, v] for u, v in self.pairs]
-
 
 # -- enumeration of plain matchings ---------------------------------------
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from .altpaths import (
     alt_path_length,
@@ -23,7 +23,7 @@ from .altpaths import (
 )
 from .analyzer import analyze, AnalyzeOptions
 from .complexes import from_facets, reduced_homology
-from .degree import negative_support, qualifying_edges
+from .degree import qualifying_edges
 from .depth import (
     BudgetRefusal,
     cycle_stability_closed_form,
@@ -139,9 +139,9 @@ def check_fig1(level: str) -> tuple[bool, str]:
     _expect(failures, is_ordered_matching(G, FIG1_PAIRS), "stated pairs rejected")
     om = OrderedMatching(FIG1_PAIRS)
     _expect(failures, om.covered == frozenset(G.vertices()), "matching not perfect")
-    prof = profile(G, om, with_walk=True)
-    _expect(failures, prof.length == 13, f"operative length {prof.length} != 13")
-    _expect(failures, prof.walk_length == 13, f"walk length {prof.walk_length} != 13")
+    length, walk = alt_path_length(G, om), walk_length(G, om)
+    _expect(failures, length == 13, f"operative length {length} != 13")
+    _expect(failures, walk == 13, f"walk length {walk} != 13")
     _expect(failures, min_alt_path_length(G) == 13, "graph invariant != 13")
     cert = stability_certificate(G)
     _expect(failures, cert.value == 7, f"certificate {cert.value} != 7")
@@ -160,7 +160,6 @@ def check_fig3(level: str) -> tuple[bool, str]:
     _expect(failures, lengths == {5: 5, 6: 5, 7: 3, 8: 1}, f"partner lengths {lengths}")
     alpha = path_exponents(G, om)
     _expect(failures, alpha.vector() == FIG3_ALPHA, f"alpha {alpha.vector()} != {FIG3_ALPHA}")
-    _expect(failures, negative_support(FIG3_ALPHA) == (), "unexpected negative support")
     edges = qualifying_edges(G, 3, FIG3_ALPHA)
     _expect(failures, set(edges) == set(FIG1_PAIRS), f"qualifying edges {edges} != matching")
     got = stability_index_oracle(G)
@@ -247,12 +246,7 @@ def check_profiles_and_length_bounds(level: str) -> tuple[bool, str]:
     names = []
     for name, G in _profile_instances(level):
         names.append(name)
-        report = depth_profile(G)
-        vals = [report.profile[n] for n in sorted(report.profile)]
-        _expect(failures, all(a >= b for a, b in zip(vals, vals[1:])),
-                f"{name}: profile {vals} not non-increasing")
-        _expect(failures, vals[-1] == report.limit_depth,
-                f"{name}: final {vals[-1]} != limit {report.limit_depth}")
+        depth_profile(G)  # raises unless non-increasing and ending at the limit
     bound_graphs = [("FIG1", builtin_graph("FIG1")), ("FIG2", builtin_graph("FIG2")),
                     ("FIG3", builtin_graph("FIG3")), ("FAM(2)", builtin_graph("FAM(2)"))]
     bound_graphs += [(f"P{r}", path_graph(r)) for r in range(2, 8)]
@@ -330,18 +324,20 @@ CRITERIA: list[tuple[int, str, str, Callable[[str], tuple[bool, str]]]] = [
 ]
 
 
-def run_verification(level: str = "quick",
-                     criteria: Optional[list[int]] = None) -> list[CheckResult]:
+def run_verification(level: str = "quick") -> list[CheckResult]:
+    """One result per criterion of the level; a criterion that raises has
+    failed, with the exception as its detail, and the others still run."""
     if level not in ("quick", "full"):
         raise ValueError(f"unknown level {level!r}")
     results = []
     for num, name, min_level, fn in CRITERIA:
-        if criteria is not None and num not in criteria:
-            continue
         if level == "quick" and min_level == "full":
             continue
         start = time.perf_counter()
-        passed, detail = fn(level)
+        try:
+            passed, detail = fn(level)
+        except Exception as exc:
+            passed, detail = False, f"{type(exc).__name__}: {exc}"
         results.append(CheckResult(num, name, passed, detail, time.perf_counter() - start))
     return results
 

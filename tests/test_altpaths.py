@@ -53,13 +53,6 @@ def test_independent_partner_side_means_base_only():
     assert p.bridged_max == 0 and p.length == p.base_max == 5
 
 
-def test_profile_json_contract():
-    data = profile(builtin_graph("FIG2"), M_1234, with_walk=True).to_json()
-    assert set(data) == {"pairs", "A", "B", "ell_v", "ell0", "ell1", "ell_formula", "ell_walk"}
-    assert data["A"] == [1, 2, 3, 4]
-    assert data["ell_formula"] == 7
-
-
 def test_walk_lengths_paper_values():
     assert walk_length(builtin_graph("FIG1"), M_1234) == 13
     assert walk_length(builtin_graph("FIG2"), FIG2_ALT) == 4

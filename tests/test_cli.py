@@ -41,21 +41,21 @@ def test_analyze_malformed_file(tmp_path, capsys):
 
 
 def test_oracle_mode_on_char16_refuses(capsys):
-    code = main(["analyze", "--graph", "builtin:CHAR16", "--mode", "oracle", "--no-walk"])
+    code = main(["analyze", "--graph", "builtin:CHAR16", "--mode", "oracle"])
     assert code == 3
     assert "budget" in capsys.readouterr().err.lower()
 
 
 def test_tiny_budget_refusal_via_cli(capsys):
     code = main(["analyze", "--graph", "builtin:FIG3", "--mode", "oracle",
-                 "--budget", "10", "--no-walk"])
+                 "--budget", "10"])
     assert code == 3
     err = capsys.readouterr().err
     assert "exceeds budget 10" in err
 
 
 def test_small_budget_auto_falls_back_to_certificate(capsys):
-    code = main(["analyze", "--graph", "builtin:FIG3", "--budget", "1000", "--no-walk"])
+    code = main(["analyze", "--graph", "builtin:FIG3", "--budget", "1000"])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert (report["stability_index"], report["method"]) == (3, "certificate")

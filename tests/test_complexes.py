@@ -37,8 +37,7 @@ def test_from_facets_domination():
 def test_void_and_irrelevant_distinct():
     void = from_facets(2, [])
     irr = from_facets(2, [()])
-    assert void.is_void and not void.is_irrelevant
-    assert irr.is_irrelevant and not irr.is_void
+    assert void.is_void and not irr.is_void
     assert void != irr
     assert void.facets == () and irr.facets == (frozenset(),)
 

@@ -20,7 +20,7 @@ FIG3_ALPHA = (2, 2, 1, 0, 0, 0, 1, 2)
 
 
 def test_cover_complex_examples():
-    assert cover_complex(path_graph(2)).is_irrelevant
+    assert cover_complex(path_graph(2)).facets == (frozenset(),)
     assert cover_complex(path_graph(3)).facets == (frozenset({1}), frozenset({3}))
     assert cover_complex(cycle_graph(3)).facets == (
         frozenset({1}), frozenset({2}), frozenset({3})
@@ -74,7 +74,7 @@ def test_symbolic_membership_rejects_negative():
 
 
 def test_degree_complex_examples():
-    assert degree_complex(path_graph(2), 1, (0, 0)).is_irrelevant
+    assert degree_complex(path_graph(2), 1, (0, 0)).facets == (frozenset(),)
     fig3 = degree_complex(builtin_graph("FIG3"), 3, FIG3_ALPHA)
     full = set(range(1, 9))
     assert set(fig3.facets) == {

@@ -3,7 +3,6 @@ from itertools import permutations
 
 from coverdepth.graphs import Graph, builtin_graph, cycle_graph, path_graph
 from coverdepth.matchings import (
-    OrderedMatching,
     _canonical_order,
     enumerate_max_ordered_matchings,
     has_perfect_ordered_matching,
@@ -187,8 +186,3 @@ def test_forest_nu_equals_nu0():
 def test_perfect_matchings_c4():
     assert len(perfect_matchings(cycle_graph(4))) == 2
     assert not unique_perfect_matching_check(cycle_graph(4))
-
-
-def test_ordered_matching_json():
-    om = OrderedMatching(((1, 5), (2, 6)))
-    assert om.to_json() == [[1, 5], [2, 6]]
