@@ -38,7 +38,6 @@ class CertificateConstructionError(RuntimeError):
 
 @dataclass
 class AltPathProfile:
-    pairs: tuple[tuple[int, int], ...]
     partner_lengths: dict[int, int]
     base_max: int
     bridged_max: int
@@ -47,15 +46,19 @@ class AltPathProfile:
 
 @dataclass
 class ExponentCertificate:
-    """Vertex exponents separating matching pairs (sum <= power-1) from the
-    other edges of the covered subgraph (sum >= power)."""
+    """Exponents ``witness`` at power ``value``: each matching pair sums to at
+    most value - 1, every other edge of the covered subgraph to at least value."""
 
-    power: int
-    values: dict[int, int]
+    value: int
+    witness: dict[int, int]
     pairs: tuple[tuple[int, int], ...]
 
     def vector(self) -> tuple[int, ...]:
-        return tuple(self.values[v] for v in sorted(self.values))
+        return tuple(self.witness[v] for v in sorted(self.witness))
+
+    def to_json(self) -> dict:
+        return {"sdstab": self.value, "alpha": {str(v): a for v, a in sorted(self.witness.items())},
+                "pairs": [list(p) for p in self.pairs]}
 
 
 def _require_valid(G: Graph, om: OrderedMatching) -> None:
@@ -107,7 +110,7 @@ def profile(G: Graph, om: OrderedMatching) -> AltPathProfile:
     lengths = partner_path_lengths(G, om)
     b0 = max(lengths.values())
     b1 = _bridged_length(G, om, lengths)
-    return AltPathProfile(om.pairs, lengths, b0, b1, max(b0, b1))
+    return AltPathProfile(lengths, b0, b1, max(b0, b1))
 
 
 def walk_length(G: Graph, om: OrderedMatching) -> int:
@@ -194,7 +197,7 @@ def path_exponents(G: Graph, om: OrderedMatching) -> ExponentCertificate:
 
 
 def _check_cross_edges(G: Graph, om: OrderedMatching, cert: ExponentCertificate) -> None:
-    values, n = cert.values, cert.power
+    values, n = cert.witness, cert.value
     for i, (u, _) in enumerate(om.pairs):
         for j, (_, w) in enumerate(om.pairs):
             if i < j and G.has_edge(u, w) and values[u] + values[w] < n:
@@ -213,10 +216,10 @@ def shifted_exponents(G: Graph, om: OrderedMatching, power: Optional[int] = None
     base = path_exponents(G, om)
     if power is None:
         power = (alt_path_length(G, om) + 1) // 2
-    if power < base.power:
-        raise ValueError(f"power {power} below the base value {base.power}")
-    shift = power - base.power
-    values = dict(base.values)
+    if power < base.value:
+        raise ValueError(f"power {power} below the base value {base.value}")
+    shift = power - base.value
+    values = dict(base.witness)
     for _, v in om.pairs:
         values[v] += shift
     cert = ExponentCertificate(power, values, om.pairs)

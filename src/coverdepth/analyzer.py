@@ -208,11 +208,11 @@ def _cache_key(inst: FamilyInstance, field: FieldSpec, options: dict) -> dict:
 
 
 def batch(family_spec: str, out_path: str | Path, field: FieldSpec = Rationals(),
-          options: Optional[AnalyzeOptions] = None, *, seed: int = 0) -> int:
+          options: Optional[AnalyzeOptions] = None) -> int:
     """Analyze a family and stream one JSON report per line; resumable via the
     cache.  Returns the number of instances written."""
     opts = options or AnalyzeOptions()
-    instances = parse_family_spec(family_spec, default_seed=seed)
+    instances = parse_family_spec(family_spec)
     out_file = Path(out_path)
     out_file.parent.mkdir(parents=True, exist_ok=True)
 

@@ -61,7 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     ba.add_argument("--field", default="q")
     ba.add_argument("--mode", default="auto", choices=MODES)
     ba.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    ba.add_argument("--seed", type=int, default=0)
     ba.add_argument("--no-cache", action="store_true")
     return parser
 
@@ -92,7 +91,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "batch":
             opts = AnalyzeOptions(mode=args.mode, budget=args.budget,
                                   use_cache=not args.no_cache)
-            count = batch(args.family, args.out, parse_field(args.field), opts, seed=args.seed)
+            count = batch(args.family, args.out, parse_field(args.field), opts)
             print(f"wrote {count} reports to {args.out}")
             return EXIT_OK
     except BudgetRefusal as exc:

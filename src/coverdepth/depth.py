@@ -47,7 +47,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .altpaths import alt_path_length, stability_bound
+from .altpaths import ExponentCertificate, alt_path_length, stability_bound
 from .complexes import nonzero_degrees, reduced_homology
 from .degree import _independence_complex
 from .graphs import Graph, GraphError, connected_components, has_cycle_of_length, is_forest
@@ -65,12 +65,7 @@ CROSS_CHECK_ESTIMATE_LIMIT = 10_000_000
 
 
 class BudgetRefusal(RuntimeError):
-    """The oracle declined an instance; carries the cost estimate."""
-
-    def __init__(self, message: str, estimate: int, budget: int):
-        super().__init__(message)
-        self.estimate = estimate
-        self.budget = budget
+    """The oracle declined an instance; the message gives the vertex cap or the cost estimate."""
 
 
 class CertificateInapplicableError(ValueError):
@@ -81,21 +76,16 @@ class DepthEngineError(RuntimeError):
     """An internal cross-check failed; something believed proven did not hold."""
 
 
-def oracle_cost_estimate(r: int, n: int) -> int:
-    return (n ** r) * (2 ** r)
-
-
 def _check_budget(G: Graph, n: int, budget: int, force: bool) -> None:
     """The one admission rule for every oracle call; ``force`` waives it."""
     if force:
         return
     r = G.vertex_count
-    est = oracle_cost_estimate(r, n)
     if r >= HARD_VERTEX_LIMIT:
-        raise BudgetRefusal(f"refusing r={r} >= {HARD_VERTEX_LIMIT} vertices (pass force=True to override)",
-                            est, budget)
+        raise BudgetRefusal(f"refusing r={r} >= {HARD_VERTEX_LIMIT} vertices (pass force=True to override)")
+    est = (2 * n) ** r
     if est > budget:
-        raise BudgetRefusal(f"estimated cost {est} exceeds budget {budget} (r={r}, n={n})", est, budget)
+        raise BudgetRefusal(f"estimated cost {est} exceeds budget {budget} (r={r}, n={n})")
 
 
 # -- memoized homology of qualifying graphs --------------------------------
@@ -364,20 +354,6 @@ def stability_index_oracle(G: Graph, field: FieldSpec = Rationals(), *,
 
 # -- perfect-matching certificate -------------------------------------------
 
-@dataclass
-class CertificateOutcome:
-    value: int
-    witness: dict[int, int]
-    pairs: tuple[tuple[int, int], ...]
-
-    def to_json(self) -> dict:
-        return {
-            "sdstab": self.value,
-            "alpha": {str(v): a for v, a in sorted(self.witness.items())},
-            "pairs": [list(p) for p in self.pairs],
-        }
-
-
 def feasible_exponents(G: Graph, om: OrderedMatching, n: int) -> Optional[dict[int, int]]:
     """A nonnegative vector with pair sums <= n - 1 and all other covered-edge
     sums >= n, or None.  Deterministic: pairs are assigned in reverse index
@@ -420,7 +396,7 @@ def feasible_exponents(G: Graph, om: OrderedMatching, n: int) -> Optional[dict[i
     return None
 
 
-def stability_certificate(G: Graph) -> CertificateOutcome:
+def stability_certificate(G: Graph) -> ExponentCertificate:
     """Stability index of a graph with a perfect ordered matching, by integer
     feasibility search over exponent vectors.
 
@@ -441,7 +417,7 @@ def stability_certificate(G: Graph) -> CertificateOutcome:
     for n in range(1, upper + 1):
         witness = feasible_exponents(G, om, n)
         if witness is not None:
-            return CertificateOutcome(n, witness, om.pairs)
+            return ExponentCertificate(n, witness, om.pairs)
     raise DepthEngineError(
         f"no feasible exponent vector up to the path bound {upper}; "
         "this contradicts the bound's construction"
@@ -453,7 +429,7 @@ def stability_certificate(G: Graph) -> CertificateOutcome:
 def _structural_path_or_cycle(G: Graph) -> Optional[str]:
     """A connected graph of maximum degree at most 2 is a path when it has
     r - 1 edges and a cycle otherwise (it then has r)."""
-    if len(connected_components(G)) != 1 or any(G.degree(v) > 2 for v in G.vertices()):
+    if len(connected_components(G)) != 1 or any(len(G.neighbors[v]) > 2 for v in G.vertices()):
         return None
     return "path" if len(G.edges) == G.vertex_count - 1 else "cycle"
 
@@ -477,7 +453,7 @@ MODES = ("auto", "oracle", "certificate", "combinatorial")
 class StabilityResult:
     value: Optional[int]
     method: str
-    witness: Optional[CertificateOutcome] = None
+    witness: Optional[ExponentCertificate] = None
 
 
 def stability_index(G: Graph, field: FieldSpec = Rationals(), mode: str = "auto", *,

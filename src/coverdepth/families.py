@@ -5,8 +5,8 @@ Family specs accepted by the batch runner:
     "cycles 3..8"
     "forests seed=1 count=50 maxr=9"
     "graphs seed=7 count=100 maxr=8"
-Generators are deterministic for a given seed; the seed travels with every
-generated instance so reports are reproducible.
+Generators are deterministic for the spec's ``seed=`` (default 0); the seed
+travels with every generated instance so reports are reproducible.
 """
 
 from __future__ import annotations
@@ -73,6 +73,10 @@ def _parse_kv(tokens: list[str], required: tuple[str, ...]) -> dict[str, int]:
         if "=" not in tok:
             raise ValueError(f"expected key=value, got {tok!r}")
         k, v = tok.split("=", 1)
+        if k != "seed" and k not in required:
+            raise ValueError(f"unknown key {k!r} in family spec")
+        if k in out:
+            raise ValueError(f"repeated key {k!r} in family spec")
         out[k] = int(v)
     missing = [k for k in required if k not in out]
     if missing:
@@ -80,7 +84,7 @@ def _parse_kv(tokens: list[str], required: tuple[str, ...]) -> dict[str, int]:
     return out
 
 
-def parse_family_spec(spec: str, default_seed: int = 0) -> list[FamilyInstance]:
+def parse_family_spec(spec: str) -> list[FamilyInstance]:
     tokens = spec.split()
     if not tokens:
         raise ValueError("empty family spec")
@@ -99,7 +103,7 @@ def parse_family_spec(spec: str, default_seed: int = 0) -> list[FamilyInstance]:
             raise ValueError(str(exc)) from exc
     if kind in ("forests", "graphs"):
         kv = _parse_kv(rest, ("count", "maxr"))
-        seed = kv.get("seed", default_seed)
+        seed = kv.get("seed", 0)
         gen = random_forests if kind == "forests" else random_graphs
         return list(gen(seed, kv["count"], kv["maxr"]))
     raise ValueError(f"unknown family kind {kind!r}")

@@ -94,9 +94,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return _normalize_edge(u, v) in self.edges
 
-    def degree(self, v: int) -> int:
-        return len(self.neighbors[v])
-
     @property
     def is_edgeless(self) -> bool:
         return not self.edges
@@ -110,7 +107,7 @@ class Graph:
 def parse_graph(text: str) -> Graph:
     """Parse the line-oriented edge-list format.
 
-    Header ``p <r> <m>`` followed by m lines ``e <u> <v>``; ``#`` starts a
+    Header ``p <r> <m>`` (m >= 1) followed by m lines ``e <u> <v>``; ``#`` starts a
     comment, blank lines are ignored.  Each malformed construct raises a
     :class:`GraphParseError` naming its line.
     """
@@ -132,6 +129,8 @@ def parse_graph(text: str) -> Graph:
                 raise GraphParseError(line_no, f"malformed header {line!r}") from None
             if r < 1 or m < 0:
                 raise GraphParseError(line_no, f"malformed header {line!r}")
+            if m == 0:
+                raise GraphParseError(line_no, "header announces no edges; a graph needs at least one")
             header = (line_no, r, m)
         elif parts[0] == "e":
             if header is None:
@@ -210,10 +209,6 @@ def family_graph(s: int) -> Graph:
     return Graph.make(4 * s, sorted(edges))
 
 
-def char16_graph() -> Graph:
-    return Graph.make(16, [(x, 10 + y) for x, y in _CHAR16_PAIRS])
-
-
 _FAM_RE = re.compile(r"^FAM\((\d+)\)$")
 
 
@@ -227,7 +222,7 @@ def builtin_graph(name: str) -> Graph:
     if key == "FIG3":
         return Graph.make(8, _FIG3_EDGES)
     if key == "CHAR16":
-        return char16_graph()
+        return Graph.make(16, [(x, 10 + y) for x, y in _CHAR16_PAIRS])
     m = _FAM_RE.match(key)
     if m:
         return family_graph(int(m.group(1)))

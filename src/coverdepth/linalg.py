@@ -25,10 +25,9 @@ def _is_prime(p: int) -> bool:
 
 @dataclass(frozen=True)
 class Rationals:
-    label: str = "q"
-
-    def __str__(self) -> str:
-        return "QQ"
+    @property
+    def label(self) -> str:
+        return "q"
 
 
 @dataclass(frozen=True)
@@ -42,9 +41,6 @@ class PrimeField:
     @property
     def label(self) -> str:
         return f"gf:{self.p}"
-
-    def __str__(self) -> str:
-        return f"GF({self.p})"
 
 
 FieldSpec = Union[Rationals, PrimeField]

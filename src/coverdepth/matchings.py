@@ -105,8 +105,6 @@ def iter_matchings(G: Graph, size: int) -> Iterator[frozenset[Edge]]:
         if matching_number_on(avail) < need:
             return
         v = _lowest_active(G, avail)
-        if v == 0:
-            return
         vbit = 1 << (v - 1)
         nbrs = G.neighbor_masks[v] & avail
         while nbrs:

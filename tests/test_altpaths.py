@@ -163,18 +163,18 @@ def test_min_length_family():
 def test_path_exponents_fig3():
     cert = path_exponents(builtin_graph("FIG3"), M_1234)
     assert cert.vector() == (2, 2, 1, 0, 0, 0, 1, 2)
-    assert cert.power == 3
+    assert cert.value == 3
 
 
 def test_path_exponents_fig1_cross_edges_only():
     cert = path_exponents(builtin_graph("FIG1"), M_1234)
     assert cert.vector() == (3, 2, 1, 0, 0, 1, 2, 3)
-    assert cert.power == 4
+    assert cert.value == 4
 
 
 def test_path_exponents_single_edge():
     cert = path_exponents(path_graph(2), OrderedMatching(((1, 2),)))
-    assert cert.vector() == (0, 0) and cert.power == 1
+    assert cert.vector() == (0, 0) and cert.value == 1
 
 
 def test_shifted_exponents_fig1():
@@ -203,10 +203,10 @@ def test_shifted_exponents_validate_on_random_perfect_matchings():
         checked += 1
         n = (alt_path_length(G, om) + 1) // 2
         cert = shifted_exponents(G, om)  # verifies its own constraints
-        assert cert.power == n
+        assert cert.value == n
         pair_edges = om.edge_set
         for u, v in G.edge_list:
-            total = cert.values[u] + cert.values[v]
+            total = cert.witness[u] + cert.witness[v]
             if (u, v) in pair_edges:
                 assert total == n - 1
             else:

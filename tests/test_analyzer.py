@@ -166,9 +166,9 @@ def test_module_level_imports_are_used():
 
 def test_oracle_admission_lives_in_check_budget():
     # depth._check_budget is the one admission rule for the oracle: the
-    # vertex cap and the cost estimate are read, and BudgetRefusal is raised,
-    # nowhere else under the package (imports count as reads)
-    guarded = {"HARD_VERTEX_LIMIT", "oracle_cost_estimate"}
+    # vertex cap is read, and BudgetRefusal is raised, nowhere else under the
+    # package (imports count as reads)
+    guarded = {"HARD_VERTEX_LIMIT"}
     places = set()
 
     def scan(node, where):
@@ -283,6 +283,10 @@ def test_family_spec_parsing():
         parse_family_spec("widgets 1..2")
     with pytest.raises(ValueError):
         parse_family_spec("cycles 1..4")
+    with pytest.raises(ValueError, match="unknown key 'sed'"):
+        parse_family_spec("graphs sed=5 count=2 maxr=4")
+    with pytest.raises(ValueError, match="repeated key 'seed'"):
+        parse_family_spec("graphs seed=1 seed=5 count=2 maxr=4")
 
 
 def test_batch_paths(tmp_path, monkeypatch):

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from coverdepth import complexes
 from coverdepth.complexes import (
     ComplexError,
     SimplicialComplex,
@@ -76,6 +77,14 @@ def test_homology_conventions():
     assert irr == {-1: 1}
     two_points = reduced_homology(from_facets(2, [(1,), (2,)]))
     assert two_points == {-1: 0, 0: 1}
+
+
+def test_overstated_rank_trips_the_dimension_check(monkeypatch):
+    # one more than the true rank of each boundary map makes some homology
+    # dimension negative, which is the one check reduced_homology keeps
+    monkeypatch.setattr(complexes, "rank", lambda rows, field: rank(rows, field) + 1)
+    with pytest.raises(AssertionError, match="negative homology dimension"):
+        reduced_homology(TRIANGLE)
 
 
 def test_homology_rp2_by_field():

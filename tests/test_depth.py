@@ -167,8 +167,7 @@ def test_budget_refusal_large_graph():
 def test_budget_refusal_reports_estimate():
     with pytest.raises(BudgetRefusal) as err:
         depth_symbolic(path_graph(8), 4, budget=10)
-    assert err.value.estimate == (4 ** 8) * (2 ** 8)
-    assert err.value.budget == 10
+    assert "estimated cost 16777216 exceeds budget 10" in str(err.value)
 
 
 def test_stability_auto_falls_back_to_class_equality():

@@ -36,6 +36,7 @@ def test_parse_comments_and_blanks():
         ("p 3 2\ne 1 2\ne 1 2\n", "duplicate"),
         ("p x 1\ne 1 2\n", "malformed header"),
         ("p 3 2\ne 1 2\n", "announced 2 edges"),
+        ("p 3 0\n", "announces no edges"),
         ("e 1 2\n", "before header"),
     ],
 )
