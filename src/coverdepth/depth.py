@@ -30,8 +30,14 @@ reg I(E) by Hochster's formula (1977), and reg I(E) <= nu(E) + 1 <=
 floor(|V(E)|/2) + 1 (Ha and Van Tuyl, J. Algebraic Combin. 2008), so
 i >= r - 1 - floor(|V(E)|/2).  Neither bound falls as |V(E)| falls, so
 visiting E by descending |V(E)| and stopping once (4) reaches the best
-value loses nothing.  The grid is searched vertex by vertex, merging equal
-partial states.  Each distinct edge set is reduced before its homology:
+value loses nothing.  The grid is searched vertex by vertex.  A state is
+the tuple of values of the frontier (placed vertices with an unplaced
+neighbour) and holds the distinct bit codes of the edges decided so far;
+equal states merge.  Placing a vertex, each state buckets the edges it
+closes by the earlier end's value, and a running OR gives the mask of edges
+each value adds.  The search returns bit codes; |V(E)| is read from a table
+per byte of code, and an edge set is built only when the visit reaches it.
+Each distinct edge set is reduced before its homology:
 (a) fold, deleting v while N(u) lies in N(v) for some u != v, which keeps
 the homotopy type; (b) cone, a vertex left with no neighbour makes the set
 acyclic; (c) components, what is left splits into connected parts; (d)
@@ -169,63 +175,84 @@ def _max_nonzero_degree(edge_key: frozenset, field: FieldSpec) -> Optional[int]:
 
 def _frontier_order(G: Graph) -> tuple[int, ...]:
     """Greedy vertex order for the grid search: each step places the vertex
-    that leaves the fewest placed vertices with an unplaced neighbour."""
+    that leaves the fewest placed vertices with an unplaced neighbour, the
+    least such vertex on a tie.  Placing v adds v when it has an unplaced
+    neighbour and retires each placed vertex whose one unplaced neighbour is
+    v; the rest of the count is the same for every candidate."""
+    masks = G.neighbor_masks
     order: list[int] = []
-    while len(order) < G.vertex_count:
-        left = set(G.vertices()).difference(order)
-        order.append(min(left, key=lambda v: (sum(1 for u in (*order, v) if G.neighbors[u] & (left - {v})), v)))
+    left = (1 << G.vertex_count) - 1  # bit v - 1 for each unplaced v
+    while left:
+        retired: dict[int, int] = {}  # bit of v -> placed vertices whose one unplaced neighbour is v
+        for u in order:
+            m = masks[u] & left
+            if m and not m & (m - 1):
+                retired[m] = retired.get(m, 0) + 1
+        v = min((v for v in G.vertices() if left >> (v - 1) & 1),
+                key=lambda v: ((masks[v] & left != 0) - retired.get(1 << (v - 1), 0), v))
+        order.append(v)
+        left &= ~(1 << (v - 1))
     return tuple(order)
 
 
 def _qualifying_subsets(rest: list[int], induced: list[tuple[int, int]],
-                        n: int, cap: int) -> list[tuple[tuple[int, int], ...]]:
+                        n: int, cap: int) -> list[int]:
     """Distinct nonempty qualifying edge sets (exponent sum <= n - 1) over the
-    grid {0..cap}^rest, in ascending bit code (bit i stands for induced[i]).
-    Vertices take values in the order of ``rest``; a state is the code of the
-    edges decided so far plus the values of the frontier (placed vertices with
-    an unplaced neighbour), and equal states merge, so the work follows the
-    distinct states, not the grid points.  Values >= n count as one.  A state
-    holds a bare int while it has one code and a set once a second merges."""
+    grid {0..cap}^rest, as ascending bit codes (bit i stands for induced[i]).
+
+    Vertices take values in the order of ``rest``; values >= n count as one.
+    A state is the tuple of values of the frontier (placed vertices with an
+    unplaced neighbour) and holds the distinct codes of the edges decided so
+    far, so equal states merge and the work follows the distinct states, not
+    the grid points.  Placing a vertex decides its edges to earlier vertices:
+    such an edge qualifies for the values x <= n - 1 - (its earlier end's
+    value).  Per state the edges are bucketed by that threshold, and a running
+    OR from the top value down gives the mask of edges each x adds.  Only a
+    value where the mask grows builds a new code list; every other value
+    shares the list before it.  A vertex with no later neighbour sends every
+    value to one state, which takes each distinct mask once.  A new state
+    that receives more than one list merges them through a set when the step
+    ends; a list stays compact where most states hold one code."""
     closing: list[list[tuple[int, int]]] = [[] for _ in rest]  # (1 << edge bit, earlier step)
     last = list(range(len(rest)))  # step of each vertex's last neighbour, its own if none later
     for bit, (u, v) in enumerate(induced):
         a, b = sorted((rest.index(u), rest.index(v)))
         closing[b].append((1 << bit, a))
         last[a] = max(last[a], b)
+    top = min(cap, n)
     frontier: list[int] = []
-    states: dict[tuple[int, ...], int | set[int]] = {(): 0}  # frontier values -> edge codes
+    states: dict[tuple[int, ...], list[int]] = {(): [0]}  # frontier values -> distinct edge codes
     for i in range(len(rest)):
         checks = [(w, frontier.index(a)) for w, a in closing[i]]
         keep = [k for k, a in enumerate(frontier) if last[a] > i]
         grow = last[i] > i
-        nxt: dict[tuple[int, ...], int | set[int]] = {}
+        nxt: dict[tuple[int, ...], list[list[int]]] = {}  # new state -> the code lists it receives
         while states:  # consume the old states as the new ones grow
             vals, codes = states.popitem()
             kept = tuple([vals[k] for k in keep])
-            for x in range(min(cap, n) + 1) if checks or grow else (0,):
-                add = 0
-                for w, k in checks:
-                    if vals[k] + x < n:
-                        add |= w
+            closes = [0] * (top + 1)  # closes[t]: edges whose earlier end has value n - 1 - t
+            for w, k in checks:
+                t = n - 1 - vals[k]
+                if t >= 0:
+                    closes[min(t, top)] |= w
+            mask, coded = 0, codes
+            for x in range(top, -1, -1):
+                if closes[x]:
+                    mask |= closes[x]
+                    coded = [c | mask for c in codes]  # mask bits are new, so codes stay distinct
+                elif not grow and x < top:
+                    continue  # the same mask into the same state
                 key = kept + (x,) if grow else kept
-                new = codes | add if type(codes) is int else {c | add for c in codes}
-                old = nxt.get(key)
-                if old is None:
-                    nxt[key] = new
-                elif type(old) is int:
-                    if type(new) is set:
-                        new.add(old)
-                        nxt[key] = new
-                    elif new != old:
-                        nxt[key] = {old, new}
-                elif type(new) is set:
-                    old.update(new)
+                got = nxt.get(key)
+                if got is None:
+                    nxt[key] = [coded]
                 else:
-                    old.add(new)
-        states = nxt
+                    got.append(coded)
+        states = {key: got[0] if len(got) == 1 else list(set().union(*got)) for key, got in nxt.items()}
         frontier = [frontier[k] for k in keep] + [i] * grow
-    codes = sorted({c for v in states.values() for c in ((v,) if type(v) is int else v)} - {0})
-    return [tuple([e for bit, e in enumerate(induced) if code >> bit & 1]) for code in codes]
+    codes = set().union(*states.values())
+    codes.discard(0)
+    return sorted(codes)
 
 
 def depth_symbolic(G: Graph, n: int, field: FieldSpec = Rationals(), *,
@@ -234,12 +261,15 @@ def depth_symbolic(G: Graph, n: int, field: FieldSpec = Rationals(), *,
 
     One search over the grid {0..n}^V stands for every negative support;
     the module's "Oracle layout" gives the argument (1)-(4) that makes it
-    exact.  The distinct edge sets E are visited by ascending support size
-    r - |V(E)|, in ascending bit code within one size.  The one stop rule is
-    the ceiling (4): the visit ends once r - 1 - floor(|V(E)|/2) reaches the
-    best value, since no later edge set can lower it.  The least possible
-    depth needs no rule of its own: once the best is 1 (0 when r = 2), the
-    ceiling is at least the best for every edge set.
+    exact.  The grid gives bit codes; |V(E)| is read per code from a table,
+    per byte of the code, of the vertices that byte's edges cover.  The
+    distinct edge sets E are visited by ascending support size r - |V(E)|,
+    in ascending bit code within one size, and an edge set is built only
+    when it is visited.  The one stop rule is the ceiling (4): the visit
+    ends once r - 1 - floor(|V(E)|/2) reaches the best value, since no later
+    edge set can lower it.  The least possible depth needs no rule of its
+    own: once the best is 1 (0 when r = 2), the ceiling is at least the best
+    for every edge set.
     """
     if G.is_edgeless:
         raise GraphError("depth of a cover ideal needs at least one edge")
@@ -247,14 +277,26 @@ def depth_symbolic(G: Graph, n: int, field: FieldSpec = Rationals(), *,
         raise ValueError(f"power must be >= 1, got {n}")
     _check_budget(G, n, budget, force)
     r = G.vertex_count
-    edge_sets = _qualifying_subsets(list(_frontier_order(G)), list(G.edge_list), n, n)
-    visits = [(len({v for e in E for v in e}), E) for E in edge_sets]  # (|V(E)|, E)
+    edges = G.edge_list
+    tables = []  # tables[b][byte]: the vertices covered by the edges that byte b of a code holds
+    for lo in range(0, len(edges), 8):
+        table = [0]
+        for u, v in edges[lo:lo + 8]:
+            table += [m | 1 << u | 1 << v for m in table]
+        tables.append(table)
+    visits = []  # (|V(E)|, code of E)
+    for code in _qualifying_subsets(list(_frontier_order(G)), list(edges), n, n):
+        covered, byte = 0, code
+        for table in tables:
+            covered |= table[byte & 255]
+            byte >>= 8
+        visits.append((covered.bit_count(), code))
     visits.sort(key=lambda visit: -visit[0])  # stable, so ascending bit code within one size
     best: Optional[int] = None
-    for covered, E in visits:
+    for covered, code in visits:
         if best is not None and r - 1 - covered // 2 >= best:
             break
-        jmax = _max_nonzero_degree(frozenset(E), field)
+        jmax = _max_nonzero_degree(frozenset([e for bit, e in enumerate(edges) if code >> bit & 1]), field)
         if jmax is None:
             continue
         i = r - 2 - jmax

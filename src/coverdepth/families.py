@@ -103,6 +103,10 @@ def parse_family_spec(spec: str) -> list[FamilyInstance]:
             raise ValueError(str(exc)) from exc
     if kind in ("forests", "graphs"):
         kv = _parse_kv(rest, ("count", "maxr"))
+        if kv["count"] < 0:
+            raise ValueError(f"count must be >= 0 in family spec, got {kv['count']}")
+        if kv["maxr"] < 2:
+            raise ValueError(f"maxr must be >= 2 in family spec (a graph needs two vertices), got {kv['maxr']}")
         seed = kv.get("seed", 0)
         gen = random_forests if kind == "forests" else random_graphs
         return list(gen(seed, kv["count"], kv["maxr"]))

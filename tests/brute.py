@@ -11,7 +11,8 @@ no reduction and no memo.
 It also holds the reference side of the algebra that the library itself no
 longer needs: the cover complex, Alexander duality, degree complexes,
 membership in symbolic powers, the independence complex of a whole graph and
-induced subgraphs.
+induced subgraphs, and the set-based greedy order that the grid search's
+bit-mask order must reproduce.
 """
 
 from __future__ import annotations
@@ -189,6 +190,17 @@ def brute_independent_sets(G: Graph):
         for combo in combinations(verts, size):
             if all(not G.has_edge(a, b) for a, b in combinations(combo, 2)):
                 yield frozenset(combo)
+
+
+def brute_frontier_order(G: Graph) -> tuple[int, ...]:
+    """Greedy vertex order from Python sets: each step places the vertex that
+    leaves the fewest placed vertices with an unplaced neighbour, the least
+    such vertex on a tie."""
+    order: list[int] = []
+    while len(order) < G.vertex_count:
+        left = set(G.vertices()).difference(order)
+        order.append(min(left, key=lambda v: (sum(1 for u in (*order, v) if G.neighbors[u] & (left - {v})), v)))
+    return tuple(order)
 
 
 def brute_qualifying_subsets(rest, induced, n: int, cap: int) -> set:

@@ -287,6 +287,12 @@ def test_family_spec_parsing():
         parse_family_spec("graphs sed=5 count=2 maxr=4")
     with pytest.raises(ValueError, match="repeated key 'seed'"):
         parse_family_spec("graphs seed=1 seed=5 count=2 maxr=4")
+    with pytest.raises(ValueError, match="maxr must be >= 2"):
+        parse_family_spec("graphs count=2 maxr=1")
+    with pytest.raises(ValueError, match="count must be >= 0"):
+        parse_family_spec("graphs count=-3 maxr=5")
+    assert parse_family_spec("forests count=0 maxr=2") == []
+    assert {inst.graph.vertex_count for inst in parse_family_spec("graphs count=5 maxr=2")} == {2}
 
 
 def test_batch_paths(tmp_path, monkeypatch):

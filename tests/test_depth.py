@@ -34,6 +34,7 @@ from coverdepth.linalg import PrimeField, Rationals
 from coverdepth.matchings import has_perfect_ordered_matching
 from coverdepth.verification import _duality_instances
 from brute import (
+    brute_frontier_order,
     brute_qualifying_subsets,
     dense_max_nonzero_degree,
     brute_reg_edge_ideal,
@@ -191,6 +192,15 @@ def _dense_graphs():
             for r, m in ((7, 10), (7, 11), (7, 12), (8, 12))]
 
 
+def _decode(codes, induced):
+    """The grid's bit codes as edge tuples (bit i stands for induced[i])."""
+    return [tuple(e for bit, e in enumerate(induced) if code >> bit & 1) for code in codes]
+
+
+def _covered(E):
+    return len({v for e in E for v in e})
+
+
 def test_one_grid_search_matches_support_loop():
     # the single {0..n}^V search, with its visit stopped at the matching
     # ceiling, against one grid scan per negative support with the cone
@@ -230,11 +240,45 @@ def test_matching_ceiling_cut_skips_edge_sets(monkeypatch):
     monkeypatch.setattr(depth, "_max_nonzero_degree", counting)
     for G in _dense_graphs() + [cycle_graph(7), cycle_graph(8)]:
         r = G.vertex_count
-        grid = _qualifying_subsets(list(_frontier_order(G)), list(G.edge_list), 2, 2)
+        grid = _decode(_qualifying_subsets(list(_frontier_order(G)), list(G.edge_list), 2, 2), G.edge_list)
         calls[0] = 0
         d = depth_symbolic(G, 2, Rationals())
-        former = sum(1 for E in grid if r - len({v for e in E for v in e}) <= d)
+        former = sum(1 for E in grid if r - _covered(E) <= d)
         assert calls[0] < former, (G.edge_list, calls[0], former)
+
+
+def test_visit_takes_decoded_sets_by_size_then_code(monkeypatch):
+    # the edge sets that depth_symbolic hands to the kernel are the grid's
+    # codes decoded, in descending |V(E)| and then ascending code, cut
+    # exactly where the ceiling r - 1 - floor(|V(E)|/2) reaches the best
+    kernel = depth._max_nonzero_degree
+    visited, nesting = [], [0]
+
+    def recording(edge_key, field):
+        if not nesting[0]:  # the kernel's own calls on components are not visits
+            visited.append(edge_key)
+        nesting[0] += 1
+        try:
+            return kernel(edge_key, field)
+        finally:
+            nesting[0] -= 1
+
+    monkeypatch.setattr(depth, "_max_nonzero_degree", recording)
+    for G in _dense_graphs() + [cycle_graph(7)]:
+        r, edges = G.vertex_count, G.edge_list
+        codes = _qualifying_subsets(list(_frontier_order(G)), list(edges), 2, 2)
+        expected, best = [], None
+        for _, E in sorted(zip(codes, _decode(codes, edges)), key=lambda ce: (-_covered(ce[1]), ce[0])):
+            if best is not None and r - 1 - _covered(E) // 2 >= best:
+                break
+            expected.append(frozenset(E))
+            j = kernel(frozenset(E), Rationals())
+            if j is not None and (best is None or r - 2 - j < best):
+                best = r - 2 - j
+        visited.clear()
+        assert depth_symbolic(G, 2, Rationals()) == best
+        assert visited == expected, G.edge_list
+        assert len(visited) < len(codes), G.edge_list
 
 
 def test_depth_against_naive_takayama_enumeration():
@@ -339,7 +383,8 @@ def test_reduced_kernel_matches_dense(monkeypatch):
     edge_sets = set()
     for G, ns in powers:
         for n in ns:
-            edge_sets.update(map(frozenset, _qualifying_subsets(list(_frontier_order(G)), list(G.edge_list), n, n)))
+            codes = _qualifying_subsets(list(_frontier_order(G)), list(G.edge_list), n, n)
+            edge_sets.update(map(frozenset, _decode(codes, G.edge_list)))
     kernel = depth._max_nonzero_degree
 
     def recording(edge_key, field):
@@ -435,16 +480,15 @@ def _assert_matches_scan(G, rest, induced, n, cap, rng):
     want = brute_qualifying_subsets(rest, induced, n, cap)
     frontier = [v for v in _frontier_order(G) if v in rest]
     for order in (rest, rng.sample(rest, len(rest)), frontier):
-        got = _qualifying_subsets(order, induced, n, cap)
-        codes = [sum(1 << induced.index(e) for e in subset) for subset in got]
+        codes = _qualifying_subsets(order, induced, n, cap)
         assert codes == sorted(set(codes)), "edge sets must be distinct, in ascending bit code"
-        assert set(got) == want, (G.edge_list, order, n, cap)
+        assert set(_decode(codes, induced)) == want, (G.edge_list, order, n, cap)
 
 
 def test_qualifying_subsets_match_grid_scan():
     # the frontier search against a scan of every grid point, for the caps
-    # n - 1, n (the oracle's, value n marking the support) and n + 1, in
-    # three vertex orders
+    # n - 2 (an edge's threshold then passes the top value), n - 1, n (the
+    # oracle's, value n marking the support) and n + 1, in three vertex orders
     rng = random.Random(223)
     cases = [(builtin_graph(name), 2) for name in ("FIG1", "FIG2", "FIG3", "FAM(1)", "FAM(2)")]
     cases += [(random_small_graph(rng, max_r=8), 3) for _ in range(10)]
@@ -452,7 +496,7 @@ def test_qualifying_subsets_match_grid_scan():
     for G, top in cases:
         assert sorted(_frontier_order(G)) == list(G.vertices())
         for n in range(1, top + 1):
-            for cap in (n - 1, n, n + 1):
+            for cap in range(max(n - 2, 0), n + 2):
                 for rest, induced in _grid_instances(G, rng):
                     if (cap + 1) ** len(rest) <= GRID_SCAN_LIMIT:
                         _assert_matches_scan(G, rest, induced, n, cap, rng)
@@ -464,12 +508,21 @@ def test_qualifying_subsets_beyond_64_edges():
     # K12 has 66 edges, more than one machine word of edge bits
     G = Graph.make(12, combinations(range(1, 13), 2))
     rest, induced = list(G.vertices()), list(G.edge_list)
-    assert _qualifying_subsets(rest, induced, 1, 0) == [tuple(induced)]
-    got = _qualifying_subsets(rest, induced, 2, 1)
+    assert _decode(_qualifying_subsets(rest, induced, 1, 0), induced) == [tuple(induced)]
+    got = _decode(_qualifying_subsets(rest, induced, 2, 1), induced)
     assert set(got) == brute_qualifying_subsets(rest, induced, 2, 1)
     # the vertices valued 1 fix the set: at most one of them leaves every
     # edge, all twelve leave none, and every other choice is its own set
     assert len(got) == 2 ** 12 - 13
+    # the oracle's visit reads |V(E)| from one table per byte of code: nine here
+    assert depth_symbolic(G, 1) == 12 - reg_edge_ideal(G) == 10
+
+
+def test_frontier_order_matches_set_reference():
+    graphs = [builtin_graph(name) for name in ("FIG1", "FIG2", "FIG3", "FAM(1)", "FAM(2)", "CHAR16")]
+    graphs += [inst.graph for inst in random_graphs(seed=0, count=200, max_r=9)]
+    for G in graphs:
+        assert _frontier_order(G) == brute_frontier_order(G), G.edge_list
 
 
 def test_package_imports_without_numpy():
