@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import Graph, GraphError
+from .graphs import Graph
 from .matchings import OrderedMatching, _max_ordered, ordered_matching_violation
 
 
@@ -160,8 +160,6 @@ def _shortest_max_ordered(G: Graph) -> OrderedMatching:
     The length is orientation-independent per pair set (property-tested), so
     one orientation per pair set is evaluated.
     """
-    if G.is_edgeless:
-        raise GraphError("alternating-path length needs at least one edge")
     return min((oms[0] for _, oms in _max_ordered(G)), key=lambda om: alt_path_length(G, om))
 
 

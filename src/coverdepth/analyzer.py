@@ -98,8 +98,6 @@ def analyze(G: Graph, field: FieldSpec = Rationals(),
     """Full report: matching invariants, path statistics, class flags, the
     stability index with its provenance, and the per-theorem check list."""
     opts = options or AnalyzeOptions()
-    if G.is_edgeless:
-        raise ValueError("analysis needs at least one edge")
     res = stability_index(G, field, opts.mode, budget=opts.budget, force=opts.force)
     stab, method = res.value, res.method
 
@@ -209,8 +207,9 @@ def _cache_key(inst: FamilyInstance, field: FieldSpec, options: dict) -> dict:
 
 def batch(family_spec: str, out_path: str | Path, field: FieldSpec = Rationals(),
           options: Optional[AnalyzeOptions] = None) -> int:
-    """Analyze a family and stream one JSON report per line; resumable via the
-    cache.  Returns the number of instances written."""
+    """Analyze every instance of a family, then write one JSON report per
+    line once all are done; resumable via the cache, which each report
+    reaches as soon as it is made.  Returns the number of instances written."""
     opts = options or AnalyzeOptions()
     instances = parse_family_spec(family_spec)
     out_file = Path(out_path)

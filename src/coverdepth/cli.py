@@ -88,19 +88,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             from .verification import verify_corpus
 
             return EXIT_OK if verify_corpus(args.level) else EXIT_VERIFY_FAILED
-        if args.command == "batch":
-            opts = AnalyzeOptions(mode=args.mode, budget=args.budget,
-                                  use_cache=not args.no_cache)
-            count = batch(args.family, args.out, parse_field(args.field), opts)
-            print(f"wrote {count} reports to {args.out}")
-            return EXIT_OK
+        # argparse requires one of the three commands, so this one is batch
+        opts = AnalyzeOptions(mode=args.mode, budget=args.budget,
+                              use_cache=not args.no_cache)
+        count = batch(args.family, args.out, parse_field(args.field), opts)
+        print(f"wrote {count} reports to {args.out}")
+        return EXIT_OK
     except BudgetRefusal as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (GraphError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

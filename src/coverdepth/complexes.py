@@ -72,9 +72,9 @@ def from_facets(ground_size: int, facets: Iterable[Iterable[int]]) -> Simplicial
 
 
 def _boundary_rank(field: FieldSpec, faces_d: list[Face], faces_dm1: list[Face]) -> int:
-    """Rank of the boundary map from d-chains to (d-1)-chains."""
-    if not faces_d or not faces_dm1:
-        return 0
+    """Rank of the boundary map from d-chains to (d-1)-chains; both face
+    lists are nonempty for the degrees 0..dim that ``reduced_homology`` asks
+    for, since the empty face sits in degree -1."""
     index = {f: i for i, f in enumerate(faces_dm1)}
     rows = [[0] * len(faces_d) for _ in faces_dm1]
     for j, f in enumerate(faces_d):

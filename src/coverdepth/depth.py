@@ -56,7 +56,7 @@ from typing import Iterator, Optional
 from .altpaths import ExponentCertificate, alt_path_length, stability_bound
 from .complexes import nonzero_degrees, reduced_homology
 from .degree import _independence_complex
-from .graphs import Graph, GraphError, connected_components, has_cycle_of_length, is_forest
+from .graphs import Graph, connected_components, has_cycle_of_length, is_forest
 from .linalg import FieldSpec, Rationals
 from .matchings import (
     OrderedMatching,
@@ -271,8 +271,6 @@ def depth_symbolic(G: Graph, n: int, field: FieldSpec = Rationals(), *,
     own: once the best is 1 (0 when r = 2), the ceiling is at least the best
     for every edge set.
     """
-    if G.is_edgeless:
-        raise GraphError("depth of a cover ideal needs at least one edge")
     if n < 1:
         raise ValueError(f"power must be >= 1, got {n}")
     _check_budget(G, n, budget, force)
@@ -320,8 +318,6 @@ def reg_edge_ideal(G: Graph, field: FieldSpec = Rationals(), *,
     independent exactly when v lies outside N[F], so each vertex v adds
     c | N[v] for every mask c so far that does not hold v.  No face of
     Ind(G) is listed."""
-    if G.is_edgeless:
-        raise GraphError("the edge ideal of an edgeless graph is zero")
     _check_budget(G, 1, budget, force)  # the link scan costs what the n = 1 oracle does
     # Unlike depth_symbolic's visit, the scan is not cut by the ceiling
     # reg I(H) <= nu(H) + 1: it is the independent reference for the n = 1
@@ -357,9 +353,7 @@ def limit_depth(G: Graph) -> int:
 def _power_scan(G: Graph, field: FieldSpec, budget: int, force: bool) -> Iterator[tuple[int, int]]:
     """(n, depth R/J^(n)) for n = 1 .. 2*nu0 - 1, by which the depth has
     reached its limit."""
-    if G.is_edgeless:
-        raise GraphError("the symbolic depth function needs at least one edge")
-    for n in range(1, max(2 * ordered_matching_number(G) - 1, 1) + 1):
+    for n in range(1, 2 * ordered_matching_number(G)):
         yield n, depth_symbolic(G, n, field, budget=budget, force=force)
 
 
@@ -519,12 +513,12 @@ def stability_index(G: Graph, field: FieldSpec = Rationals(), mode: str = "auto"
     4. The class equalities, where the index attains the alternating-path
        bound: forests, and graphs with matching number equal to ordered
        matching number and no pentagon (``equality-class``).
-    5. Otherwise no value: ``None`` with method ``not computed (budget)``.
+    5. Otherwise no value: ``None``.  ``auto`` gets here only after a budget
+       refusal, so its method is ``not computed (budget)``; ``combinatorial``
+       consults no budget and says ``not computed (combinatorial)``.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r} (choose from {MODES})")
-    if G.is_edgeless:
-        raise GraphError("stability index needs at least one edge")
     r = G.vertex_count
     if mode in ("auto", "combinatorial"):
         shape = _structural_path_or_cycle(G)
@@ -560,4 +554,4 @@ def stability_index(G: Graph, field: FieldSpec = Rationals(), mode: str = "auto"
         matching_number(G) == ordered_matching_number(G) and not has_cycle_of_length(G, 5)
     ):
         return StabilityResult(stability_bound(G), "equality-class")
-    return StabilityResult(None, "not computed (budget)")
+    return StabilityResult(None, f"not computed ({'budget' if mode == 'auto' else mode})")

@@ -77,7 +77,10 @@ def _parse_kv(tokens: list[str], required: tuple[str, ...]) -> dict[str, int]:
             raise ValueError(f"unknown key {k!r} in family spec")
         if k in out:
             raise ValueError(f"repeated key {k!r} in family spec")
-        out[k] = int(v)
+        try:
+            out[k] = int(v)
+        except ValueError:
+            raise ValueError(f"value of {k!r} must be an integer in family spec, got {v!r}") from None
     missing = [k for k in required if k not in out]
     if missing:
         raise ValueError(f"missing {', '.join(missing)} in family spec")

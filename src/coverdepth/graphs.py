@@ -3,8 +3,9 @@
 Conventions used throughout the package:
   * vertices are the contiguous integers 1..r,
   * an edge is a tuple (u, v) with u < v,
-  * every graph has a nonempty edge set unless it was explicitly built
-    with ``allow_edgeless=True``.
+  * every graph has at least one edge: the cover ideal, its symbolic powers
+    and the ordered matching number nu0 >= 1 all need one, so ``Graph``
+    refuses an empty edge set when it is built.
 """
 
 from __future__ import annotations
@@ -49,20 +50,23 @@ def _add_edge(u: int, v: int, vertex_count: int, seen: set[Edge]) -> None:
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable simple graph. Build through :meth:`make` or the helpers below."""
+    """Immutable simple graph with at least one edge. Build through
+    :meth:`make` or the helpers below."""
 
     vertex_count: int
     edges: frozenset[Edge]
 
+    def __post_init__(self) -> None:
+        if not self.edges:
+            raise GraphError("a graph needs at least one edge")
+
     @staticmethod
-    def make(vertex_count: int, edges: Iterable[Sequence[int]], *, allow_edgeless: bool = False) -> "Graph":
+    def make(vertex_count: int, edges: Iterable[Sequence[int]]) -> "Graph":
         if vertex_count < 1:
             raise GraphError(f"vertex count must be positive, got {vertex_count}")
         seen: set[Edge] = set()
         for raw in edges:
             _add_edge(int(raw[0]), int(raw[1]), vertex_count, seen)
-        if not seen and not allow_edgeless:
-            raise GraphError("empty edge set (pass allow_edgeless=True for an edgeless graph)")
         return Graph(vertex_count, frozenset(seen))
 
     # -- basic accessors -------------------------------------------------
@@ -93,10 +97,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return _normalize_edge(u, v) in self.edges
-
-    @property
-    def is_edgeless(self) -> bool:
-        return not self.edges
 
     def to_json(self) -> dict:
         return {"r": self.vertex_count, "edges": [list(e) for e in self.edge_list]}

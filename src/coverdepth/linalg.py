@@ -50,7 +50,7 @@ def parse_field(text: str) -> FieldSpec:
     t = text.strip().lower()
     if t in ("q", "qq", "0", "rationals"):
         return Rationals()
-    if t.startswith("gf:"):
+    if t.startswith("gf:") and t[3:].isdecimal():
         return PrimeField(int(t[3:]))
     raise ValueError(f"unrecognized field {text!r} (use 'q' or 'gf:<p>')")
 

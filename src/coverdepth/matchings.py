@@ -215,7 +215,8 @@ def _ordered_matchings_of_pair_set(G: Graph, edges: frozenset[Edge]) -> tuple[Or
 @lru_cache(maxsize=64)
 def _max_ordered(G: Graph) -> tuple[tuple[frozenset[Edge], tuple[OrderedMatching, ...]], ...]:
     """Every maximum pair set that has a valid orientation, in ``sorted``
-    order, each with its valid orientations; empty when G has no edges."""
+    order, each with its valid orientations.  The scan always returns by
+    size 1, since a lone edge is an ordered matching."""
     for s in range(matching_number(G), 0, -1):
         found = []
         for m in iter_matchings(G, s):
@@ -224,12 +225,10 @@ def _max_ordered(G: Graph) -> tuple[tuple[frozenset[Edge], tuple[OrderedMatching
                 found.append((m, oms))
         if found:
             return tuple(sorted(found, key=lambda item: sorted(item[0])))
-    return ()
 
 
 def ordered_matching_number(G: Graph) -> int:
-    found = _max_ordered(G)
-    return len(found[0][0]) if found else 0
+    return len(_max_ordered(G)[0][0])
 
 
 def enumerate_max_ordered_matchings(G: Graph) -> tuple[OrderedMatching, ...]:
@@ -249,8 +248,8 @@ def max_ordered_pair_sets(G: Graph) -> tuple[frozenset[Edge], ...]:
 def has_perfect_ordered_matching(G: Graph) -> Optional[OrderedMatching]:
     """A perfect ordered matching when 2 * ordered_matching_number == r: the
     first orientation of the first perfect pair set in ``sorted`` order."""
-    found = _max_ordered(G)
-    return found[0][1][0] if found and 2 * len(found[0][0]) == G.vertex_count else None
+    m, oms = _max_ordered(G)[0]
+    return oms[0] if 2 * len(m) == G.vertex_count else None
 
 
 def unique_perfect_matching_check(G: Graph) -> bool:

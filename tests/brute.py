@@ -218,8 +218,6 @@ def brute_qualifying_subsets(rest, induced, n: int, cap: int) -> set:
 
 def cover_complex(G: Graph) -> SimplicialComplex:
     """Facets are the edge complements V minus {u, v}."""
-    if G.is_edgeless:
-        raise GraphError("the cover complex needs at least one edge")
     full = set(G.vertices())
     return SimplicialComplex.make(full, [full - set(e) for e in G.edge_list])
 
@@ -356,7 +354,7 @@ def induced_subgraph(G: Graph, subset) -> tuple[Graph, tuple[int, ...]]:
     """Induced subgraph on ``subset``, relabeled 1..|subset| preserving order.
 
     Returns (graph, labels) where labels[i-1] is the original vertex now
-    called i.  An edge-free result is allowed and flagged edgeless.
+    called i.  A subset that holds no edge raises, like any graph without one.
     """
     labels = vertex_set(subset, G.vertex_count)
     if not labels:
@@ -364,18 +362,21 @@ def induced_subgraph(G: Graph, subset) -> tuple[Graph, tuple[int, ...]]:
     pos = {v: i + 1 for i, v in enumerate(labels)}
     keep = set(labels)
     edges = [(pos[u], pos[v]) for u, v in G.edge_list if u in keep and v in keep]
-    return Graph.make(len(labels), edges, allow_edgeless=True), labels
+    return Graph.make(len(labels), edges), labels
 
 
 def brute_reg_edge_ideal(G: Graph, field=None) -> int:
     """Regularity by Hochster's formula: 2 plus the top degree of nonzero
-    homology of Ind(G[W]) over every vertex subset W with |W| >= 2.  No
-    links, no cone pruning, no memo."""
+    homology of Ind(G[W]) over every vertex subset W with |W| >= 2.  A W
+    that holds no edge is skipped: Ind of an edgeless graph is a full
+    simplex, which is acyclic.  No links, no cone pruning, no memo."""
 
     field = field or Rationals()
     best = None
     for size in range(2, G.vertex_count + 1):
         for W in combinations(G.vertices(), size):
+            if not any(u in W and v in W for u, v in G.edges):
+                continue
             H, _ = induced_subgraph(G, W)
             for j in nonzero_degrees(reduced_homology(independence_complex(H), field)):
                 best = j if best is None else max(best, j)

@@ -106,7 +106,7 @@ def test_analyze_char16_combinatorial():
         name="CHAR16",
     )
     assert report.stability_index is None
-    assert report.method == "not computed (budget)"
+    assert report.method == "not computed (combinatorial)"
     assert report.nu == 6
     assert any("field" in note for note in report.notes)
     assert report.equality == "unknown"
@@ -186,6 +186,17 @@ def test_oracle_admission_lives_in_check_budget():
     assert places == {"depth._check_budget"}
 
 
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _program_trees():
+    """The parsed files of the package and the benchmark, except the
+    package's __init__.py, which only re-exports."""
+    for path in sorted(p for root in ("src", "perfbench") for p in (REPO / root).rglob("*.py")
+                       if p.name != "__init__.py" or p.parent.name != "coverdepth"):
+        yield ast.parse(path.read_text())
+
+
 def test_module_level_names_are_referenced():
     # every function, class and constant a module defines, and every method
     # and property of its classes, is read somewhere in the package or the
@@ -196,11 +207,9 @@ def test_module_level_names_are_referenced():
     # count: such code belongs in tests/brute.py.  The check is by name, so a
     # method is covered by any read of the same name: an unread to_json
     # passes while another class's to_json is read
-    repo = Path(__file__).resolve().parents[1]
     referenced = set()
-    for path in sorted(p for root in ("src", "perfbench") for p in (repo / root).rglob("*.py")
-                       if p.name != "__init__.py" or p.parent.name != "coverdepth"):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for tree in _program_trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -210,7 +219,7 @@ def test_module_level_names_are_referenced():
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 referenced.add(node.value)
     unreferenced = []
-    for path in sorted((repo / "src" / "coverdepth").glob("*.py")):
+    for path in sorted((REPO / "src" / "coverdepth").glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
             if isinstance(stmt, ast.ClassDef):
                 names = [stmt.name] + [f"{stmt.name}.{node.name}" for node in stmt.body
@@ -227,6 +236,21 @@ def test_module_level_names_are_referenced():
                 if short not in referenced and not (short.startswith("__") and short.endswith("__")):
                     unreferenced.append(f"{path.name}: {name}")
     assert unreferenced == []
+
+
+def test_keyword_only_parameters_are_passed():
+    # a keyword-only parameter of a package function that no call in the
+    # package or the benchmark passes by name is a switch nothing sets; like
+    # the guard above, the check is by name, so a call that passes the same
+    # name to any function covers it
+    passed = {kw.arg for tree in _program_trees() for node in ast.walk(tree)
+              if isinstance(node, ast.Call) for kw in node.keywords}
+    unpassed = [f"{path.name}: {node.name}({arg.arg}=)"
+                for path in sorted((REPO / "src" / "coverdepth").glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                for arg in node.args.kwonlyargs if arg.arg not in passed]
+    assert unpassed == []
 
 
 def test_benchmark_hooks_resolve(monkeypatch):
@@ -289,6 +313,10 @@ def test_family_spec_parsing():
         parse_family_spec("graphs seed=1 seed=5 count=2 maxr=4")
     with pytest.raises(ValueError, match="maxr must be >= 2"):
         parse_family_spec("graphs count=2 maxr=1")
+    with pytest.raises(ValueError, match="value of 'seed' must be an integer in family spec, got 'x'"):
+        parse_family_spec("graphs seed=x count=3 maxr=5")
+    with pytest.raises(ValueError, match="value of 'count' must be an integer"):
+        parse_family_spec("forests count=3.5 maxr=5")
     with pytest.raises(ValueError, match="count must be >= 0"):
         parse_family_spec("graphs count=-3 maxr=5")
     assert parse_family_spec("forests count=0 maxr=2") == []

@@ -161,3 +161,5 @@ def test_field_parsing():
         parse_field("gf:4")
     with pytest.raises(ValueError):
         parse_field("complex")
+    with pytest.raises(ValueError, match=r"unrecognized field 'gf:x' \(use 'q' or 'gf:<p>'\)"):
+        parse_field("gf:x")

@@ -26,7 +26,7 @@ def test_cover_complex_examples():
         frozenset({1}), frozenset({2}), frozenset({3})
     )
     with pytest.raises(GraphError):
-        cover_complex(Graph.make(2, [], allow_edgeless=True))
+        cover_complex(Graph.make(2, []))
 
 
 def test_independence_complex_examples():

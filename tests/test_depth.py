@@ -53,7 +53,7 @@ def test_depth_examples():
 
 def test_depth_rejects_bad_input():
     with pytest.raises(GraphError):
-        depth_symbolic(Graph.make(2, [], allow_edgeless=True), 1)
+        depth_symbolic(Graph.make(2, []), 1)
     with pytest.raises(ValueError):
         depth_symbolic(path_graph(2), 0)
 
