@@ -118,18 +118,23 @@ def analyze(G: Graph, field: FieldSpec = Rationals(),
 
     walk_len = walk_length(G, shortest) if G.vertex_count <= WALK_VERTEX_LIMIT else None
 
-    # a refusal of the link scan or of the profile leaves its checks out
+    # a refused link scan skips constant-depth-iff and leaves regularity-upper
+    # out; a refused profile skips both profile checks; the refusal is the detail
     reg: Optional[int] = None
     reg_skipped = "algebra disabled in this mode"
     profile_json: Optional[dict] = None
+    profile_skipped: Optional[str] = None
     limit = G.vertex_count - nu0 - 1
     if opts.mode in ("auto", "oracle"):
         try:
             reg = reg_edge_ideal(G, field, budget=opts.budget, force=opts.force)
-            if opts.with_profile:
-                profile_json = depth_profile(G, field, budget=opts.budget, force=opts.force).profile
         except BudgetRefusal as refusal:
-            reg_skipped = str(refusal)  # only read when the link scan, which runs first, was refused
+            reg_skipped = str(refusal)
+        if opts.with_profile:
+            try:
+                profile_json = depth_profile(G, field, budget=opts.budget, force=opts.force).profile
+            except BudgetRefusal as refusal:
+                profile_skipped = str(refusal)
 
     equality = "unknown" if stab is None else ("attained" if stab == bound else "strict")
     equality_source = method if stab is not None else "none"
@@ -159,6 +164,9 @@ def analyze(G: Graph, field: FieldSpec = Rationals(),
         vals = [profile_json[n] for n in sorted(profile_json)]
         add("profile-monotone", all(a >= b for a, b in zip(vals, vals[1:])), f"{vals}")
         add("profile-stabilizes", vals[-1] == limit, f"final={vals[-1]}, limit={limit}")
+    elif profile_skipped is not None:
+        add("profile-monotone", None, profile_skipped)
+        add("profile-stabilizes", None, profile_skipped)
 
     notes = []
     key = name.strip().upper()

@@ -30,21 +30,28 @@ reg I(E) by Hochster's formula (1977), and reg I(E) <= nu(E) + 1 <=
 floor(|V(E)|/2) + 1 (Ha and Van Tuyl, J. Algebraic Combin. 2008), so
 i >= r - 1 - floor(|V(E)|/2).  Neither bound falls as |V(E)| falls, so
 visiting E by descending |V(E)| and stopping once (4) reaches the best
-value loses nothing.  The grid is searched vertex by vertex.  A state is
-the tuple of values of the frontier (placed vertices with an unplaced
-neighbour) and holds the distinct bit codes of the edges decided so far;
-equal states merge.  Placing a vertex, each state buckets the edges it
-closes by the earlier end's value, and a running OR gives the mask of edges
-each value adds.  The search returns bit codes; |V(E)| is read from a table
-per byte of code, and an edge set is built only when the visit reaches it.
-Each distinct edge set is reduced before its homology:
-(a) fold, deleting v while N(u) lies in N(v) for some u != v, which keeps
-the homotopy type; (b) cone, a vertex left with no neighbour makes the set
-acyclic; (c) components, what is left splits into connected parts; (d)
-join, a disjoint union gives the join of the parts' complexes, so over a
-field their top degrees add, plus one per extra part.  A lone edge has top
-0, and only a part that no rule shrinks reaches the dense engine.  Edge
-sets and parts share one bounded memo with ``reg_edge_ideal``.
+value loses nothing; (5) reg I(E) <= |M| + 1 for every maximal matching M
+of E, over every field (Woodroofe, J. Commut. Algebra 2014), so
+i >= r - 1 - |M|, and a visited E whose greedy maximal matching has
+r - 1 - |M| >= best is skipped.  The greedy takes vertices by descending
+degree and stops once |M| is too large to skip.  The grid is searched
+vertex by vertex.  A state is the tuple of values of the frontier (placed
+vertices with an unplaced neighbour) and holds the distinct bit codes of
+the edges decided so far; equal states merge.  Placing a vertex, each state
+buckets the edges it closes by the earlier end's value, and a running OR
+gives the mask of edges each value adds.  The search returns bit codes;
+|V(E)| is read from a table per byte of code.  A visited set is held as bit
+masks, vertex -> mask of its neighbours, read straight from the code, and
+reduced there before its homology: (a) fold, deleting v while N(u) lies
+in N(v) for some u != v, which keeps the homotopy type; (b) cone, a vertex
+left with no neighbour makes the set acyclic; (c) components, what is left
+splits into connected parts; (d) join, a disjoint union gives the join of
+the parts' complexes, so over a field their top degrees add, plus one per
+extra part.  Fold before the memo; the memo holds parts: the visit drops a
+cone without building any edge set, a lone edge has top 0, and only a part
+with more than one edge is built and read through the bounded memo that
+``reg_edge_ideal`` shares.  Only a part that no rule shrinks reaches the
+dense engine.
 """
 
 from __future__ import annotations
@@ -100,43 +107,106 @@ _MAX_DEGREE_CACHE_SIZE = 1 << 16
 _MAX_DEGREE_CACHE: OrderedDict[tuple[frozenset, FieldSpec], Optional[int]] = OrderedDict()
 
 
+def _fold(nbr: dict[int, int]) -> Optional[list[int]]:
+    """Fold the graph given as vertex -> neighbour mask (bit v for vertex v)
+    in place, and return the vertex masks of the connected components left;
+    None when a vertex is left with no neighbour, which makes a cone.
+
+    A fold deletes v when N(u) lies in N(v) for some u != v.  For each u in
+    turn, every such v is deleted in one step: they are the bits of the AND
+    of nbr[w] over w in N(u), less u.  None of them lies in N(u) (it would
+    be its own neighbour), so each deletion leaves N(u) and the other
+    inclusions intact, and the step is a sequence of single folds.  Passes
+    repeat until one deletes nothing.  Components grow over bit frontiers."""
+    folded = True
+    while folded:
+        folded = False
+        for u in list(nbr):
+            Nu = nbr.get(u)
+            if Nu is None:  # deleted earlier in this pass
+                continue
+            gone, rest = -1, Nu
+            while rest:
+                low = rest & -rest
+                gone &= nbr[low.bit_length() - 1]
+                rest ^= low
+            gone &= ~(1 << u)
+            if not gone:
+                continue
+            folded = True
+            touched, rest = 0, gone
+            while rest:
+                low = rest & -rest
+                touched |= nbr.pop(low.bit_length() - 1)
+                rest ^= low
+            touched &= ~gone
+            while touched:
+                low = touched & -touched
+                w = low.bit_length() - 1
+                nbr[w] &= ~gone
+                if not nbr[w]:
+                    return None
+                touched ^= low
+    parts: list[int] = []
+    left = 0
+    for v in nbr:
+        left |= 1 << v
+    while left:
+        part = frontier = left & -left
+        while frontier:
+            low = frontier & -frontier
+            grown = nbr[low.bit_length() - 1] & ~part
+            part |= grown
+            frontier = (frontier ^ low) | grown
+        left &= ~part
+        parts.append(part)
+    return parts
+
+
 def _folded_components(edge_key: frozenset) -> Optional[list[frozenset]]:
-    """The edge sets of the connected components left once every fold is
-    made (while N(u) is inside N(v) for some u != v, delete v); None when a
-    vertex is left with no neighbour, which makes the complex a cone."""
+    """The edge sets of the connected components that ``_fold`` leaves;
+    None when it leaves a cone."""
     nbr: dict[int, int] = {}
     for u, v in edge_key:
         nbr[u] = nbr.get(u, 0) | 1 << v
         nbr[v] = nbr.get(v, 0) | 1 << u
-    folded = True
-    while folded:
-        folded = False
-        for v in list(nbr):
-            Nv = nbr[v]
-            for u, Nu in nbr.items():
-                if not Nu & ~Nv and u != v:
-                    break
-            else:
+    parts = _fold(nbr)
+    if parts is None:
+        return None
+    return [frozenset(e for e in edge_key if part >> e[0] & part >> e[1] & 1) for part in parts]
+
+
+def _greedy_matching(nbr: dict[int, int], room: int) -> list[tuple[int, int]]:
+    """A maximal matching of the graph given as vertex -> neighbour mask, or
+    its first room + 1 edges.  Vertices are taken by descending degree (the
+    greatest vertex first on a tie), and each unmatched one is matched to
+    its unmatched neighbour of highest degree, the greatest on a tie.
+    Vertices of one degree share a mask, so the choices are bit operations."""
+    level: dict[int, int] = {}  # degree -> mask of the vertices of that degree
+    for v, Nv in nbr.items():
+        d = Nv.bit_count()
+        level[d] = level.get(d, 0) | 1 << v
+    levels = [level[d] for d in sorted(level, reverse=True)]
+    matched = 0
+    pairs: list[tuple[int, int]] = []
+    for todo in levels:
+        todo &= ~matched
+        while todo:
+            v = todo.bit_length() - 1
+            todo ^= 1 << v
+            free = nbr[v] & ~matched
+            if not free:
                 continue
-            del nbr[v]
-            folded = True
-            for w in nbr:
-                if Nv >> w & 1:
-                    nbr[w] &= ~(1 << v)
-                    if not nbr[w]:
-                        return None
-    parts: list[frozenset] = []
-    left = sum(1 << v for v in nbr)
-    while left:
-        part, grown = 0, left & -left
-        while grown != part:
-            part = grown
-            for w, Nw in nbr.items():
-                if part >> w & 1:
-                    grown |= Nw
-        left &= ~part
-        parts.append(frozenset(e for e in edge_key if part >> e[0] & part >> e[1] & 1))
-    return parts
+            for mask in levels:
+                if free & mask:
+                    break
+            w = (free & mask).bit_length() - 1
+            matched |= 1 << v | 1 << w
+            todo &= ~matched
+            pairs.append((v, w))
+            if len(pairs) > room:
+                return pairs
+    return pairs
 
 
 def _max_nonzero_degree(edge_key: frozenset, field: FieldSpec) -> Optional[int]:
@@ -260,16 +330,19 @@ def depth_symbolic(G: Graph, n: int, field: FieldSpec = Rationals(), *,
     """depth of R modulo the n-th symbolic power of the cover ideal.
 
     One search over the grid {0..n}^V stands for every negative support;
-    the module's "Oracle layout" gives the argument (1)-(4) that makes it
+    the module's "Oracle layout" gives the argument (1)-(5) that makes it
     exact.  The grid gives bit codes; |V(E)| is read per code from a table,
     per byte of the code, of the vertices that byte's edges cover.  The
     distinct edge sets E are visited by ascending support size r - |V(E)|,
-    in ascending bit code within one size, and an edge set is built only
-    when it is visited.  The one stop rule is the ceiling (4): the visit
-    ends once r - 1 - floor(|V(E)|/2) reaches the best value, since no later
-    edge set can lower it.  The least possible depth needs no rule of its
-    own: once the best is 1 (0 when r = 2), the ceiling is at least the best
-    for every edge set.
+    in ascending bit code within one size.  The one stop rule is the
+    ceiling (4): the visit ends once r - 1 - floor(|V(E)|/2) reaches the
+    best value, since no later edge set can lower it.  The least possible
+    depth needs no rule of its own: once the best is 1 (0 when r = 2), the
+    ceiling is at least the best for every edge set.  A visited E gets its
+    neighbour masks from the code; once a best exists it is skipped by the
+    ceiling (5) when its greedy maximal matching leaves r - 1 - |M| >= best,
+    and otherwise folded, and its top degree is (#parts - 1) plus the sum
+    of the parts' top degrees.
     """
     if n < 1:
         raise ValueError(f"power must be >= 1, got {n}")
@@ -294,12 +367,30 @@ def depth_symbolic(G: Graph, n: int, field: FieldSpec = Rationals(), *,
     for covered, code in visits:
         if best is not None and r - 1 - covered // 2 >= best:
             break
-        jmax = _max_nonzero_degree(frozenset([e for bit, e in enumerate(edges) if code >> bit & 1]), field)
-        if jmax is None:
+        nbr: dict[int, int] = {}
+        rest = code
+        while rest:
+            low = rest & -rest
+            u, v = edges[low.bit_length() - 1]
+            nbr[u] = nbr.get(u, 0) | 1 << v
+            nbr[v] = nbr.get(v, 0) | 1 << u
+            rest ^= low
+        if best is not None and len(_greedy_matching(nbr, r - 1 - best)) <= r - 1 - best:
             continue
-        i = r - 2 - jmax
-        if best is None or i < best:
-            best = i
+        parts = _fold(nbr)
+        if parts is None:
+            continue
+        top = len(parts) - 1
+        for part in parts:
+            if part.bit_count() > 2:  # a lone edge has top 0
+                j = _max_nonzero_degree(frozenset([(u, v) for bit, (u, v) in enumerate(edges)
+                                                   if code >> bit & part >> u & part >> v & 1]), field)
+                if j is None:
+                    break
+                top += j
+        else:
+            if best is None or r - 2 - top < best:
+                best = r - 2 - top
     if best is None:
         raise DepthEngineError("no local cohomology contribution found")
     return best
@@ -365,8 +456,12 @@ def depth_profile(G: Graph, field: FieldSpec = Rationals(), *,
     The profile must be non-increasing and end at r - nu0 - 1; a violation
     would contradict known behavior of these depth functions and raises.
     On bipartite graphs symbolic and ordinary powers coincide, so the same
-    report describes the ordinary depth function as well.
+    report describes the ordinary depth function as well.  The budget is
+    asked at the last power before any depth is computed: the cost estimate
+    grows with n, so a profile that would be refused is refused before any
+    work.
     """
+    _check_budget(G, 2 * ordered_matching_number(G) - 1, budget, force)
     profile = dict(_power_scan(G, field, budget, force))
     limit = limit_depth(G)
     values = list(profile.values())

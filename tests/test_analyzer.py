@@ -66,10 +66,13 @@ def test_analyze_with_profile():
 
 def test_analyze_profile_refused_by_budget():
     # the index comes from the closed form; the profile's oracle refuses the
-    # budget, so the report carries no profile and no profile checks
+    # budget at n = 2 nu0 - 1 = 3, so the report carries no profile and both
+    # profile checks are skipped with the refusal as their detail
     report = analyze(path_graph(4), options=AnalyzeOptions(with_profile=True, budget=10))
     assert report.profile is None
-    assert not [c.name for c in report.checks if c.name.startswith("profile-")]
+    refusal = "estimated cost 1296 exceeds budget 10 (r=4, n=3)"
+    assert [(c.name, c.status, c.detail) for c in report.checks if c.name.startswith("profile-")] == [
+        ("profile-monotone", "skipped", refusal), ("profile-stabilizes", "skipped", refusal)]
     assert (report.stability_index, report.method) == (2, "closed-form")
     # the link scan asks the same budget, so its checks are left out too
     checks = {c.name: c.status for c in report.checks}

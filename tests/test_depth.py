@@ -14,6 +14,7 @@ from coverdepth import depth
 from coverdepth.depth import (
     _folded_components,
     _frontier_order,
+    _greedy_matching,
     _max_nonzero_degree,
     _qualifying_subsets,
     BudgetRefusal,
@@ -165,6 +166,16 @@ def test_budget_refusal_large_graph():
         reg_edge_ideal(builtin_graph("CHAR16"))
 
 
+def test_profile_refused_before_any_depth(monkeypatch):
+    # FIG3 over GF(2): nu0 = 4, and the estimate 14^8 at n = 7 passes the
+    # default budget, so the profile refuses before it computes n = 1..6
+    calls = []
+    monkeypatch.setattr(depth, "depth_symbolic", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(BudgetRefusal, match=r"\(r=8, n=7\)"):
+        depth_profile(builtin_graph("FIG3"), PrimeField(2))
+    assert calls == []
+
+
 def test_budget_refusal_reports_estimate():
     with pytest.raises(BudgetRefusal) as err:
         depth_symbolic(path_graph(8), 4, budget=10)
@@ -221,64 +232,105 @@ def test_one_grid_search_matches_support_loop():
                 assert depth_symbolic(G, n, field) == brute_support_depth(G, n, field), (G.edge_list, n, field)
 
 
-def test_matching_ceiling_cut_skips_edge_sets(monkeypatch):
-    # the visit stops once r - 1 - floor(|V(E)|/2) reaches the best value.
-    # The top-level kernel calls count the edge sets visited: fewer than the
-    # former rule, stop once r - |V(E)| exceeds the best, visits, which is
-    # every E with r - |V(E)| <= depth
-    kernel = depth._max_nonzero_degree
-    calls, nesting = [0], [0]
+def _neighbour_masks(E):
+    """The vertex -> neighbour mask form (bit v for v) that the visit folds."""
+    nbr = {}
+    for u, v in E:
+        nbr[u] = nbr.get(u, 0) | 1 << v
+        nbr[v] = nbr.get(v, 0) | 1 << u
+    return nbr
 
-    def counting(edge_key, field):
-        calls[0] += not nesting[0]  # the kernel's own calls on components are not visits
+
+def _edges_of(nbr):
+    return frozenset((u, v) for u, Nu in nbr.items() for v in range(u + 1, Nu.bit_length()) if Nu >> v & 1)
+
+
+@pytest.fixture
+def fold_visits(monkeypatch):
+    """The edge sets that depth_symbolic's visit hands to the fold, in order:
+    every set that passes both cuts.  The fold's own calls from the kernel,
+    on the parts it reads through the memo, are not visits."""
+    fold, kernel = depth._fold, depth._max_nonzero_degree
+    visited, nesting = [], [0]
+
+    def recording_fold(nbr):
+        if not nesting[0]:
+            visited.append(_edges_of(nbr))
+        return fold(nbr)
+
+    def nested_kernel(edge_key, field):
         nesting[0] += 1
         try:
             return kernel(edge_key, field)
         finally:
             nesting[0] -= 1
 
-    monkeypatch.setattr(depth, "_max_nonzero_degree", counting)
+    monkeypatch.setattr(depth, "_fold", recording_fold)
+    monkeypatch.setattr(depth, "_max_nonzero_degree", nested_kernel)
+    return visited
+
+
+def test_matching_ceiling_cut_skips_edge_sets(fold_visits):
+    # the visit stops once r - 1 - floor(|V(E)|/2) reaches the best value (4)
+    # and skips E once r - 1 - |M| does, for its greedy maximal matching M
+    # (5).  The sets that reach the fold are fewer than the former rule, stop
+    # once r - |V(E)| exceeds the best, visits (every E with r - |V(E)| <=
+    # depth), and fewer than the ceiling (4) alone lets through
     for G in _dense_graphs() + [cycle_graph(7), cycle_graph(8)]:
         r = G.vertex_count
         grid = _decode(_qualifying_subsets(list(_frontier_order(G)), list(G.edge_list), 2, 2), G.edge_list)
-        calls[0] = 0
+        fold_visits.clear()
         d = depth_symbolic(G, 2, Rationals())
         former = sum(1 for E in grid if r - _covered(E) <= d)
-        assert calls[0] < former, (G.edge_list, calls[0], former)
+        ceiling = sum(1 for E in grid if r - 1 - _covered(E) // 2 < d)
+        assert len(fold_visits) < former, (G.edge_list, len(fold_visits), former)
+        assert len(fold_visits) < ceiling, (G.edge_list, len(fold_visits), ceiling)
 
 
-def test_visit_takes_decoded_sets_by_size_then_code(monkeypatch):
-    # the edge sets that depth_symbolic hands to the kernel are the grid's
-    # codes decoded, in descending |V(E)| and then ascending code, cut
-    # exactly where the ceiling r - 1 - floor(|V(E)|/2) reaches the best
-    kernel = depth._max_nonzero_degree
-    visited, nesting = [], [0]
-
-    def recording(edge_key, field):
-        if not nesting[0]:  # the kernel's own calls on components are not visits
-            visited.append(edge_key)
-        nesting[0] += 1
-        try:
-            return kernel(edge_key, field)
-        finally:
-            nesting[0] -= 1
-
-    monkeypatch.setattr(depth, "_max_nonzero_degree", recording)
+def test_visit_takes_decoded_sets_by_size_then_code(fold_visits):
+    # the edge sets that depth_symbolic folds are the grid's codes decoded,
+    # in descending |V(E)| and then ascending code, cut exactly where the
+    # ceiling r - 1 - floor(|V(E)|/2) reaches the best (4), less the sets
+    # whose greedy maximal matching M has r - 1 - |M| >= best (5); no set
+    # that (5) skips could have lowered the best
     for G in _dense_graphs() + [cycle_graph(7)]:
         r, edges = G.vertex_count, G.edge_list
         codes = _qualifying_subsets(list(_frontier_order(G)), list(edges), 2, 2)
-        expected, best = [], None
+        expected, skipped, best = [], [], None
         for _, E in sorted(zip(codes, _decode(codes, edges)), key=lambda ce: (-_covered(ce[1]), ce[0])):
             if best is not None and r - 1 - _covered(E) // 2 >= best:
                 break
+            if best is not None and len(_greedy_matching(_neighbour_masks(E), r - 1 - best)) <= r - 1 - best:
+                skipped.append(E)
+                continue
             expected.append(frozenset(E))
-            j = kernel(frozenset(E), Rationals())
+            j = dense_max_nonzero_degree(frozenset(E), Rationals())
             if j is not None and (best is None or r - 2 - j < best):
                 best = r - 2 - j
-        visited.clear()
+        fold_visits.clear()
         assert depth_symbolic(G, 2, Rationals()) == best
-        assert visited == expected, G.edge_list
-        assert len(visited) < len(codes), G.edge_list
+        assert fold_visits == expected, G.edge_list
+        assert skipped and len(expected) + len(skipped) < len(codes), G.edge_list
+        for E in skipped:
+            j = dense_max_nonzero_degree(frozenset(E), Rationals())
+            assert j is None or r - 2 - j >= best, (G.edge_list, E)
+
+
+def test_greedy_matching_is_maximal_and_stops_at_room():
+    # the helper's pairs are disjoint edges and every edge touches one; with
+    # room k below the full size it returns the first k + 1 pairs only
+    rng = random.Random(311)
+    graphs = [random_small_graph(rng, max_r=8) for _ in range(40)]
+    graphs += [cycle_graph(7), Graph.make(6, combinations(range(1, 7), 2))]
+    for G in graphs:
+        E = G.edge_list
+        full = _greedy_matching(_neighbour_masks(E), len(E))
+        matched = [v for pair in full for v in pair]
+        assert len(matched) == len(set(matched)), E
+        assert all(tuple(sorted(pair)) in G.edges for pair in full), E
+        assert all(u in matched or v in matched for u, v in E), E
+        for room in range(len(full)):
+            assert _greedy_matching(_neighbour_masks(E), room) == full[:room + 1], (E, room)
 
 
 def test_depth_against_naive_takayama_enumeration():
@@ -399,10 +451,13 @@ def test_reduced_kernel_matches_dense(monkeypatch):
     assert len(edge_sets) > 17000
     for key in edge_sets:
         ceiling = len({v for e in key for v in e}) // 2 - 1  # j + 2 <= reg I(E) <= nu(E) + 1
+        # Woodroofe: reg I(E) <= |M| + 1 for every maximal matching M
+        match_ceiling = len(_greedy_matching(_neighbour_masks(key), len(key))) - 1
         for field in (Rationals(), PrimeField(2)):
             dense = dense_max_nonzero_degree(key, field)
             assert kernel(key, field) == dense, (sorted(key), field)
             assert dense is None or dense <= ceiling, (sorted(key), field)
+            assert dense is None or dense <= match_ceiling, (sorted(key), field)
 
 
 def test_max_degree_cache_is_bounded(monkeypatch):
