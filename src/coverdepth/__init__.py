@@ -2,8 +2,9 @@
 computed two independent ways and cross-verified.
 
 The combinatorial route runs through ordered matchings and alternating-path
-statistics; the algebraic route is a brute-force graded local-cohomology
-search over degree complexes with exact homology.
+statistics; the algebraic route reads the graded local cohomology from one
+grid search per power over the qualifying edge sets, whose independence
+complexes are reduced (folds, cones, joins) before any exact homology.
 """
 
 from .graphs import (

@@ -118,12 +118,13 @@ def analyze(G: Graph, field: FieldSpec = Rationals(),
 
     walk_len = walk_length(G, shortest) if G.vertex_count <= WALK_VERTEX_LIMIT else None
 
-    # a refused link scan skips constant-depth-iff and leaves regularity-upper
-    # out; a refused profile skips both profile checks; the refusal is the detail
+    # a refused or disabled link scan skips constant-depth-iff and leaves
+    # regularity-upper out; a refused or disabled profile skips both profile
+    # checks; the refusal or the mode is the detail
     reg: Optional[int] = None
     reg_skipped = "algebra disabled in this mode"
     profile_json: Optional[dict] = None
-    profile_skipped: Optional[str] = None
+    profile_skipped = reg_skipped if opts.with_profile else None
     limit = G.vertex_count - nu0 - 1
     if opts.mode in ("auto", "oracle"):
         try:

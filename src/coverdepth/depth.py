@@ -41,17 +41,19 @@ the edges decided so far; equal states merge.  Placing a vertex, each state
 buckets the edges it closes by the earlier end's value, and a running OR
 gives the mask of edges each value adds.  The search returns bit codes;
 |V(E)| is read from a table per byte of code.  A visited set is held as bit
-masks, vertex -> mask of its neighbours, read straight from the code, and
-reduced there before its homology: (a) fold, deleting v while N(u) lies
-in N(v) for some u != v, which keeps the homotopy type; (b) cone, a vertex
-left with no neighbour makes the set acyclic; (c) components, what is left
-splits into connected parts; (d) join, a disjoint union gives the join of
-the parts' complexes, so over a field their top degrees add, plus one per
-extra part.  Fold before the memo; the memo holds parts: the visit drops a
-cone without building any edge set, a lone edge has top 0, and only a part
-with more than one edge is built and read through the bounded memo that
-``reg_edge_ideal`` shares.  Only a part that no rule shrinks reaches the
-dense engine.
+masks, vertex -> mask of its neighbours, read straight from the code; every
+mask in this module puts vertex v at bit v - 1, as ``Graph.neighbor_masks``
+does.  ``_top_degree`` reduces the masks before any homology: (a) fold,
+deleting v while N(u) lies in N(v) for some u != v, which keeps the
+homotopy type; (b) cone, a vertex left with no neighbour makes the set
+acyclic; (c) components, what is left splits into connected parts; (d)
+join, a disjoint union gives the join of the parts' complexes, so over a
+field their top degrees add, plus one per extra part.  ``reg_edge_ideal``
+hands each link to the same reduction, as the masks of G cut to
+V - N[F].  Fold before the memo; the memo holds parts: a cone builds no
+edge set, a lone edge has top 0, and only a connected part with more than
+one edge that no fold shrinks is built and read through the bounded memo
+in front of the dense engine.
 """
 
 from __future__ import annotations
@@ -108,9 +110,10 @@ _MAX_DEGREE_CACHE: OrderedDict[tuple[frozenset, FieldSpec], Optional[int]] = Ord
 
 
 def _fold(nbr: dict[int, int]) -> Optional[list[int]]:
-    """Fold the graph given as vertex -> neighbour mask (bit v for vertex v)
-    in place, and return the vertex masks of the connected components left;
-    None when a vertex is left with no neighbour, which makes a cone.
+    """Fold the graph given as vertex -> neighbour mask (bit v - 1 for vertex
+    v, as in ``Graph.neighbor_masks``) in place, and return the vertex masks
+    of the connected components left; None when a vertex has or is left with
+    no neighbour, which makes a cone.
 
     A fold deletes v when N(u) lies in N(v) for some u != v.  For each u in
     turn, every such v is deleted in one step: they are the bits of the AND
@@ -118,6 +121,8 @@ def _fold(nbr: dict[int, int]) -> Optional[list[int]]:
     be its own neighbour), so each deletion leaves N(u) and the other
     inclusions intact, and the step is a sequence of single folds.  Passes
     repeat until one deletes nothing.  Components grow over bit frontiers."""
+    if 0 in nbr.values():
+        return None
     folded = True
     while folded:
         folded = False
@@ -128,21 +133,21 @@ def _fold(nbr: dict[int, int]) -> Optional[list[int]]:
             gone, rest = -1, Nu
             while rest:
                 low = rest & -rest
-                gone &= nbr[low.bit_length() - 1]
+                gone &= nbr[low.bit_length()]
                 rest ^= low
-            gone &= ~(1 << u)
+            gone &= ~(1 << (u - 1))
             if not gone:
                 continue
             folded = True
             touched, rest = 0, gone
             while rest:
                 low = rest & -rest
-                touched |= nbr.pop(low.bit_length() - 1)
+                touched |= nbr.pop(low.bit_length())
                 rest ^= low
             touched &= ~gone
             while touched:
                 low = touched & -touched
-                w = low.bit_length() - 1
+                w = low.bit_length()
                 nbr[w] &= ~gone
                 if not nbr[w]:
                     return None
@@ -150,30 +155,17 @@ def _fold(nbr: dict[int, int]) -> Optional[list[int]]:
     parts: list[int] = []
     left = 0
     for v in nbr:
-        left |= 1 << v
+        left |= 1 << (v - 1)
     while left:
         part = frontier = left & -left
         while frontier:
             low = frontier & -frontier
-            grown = nbr[low.bit_length() - 1] & ~part
+            grown = nbr[low.bit_length()] & ~part
             part |= grown
             frontier = (frontier ^ low) | grown
         left &= ~part
         parts.append(part)
     return parts
-
-
-def _folded_components(edge_key: frozenset) -> Optional[list[frozenset]]:
-    """The edge sets of the connected components that ``_fold`` leaves;
-    None when it leaves a cone."""
-    nbr: dict[int, int] = {}
-    for u, v in edge_key:
-        nbr[u] = nbr.get(u, 0) | 1 << v
-        nbr[v] = nbr.get(v, 0) | 1 << u
-    parts = _fold(nbr)
-    if parts is None:
-        return None
-    return [frozenset(e for e in edge_key if part >> e[0] & part >> e[1] & 1) for part in parts]
 
 
 def _greedy_matching(nbr: dict[int, int], room: int) -> list[tuple[int, int]]:
@@ -185,23 +177,23 @@ def _greedy_matching(nbr: dict[int, int], room: int) -> list[tuple[int, int]]:
     level: dict[int, int] = {}  # degree -> mask of the vertices of that degree
     for v, Nv in nbr.items():
         d = Nv.bit_count()
-        level[d] = level.get(d, 0) | 1 << v
+        level[d] = level.get(d, 0) | 1 << (v - 1)
     levels = [level[d] for d in sorted(level, reverse=True)]
     matched = 0
     pairs: list[tuple[int, int]] = []
     for todo in levels:
         todo &= ~matched
         while todo:
-            v = todo.bit_length() - 1
-            todo ^= 1 << v
+            v = todo.bit_length()
+            todo ^= 1 << (v - 1)
             free = nbr[v] & ~matched
             if not free:
                 continue
             for mask in levels:
                 if free & mask:
                     break
-            w = (free & mask).bit_length() - 1
-            matched |= 1 << v | 1 << w
+            w = (free & mask).bit_length()
+            matched |= 1 << (v - 1) | 1 << (w - 1)
             todo &= ~matched
             pairs.append((v, w))
             if len(pairs) > room:
@@ -211,35 +203,43 @@ def _greedy_matching(nbr: dict[int, int], room: int) -> list[tuple[int, int]]:
 
 def _max_nonzero_degree(edge_key: frozenset, field: FieldSpec) -> Optional[int]:
     """Largest degree with nonzero homology of the independence complex of the
-    given edge set (vertices = covered vertices); None when acyclic.
-
-    Exact reductions come first: a fold keeps the homotopy type (Engstrom
-    2008), a vertex left without neighbours makes a cone, and a disjoint
-    union gives a join of complexes (Adamaszek 2012), whose top degree over
-    a field is the sum of the parts' plus one per extra part.  Components
-    are read through this memo; a lone edge has top 0, and a component that
-    no rule shrinks goes to the dense engine."""
+    given edge set (vertices = covered vertices), from the dense engine
+    behind a bounded memo; None when acyclic.  ``_top_degree`` hands it only
+    connected parts with more than one edge that no fold shrinks."""
     key = (edge_key, field)
     if key in _MAX_DEGREE_CACHE:
         return _MAX_DEGREE_CACHE[key]
-    parts = _folded_components(edge_key)
-    if parts is None:
-        top = None
-    elif parts == [edge_key]:
-        verts = tuple(sorted({v for e in edge_key for v in e}))
-        nz = nonzero_degrees(reduced_homology(_independence_complex(verts, sorted(edge_key)), field))
-        top = max(nz) if nz else None
-    else:
-        top = len(parts) - 1
-        for part in parts:
-            j = 0 if len(part) == 1 else _max_nonzero_degree(part, field)
-            if j is None:
-                top = None
-                break
-            top += j
+    verts = tuple(sorted({v for e in edge_key for v in e}))
+    nz = nonzero_degrees(reduced_homology(_independence_complex(verts, sorted(edge_key)), field))
+    top = max(nz) if nz else None
     if len(_MAX_DEGREE_CACHE) >= _MAX_DEGREE_CACHE_SIZE:
         _MAX_DEGREE_CACHE.popitem(last=False)  # oldest first
     _MAX_DEGREE_CACHE[key] = top
+    return top
+
+
+def _top_degree(nbr: dict[int, int], field: FieldSpec) -> Optional[int]:
+    """Largest degree with nonzero homology of Ind of the graph given as
+    vertex -> neighbour mask, which the fold consumes; None when acyclic.
+
+    A fold keeps the homotopy type (Engstrom 2008) and a vertex without
+    neighbours makes a cone; a disjoint union gives a join of complexes
+    (Adamaszek 2012), whose top degree over a field is the sum of the
+    parts' plus one per extra part.  A lone edge has top 0, and every other
+    part goes through ``_max_nonzero_degree``.  The graph with no vertex
+    has Ind = {{}}, top -1."""
+    parts = _fold(nbr)
+    if parts is None:
+        return None
+    top = len(parts) - 1
+    for part in parts:
+        if part.bit_count() > 2:
+            verts = [v for v in nbr if part >> (v - 1) & 1]
+            j = _max_nonzero_degree(frozenset([(u, v) for u in verts for v in verts
+                                               if u < v and nbr[u] >> (v - 1) & 1]), field)
+            if j is None:
+                return None
+            top += j
     return top
 
 
@@ -341,8 +341,7 @@ def depth_symbolic(G: Graph, n: int, field: FieldSpec = Rationals(), *,
     ceiling is at least the best for every edge set.  A visited E gets its
     neighbour masks from the code; once a best exists it is skipped by the
     ceiling (5) when its greedy maximal matching leaves r - 1 - |M| >= best,
-    and otherwise folded, and its top degree is (#parts - 1) plus the sum
-    of the parts' top degrees.
+    and otherwise its top degree comes from ``_top_degree``.
     """
     if n < 1:
         raise ValueError(f"power must be >= 1, got {n}")
@@ -353,7 +352,7 @@ def depth_symbolic(G: Graph, n: int, field: FieldSpec = Rationals(), *,
     for lo in range(0, len(edges), 8):
         table = [0]
         for u, v in edges[lo:lo + 8]:
-            table += [m | 1 << u | 1 << v for m in table]
+            table += [m | 1 << (u - 1) | 1 << (v - 1) for m in table]
         tables.append(table)
     visits = []  # (|V(E)|, code of E)
     for code in _qualifying_subsets(list(_frontier_order(G)), list(edges), n, n):
@@ -372,25 +371,14 @@ def depth_symbolic(G: Graph, n: int, field: FieldSpec = Rationals(), *,
         while rest:
             low = rest & -rest
             u, v = edges[low.bit_length() - 1]
-            nbr[u] = nbr.get(u, 0) | 1 << v
-            nbr[v] = nbr.get(v, 0) | 1 << u
+            nbr[u] = nbr.get(u, 0) | 1 << (v - 1)
+            nbr[v] = nbr.get(v, 0) | 1 << (u - 1)
             rest ^= low
         if best is not None and len(_greedy_matching(nbr, r - 1 - best)) <= r - 1 - best:
             continue
-        parts = _fold(nbr)
-        if parts is None:
-            continue
-        top = len(parts) - 1
-        for part in parts:
-            if part.bit_count() > 2:  # a lone edge has top 0
-                j = _max_nonzero_degree(frozenset([(u, v) for bit, (u, v) in enumerate(edges)
-                                                   if code >> bit & part >> u & part >> v & 1]), field)
-                if j is None:
-                    break
-                top += j
-        else:
-            if best is None or r - 2 - top < best:
-                best = r - 2 - top
+        top = _top_degree(nbr, field)
+        if top is not None and (best is None or r - 2 - top < best):
+            best = r - 2 - top
     if best is None:
         raise DepthEngineError("no local cohomology contribution found")
     return best
@@ -400,9 +388,10 @@ def reg_edge_ideal(G: Graph, field: FieldSpec = Rationals(), *,
                    budget: int = DEFAULT_BUDGET, force: bool = False) -> int:
     """Regularity of the edge ideal: 2 + the top degree of homology over the
     links of Ind(G).  The link of a face F is Ind(G - N[F]), so each distinct
-    closed neighbourhood N[F] is read once; the link is a cone when some
-    vertex of W = V - N[F] has no neighbour in W, and any other link's top
-    degree comes from the oracle's memo.
+    closed neighbourhood N[F] is read once.  Each link is handed to
+    ``_top_degree`` as the masks N(v) & W for v in W = V - N[F], so it is
+    folded, cone-checked and split into parts before the memo, exactly as
+    the oracle's visit does.
 
     The distinct N[F] are generated directly as bit masks (bit v - 1 for v),
     in one pass over the vertices: N[F + v] = N[F] | N[v], and F + v is
@@ -420,10 +409,9 @@ def reg_edge_ideal(G: Graph, field: FieldSpec = Rationals(), *,
         closed_masks |= {c | bit | masks[v] for c in closed_masks if not c & bit}
     top = -1  # the link of a facet is {{}}, with homology in degree -1
     for closed in closed_masks:
-        edges = frozenset(e for e in G.edge_list if not (closed >> (e[0] - 1) | closed >> (e[1] - 1)) & 1)
-        if edges and closed.bit_count() + len({v for e in edges for v in e}) == G.vertex_count:
-            jmax = _max_nonzero_degree(edges, field)
-            top = top if jmax is None else max(top, jmax)
+        j = _top_degree({v: masks[v] & ~closed for v in G.vertices() if not closed >> (v - 1) & 1}, field)
+        if j is not None and j > top:
+            top = j
     return top + 2
 
 

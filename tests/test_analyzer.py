@@ -80,6 +80,16 @@ def test_analyze_profile_refused_by_budget():
     assert "regularity-upper" not in checks
 
 
+def test_analyze_profile_skipped_without_algebra():
+    # modes that run no oracle say why the asked-for profile is missing
+    for mode in ("combinatorial", "certificate"):
+        report = analyze(builtin_graph("FIG3"), options=AnalyzeOptions(with_profile=True, mode=mode))
+        assert report.profile is None
+        assert [(c.name, c.status, c.detail) for c in report.checks if c.name.startswith("profile-")] == [
+            ("profile-monotone", "skipped", "algebra disabled in this mode"),
+            ("profile-stabilizes", "skipped", "algebra disabled in this mode")], mode
+
+
 def test_analyze_force_reaches_the_link_scan():
     # r = 13 is refused by the vertex cap unless forced; P13's links are cheap
     checks = {c.name: c.status for c in analyze(path_graph(13), options=AnalyzeOptions(force=True)).checks}

@@ -12,11 +12,11 @@ import coverdepth
 
 from coverdepth import depth
 from coverdepth.depth import (
-    _folded_components,
+    _fold,
     _frontier_order,
     _greedy_matching,
-    _max_nonzero_degree,
     _qualifying_subsets,
+    _top_degree,
     BudgetRefusal,
     CertificateInapplicableError,
     depth_profile,
@@ -233,40 +233,29 @@ def test_one_grid_search_matches_support_loop():
 
 
 def _neighbour_masks(E):
-    """The vertex -> neighbour mask form (bit v for v) that the visit folds."""
+    """The vertex -> neighbour mask form (bit v - 1 for v) that the visit folds."""
     nbr = {}
     for u, v in E:
-        nbr[u] = nbr.get(u, 0) | 1 << v
-        nbr[v] = nbr.get(v, 0) | 1 << u
+        nbr[u] = nbr.get(u, 0) | 1 << (v - 1)
+        nbr[v] = nbr.get(v, 0) | 1 << (u - 1)
     return nbr
 
 
 def _edges_of(nbr):
-    return frozenset((u, v) for u, Nu in nbr.items() for v in range(u + 1, Nu.bit_length()) if Nu >> v & 1)
+    return frozenset((u, v) for u, Nu in nbr.items() for v in range(u + 1, Nu.bit_length() + 1) if Nu >> (v - 1) & 1)
 
 
 @pytest.fixture
 def fold_visits(monkeypatch):
     """The edge sets that depth_symbolic's visit hands to the fold, in order:
-    every set that passes both cuts.  The fold's own calls from the kernel,
-    on the parts it reads through the memo, are not visits."""
-    fold, kernel = depth._fold, depth._max_nonzero_degree
-    visited, nesting = [], [0]
+    every set that passes both cuts."""
+    fold, visited = depth._fold, []
 
     def recording_fold(nbr):
-        if not nesting[0]:
-            visited.append(_edges_of(nbr))
+        visited.append(_edges_of(nbr))
         return fold(nbr)
 
-    def nested_kernel(edge_key, field):
-        nesting[0] += 1
-        try:
-            return kernel(edge_key, field)
-        finally:
-            nesting[0] -= 1
-
     monkeypatch.setattr(depth, "_fold", recording_fold)
-    monkeypatch.setattr(depth, "_max_nonzero_degree", nested_kernel)
     return visited
 
 
@@ -351,20 +340,41 @@ def test_depth_reg_duality_random():
         assert depth_symbolic(G, 1) == G.vertex_count - reg_edge_ideal(G)
 
 
-def test_reg_against_hochster_formula():
-    # link scan through the oracle's memo against Hochster's formula over
-    # every induced subgraph, with no links and no memo; the dense graphs
-    # (FIG2, FAM(2), seeded 8-vertex graphs with edge probability >= 0.5)
-    # have many faces that share one closed neighbourhood N[F]
+def _hochster_graphs():
+    # the dense graphs (FIG2, FAM(2), seeded 8-vertex graphs with edge
+    # probability >= 0.5) have many faces that share one closed
+    # neighbourhood N[F]
     rng = random.Random(53)
     graphs = [random_small_graph(rng, max_r=7) for _ in range(30)]
     graphs += [cycle_graph(5), cycle_graph(7), cycle_graph(8)]
     graphs += [builtin_graph(name) for name in ("FIG1", "FIG2", "FIG3", "FAM(1)", "FAM(2)")]
     for p in (0.5, 0.6, 0.7, 0.8):
         graphs.append(Graph.make(8, [e for e in combinations(range(1, 9), 2) if rng.random() < p]))
-    for G in graphs:
+    return graphs
+
+
+def test_reg_against_hochster_formula():
+    # link scan through the oracle's reduction and memo against Hochster's
+    # formula over every induced subgraph, with no links and no memo
+    for G in _hochster_graphs():
         for field in (Rationals(), PrimeField(2)):
             assert reg_edge_ideal(G, field) == brute_reg_edge_ideal(G, field), (G.edge_list, field)
+
+
+def test_memo_holds_only_unfoldable_connected_parts(monkeypatch):
+    # both callers reduce before the memo, so every key is a connected edge
+    # set with more than one edge on which the fold deletes nothing
+    monkeypatch.setattr(depth, "_MAX_DEGREE_CACHE", OrderedDict())
+    for G in _hochster_graphs():
+        for field in (Rationals(), PrimeField(2)):
+            depth_symbolic(G, 1, field)
+            depth_symbolic(G, 2, field)
+            reg_edge_ideal(G, field)
+    assert depth._MAX_DEGREE_CACHE
+    for key, _ in depth._MAX_DEGREE_CACHE:
+        nbr = _neighbour_masks(key)
+        assert len(key) > 1 and _fold(nbr) == [sum(1 << (v - 1) for v in nbr)], sorted(key)
+        assert _edges_of(nbr) == key, sorted(key)
 
 
 C5 = [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]
@@ -380,8 +390,7 @@ def _disjoint_edges(m):
 
 
 def _kernel_and_dense(edges, field=Rationals()):
-    key = frozenset(edges)
-    return depth._max_nonzero_degree(key, field), dense_max_nonzero_degree(key, field)
+    return _top_degree(_neighbour_masks(edges), field), dense_max_nonzero_degree(frozenset(edges), field)
 
 
 @pytest.fixture
@@ -391,34 +400,42 @@ def empty_memo(monkeypatch):
 
 def test_fold_reduces_star_to_an_edge(empty_memo):
     star = [(1, 2), (1, 3), (1, 4)]  # K_{1,3}: the leaves fold onto one
-    parts = _folded_components(frozenset(star))
-    assert len(parts) == 1 and len(parts[0]) == 1
+    parts = _fold(_neighbour_masks(star))
+    assert len(parts) == 1 and parts[0].bit_count() == 2
     assert _kernel_and_dense(star) == (0, 0)
 
 
 def test_cone_left_after_a_fold(empty_memo):
     # P4: N(1) lies in N(3), so 3 goes, and 4 is left with no neighbour
     p4 = [(1, 2), (2, 3), (3, 4)]
-    assert _folded_components(frozenset(p4)) is None
+    assert _fold(_neighbour_masks(p4)) is None
     assert _kernel_and_dense(p4) == (None, None)
+
+
+def test_vertex_without_neighbour_on_entry_is_a_cone():
+    assert _fold({1: 0}) is None
+    assert _fold({1: 0b10, 2: 0b1, 3: 0}) is None
+    assert _top_degree({3: 0, 1: 0b10, 2: 0b1}, Rationals()) is None
+    assert _top_degree({}, Rationals()) == -1  # Ind of no vertex is {{}}
 
 
 def test_disjoint_edges_add_one_each(empty_memo):
     for m in range(1, 5):
-        assert len(_folded_components(_disjoint_edges(m))) == m
+        assert len(_fold(_neighbour_masks(_disjoint_edges(m)))) == m
         for field in (Rationals(), PrimeField(2)):
             assert _kernel_and_dense(_disjoint_edges(m), field) == (m - 1, m - 1)
 
 
 def test_two_pentagons_join_to_a_three_sphere(empty_memo):
-    assert len(_folded_components(C5_C5)) == 2
+    assert len(_fold(_neighbour_masks(C5_C5))) == 2
     assert _kernel_and_dense(C5_C5) == (3, 3)  # 1 + 1 + one join
     assert depth._MAX_DEGREE_CACHE[(frozenset(C5), Rationals())] == 1
 
 
 def test_acyclic_component_makes_the_union_acyclic(empty_memo):
-    assert _folded_components(frozenset(ACYCLIC_UNFOLDABLE)) == [frozenset(ACYCLIC_UNFOLDABLE)]
-    assert len(_folded_components(frozenset(UNION_WITH_ACYCLIC))) == 3
+    nbr = _neighbour_masks(ACYCLIC_UNFOLDABLE)
+    assert _fold(nbr) == [(1 << 9) - 1] and _edges_of(nbr) == frozenset(ACYCLIC_UNFOLDABLE)
+    assert len(_fold(_neighbour_masks(UNION_WITH_ACYCLIC))) == 3
     for field in (Rationals(), PrimeField(2)):
         assert _kernel_and_dense(UNION_WITH_ACYCLIC, field) == (None, None)
 
@@ -437,17 +454,17 @@ def test_reduced_kernel_matches_dense(monkeypatch):
         for n in ns:
             codes = _qualifying_subsets(list(_frontier_order(G)), list(G.edge_list), n, n)
             edge_sets.update(map(frozenset, _decode(codes, G.edge_list)))
-    kernel = depth._max_nonzero_degree
 
-    def recording(edge_key, field):
-        edge_sets.add(edge_key)
-        return kernel(edge_key, field)
+    def recording(nbr, field):
+        edge_sets.add(_edges_of(nbr))  # before the fold consumes the masks
+        return _top_degree(nbr, field)
 
-    monkeypatch.setattr(depth, "_max_nonzero_degree", recording)
+    monkeypatch.setattr(depth, "_top_degree", recording)
     for G in [cycle_graph(r) for r in (5, 7, 8)] + [G for _, G in _duality_instances("full")]:
         reg_edge_ideal(G)
-    monkeypatch.setattr(depth, "_max_nonzero_degree", kernel)
+    monkeypatch.setattr(depth, "_top_degree", _top_degree)
     monkeypatch.setattr(depth, "_MAX_DEGREE_CACHE", OrderedDict())
+    edge_sets.discard(frozenset())  # links with no edge
     assert len(edge_sets) > 17000
     for key in edge_sets:
         ceiling = len({v for e in key for v in e}) // 2 - 1  # j + 2 <= reg I(E) <= nu(E) + 1
@@ -455,7 +472,7 @@ def test_reduced_kernel_matches_dense(monkeypatch):
         match_ceiling = len(_greedy_matching(_neighbour_masks(key), len(key))) - 1
         for field in (Rationals(), PrimeField(2)):
             dense = dense_max_nonzero_degree(key, field)
-            assert kernel(key, field) == dense, (sorted(key), field)
+            assert _top_degree(_neighbour_masks(key), field) == dense, (sorted(key), field)
             assert dense is None or dense <= ceiling, (sorted(key), field)
             assert dense is None or dense <= match_ceiling, (sorted(key), field)
 
@@ -472,7 +489,7 @@ def test_max_degree_cache_is_bounded(monkeypatch):
 
     def answers():
         return ([(depth_symbolic(G, 2), reg_edge_ideal(G)) for G in graphs],
-                [_max_nonzero_degree(key, field) for key in unions for field in fields])
+                [_top_degree(_neighbour_masks(key), field) for key in unions for field in fields])
 
     expected = answers()
 

@@ -4,7 +4,8 @@
 code, stdout, stderr and, for ``batch``, the JSONL file it wrote, with the
 output path written as ``{out}``.  The cases are every corpus graph (FIG1,
 FIG2, FIG3, FAM(1), FAM(2), CHAR16) in every mode, FIG3 with
-``--profile --field gf:2``, and ``batch --no-cache`` over ``cycles 3..10``.
+``--profile --field gf:2`` and with ``--profile --mode combinatorial``, and
+``batch --no-cache`` over ``cycles 3..10``.
 To record a case again, run ``coverdepth.cli.main(argv)`` with stdout and
 stderr captured and store what it printed.
 """
