@@ -72,16 +72,13 @@ def from_facets(ground_size: int, facets: Iterable[Iterable[int]]) -> Simplicial
 
 
 def _boundary_rank(field: FieldSpec, faces_d: list[Face], faces_dm1: list[Face]) -> int:
-    """Rank of the boundary map from d-chains to (d-1)-chains; both face
-    lists are nonempty for the degrees 0..dim that ``reduced_homology`` asks
-    for, since the empty face sits in degree -1."""
+    """Rank of the boundary map from d-chains to (d-1)-chains, one sparse row
+    {index of F - v: +-1} per d-face F; both face lists are nonempty for the
+    degrees 0..dim that ``reduced_homology`` asks for, since the empty face
+    sits in degree -1."""
     index = {f: i for i, f in enumerate(faces_dm1)}
-    rows = [[0] * len(faces_d) for _ in faces_dm1]
-    for j, f in enumerate(faces_d):
-        verts = sorted(f)
-        for pos, v in enumerate(verts):
-            sub = frozenset(f - {v})
-            rows[index[sub]][j] = -1 if pos % 2 else 1
+    rows = [{index[f - {v}]: -1 if pos % 2 else 1 for pos, v in enumerate(sorted(f))}
+            for f in faces_d]
     return rank(rows, field)
 
 

@@ -1,15 +1,22 @@
-"""Exact rank computation over the rationals and prime fields.
+"""Exact rank over the rationals and prime fields, by one sparse elimination.
 
-Boundary matrices here are small integer matrices; exactness is mandatory
-because homology dimensions are the end product.  Rational ranks use
-fraction-free (Bareiss) elimination, prime-field ranks use standard
-elimination with modular inverses, with a bitset fast path for GF(2).
-"""
+Boundary matrices here are sparse integer matrices (each boundary row has
+d + 1 entries, all +-1); exactness is mandatory because homology dimensions
+are the end product.  A row is a mapping column -> nonzero integer.  Each
+row is reduced against pivot rows kept by their leading (largest) column,
+and the rank is the number of pivot rows.  Over GF(p) entries are kept mod
+p and a pivot row is scaled so its lead is 1.  Over Q rows stay integral:
+r <- b*r - a*pivot with the leads a, b made coprime, and a row so scaled is
+divided by the gcd of its entries, so no fraction ever appears."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from math import gcd
+from typing import Mapping, Union
+
+# trial division up to sqrt(p) stays around 46,000 steps below this bound
+_PRIME_BOUND = 2 ** 31
 
 
 def _is_prime(p: int) -> bool:
@@ -35,6 +42,8 @@ class PrimeField:
     p: int
 
     def __post_init__(self):
+        if self.p >= _PRIME_BOUND:
+            raise ValueError(f"prime field size {self.p} is not below the bound 2^31")
         if not _is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
 
@@ -55,88 +64,48 @@ def parse_field(text: str) -> FieldSpec:
     raise ValueError(f"unrecognized field {text!r} (use 'q' or 'gf:<p>')")
 
 
-Matrix = Sequence[Sequence[int]]
-
-
-def rank_rational(rows: Matrix) -> int:
-    """Rank over the rationals by fraction-free elimination (exact divisions)."""
-    m = [list(map(int, row)) for row in rows]
-    if not m or not m[0]:
-        return 0
-    nr, nc = len(m), len(m[0])
-    prev = 1
-    pr = 0
-    for pc in range(nc):
-        piv = next((i for i in range(pr, nr) if m[i][pc] != 0), None)
-        if piv is None:
-            continue
-        if piv != pr:
-            m[pr], m[piv] = m[piv], m[pr]
-        pivot = m[pr][pc]
-        for i in range(pr + 1, nr):
-            row_i, row_p = m[i], m[pr]
-            factor = row_i[pc]
-            for j in range(pc + 1, nc):
-                row_i[j] = (row_i[j] * pivot - factor * row_p[j]) // prev
-            row_i[pc] = 0
-        prev = pivot
-        pr += 1
-        if pr == nr:
-            break
-    return pr
-
-
-def rank_mod(rows: Matrix, p: int) -> int:
-    if p == 2:
-        return _rank_gf2(rows)
-    m = [[x % p for x in row] for row in rows]
-    if not m or not m[0]:
-        return 0
-    nr, nc = len(m), len(m[0])
-    pr = 0
-    for pc in range(nc):
-        piv = next((i for i in range(pr, nr) if m[i][pc]), None)
-        if piv is None:
-            continue
-        if piv != pr:
-            m[pr], m[piv] = m[piv], m[pr]
-        inv = pow(m[pr][pc], -1, p)
-        row_p = m[pr]
-        for j in range(pc, nc):
-            row_p[j] = row_p[j] * inv % p
-        for i in range(pr + 1, nr):
-            f = m[i][pc]
-            if f:
-                row_i = m[i]
-                for j in range(pc, nc):
-                    row_i[j] = (row_i[j] - f * row_p[j]) % p
-        pr += 1
-        if pr == nr:
-            break
-    return pr
-
-
-def _rank_gf2(rows: Matrix) -> int:
-    """GF(2) rank with rows packed into Python ints."""
-    packed = []
-    for row in rows:
-        acc = 0
-        for j, x in enumerate(row):
-            if x & 1:
-                acc |= 1 << j
-        if acc:
-            packed.append(acc)
-    rank = 0
-    while packed:
-        pivot_row = min(packed, key=lambda r: r & -r)
-        low = pivot_row & -pivot_row
-        rank += 1
-        packed = [r ^ pivot_row if r & low else r for r in packed if r != pivot_row]
-        packed = [r for r in packed if r]
-    return rank
-
-
-def rank(rows: Matrix, field: FieldSpec) -> int:
-    if isinstance(field, Rationals):
-        return rank_rational(rows)
-    return rank_mod(rows, field.p)
+def rank(rows: list[Mapping[int, int]], field: FieldSpec) -> int:
+    """Rank of the matrix whose rows are the sparse ``rows``, over ``field``.
+    The rows are not modified."""
+    p = field.p if isinstance(field, PrimeField) else 0
+    pivots: dict[int, dict[int, int]] = {}
+    for given in rows:
+        row = {c: x % p for c, x in given.items() if x % p} if p else dict(given)
+        while row:
+            # leading at the largest column fills in less than at the least
+            # on boundary rows, whose columns are faces in lexicographic order
+            lead = max(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                if p and row[lead] != 1:
+                    inv = pow(row[lead], -1, p)
+                    row = {c: x * inv % p for c, x in row.items()}
+                pivots[lead] = row
+                break
+            a, b = row[lead], pivot[lead]
+            if p:
+                for c, y in pivot.items():
+                    x = (row.get(c, 0) - a * y) % p
+                    if x:
+                        row[c] = x
+                    else:
+                        del row[c]
+                continue
+            scaled = b != 1 and b != -1
+            if scaled:
+                g = gcd(a, b)
+                a, b = a // g, b // g
+                row = {c: b * x for c, x in row.items()}
+            else:
+                a *= b  # a / b, as b = +-1
+            for c, y in pivot.items():
+                x = row.get(c, 0) - a * y
+                if x:
+                    row[c] = x
+                else:
+                    del row[c]
+            if scaled and row:
+                g = gcd(*row.values())
+                if g > 1:
+                    row = {c: x // g for c, x in row.items()}
+    return len(pivots)

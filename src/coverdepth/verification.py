@@ -30,6 +30,7 @@ from .depth import (
     depth_profile,
     depth_symbolic,
     feasible_exponents,
+    limit_depth,
     path_stability_closed_form,
     reg_edge_ideal,
     stability_certificate,
@@ -277,10 +278,16 @@ def check_field_sensitivity(level: str) -> tuple[bool, str]:
     ell = min_alt_path_length(G)
     _expect(failures, ell <= 2 * nu0 - 1 <= 11,
             f"length {ell} vs bipartite cap {2 * nu0 - 1}")
+    # the first oracle values: above the limit over Q, at it over GF(2)
+    limit = limit_depth(G)
+    over_q = depth_symbolic(G, 1, Rationals(), force=True)
+    over_2 = depth_symbolic(G, 1, PrimeField(2), force=True)
+    _expect(failures, limit == 11 and over_q == 12, f"depth over Q at n=1 is {over_q}, limit {limit}")
+    _expect(failures, over_2 == limit, f"depth over GF(2) at n=1 is {over_2}, limit {limit}")
     detail = ("; ".join(failures) or
-              f"projective plane splits the fields; CHAR16 combinatorial only "
-              f"(nu={nu}, nu0={nu0}, length={ell}); its field-dependent depth is out of "
-              f"oracle range by design")
+              f"projective plane splits the fields; CHAR16 (nu={nu}, nu0={nu0}, length={ell}) "
+              f"at n=1 has depth {over_q} over Q, above the limit {limit}, so sdstab_Q >= 2, "
+              f"and {over_2} over GF(2), at the limit, so sdstab_GF(2) = 1")
     return not failures, detail
 
 

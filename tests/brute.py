@@ -3,10 +3,10 @@
 These deliberately avoid the library's own code paths: matchings by subset
 scan, ordered matchings by trying every orientation and permutation against
 the raw definition, alternating walks by unpruned recursion, matrix rank
-by Fraction-based elimination, regularity by Hochster's formula over
-induced subgraphs, symbolic depth by one grid scan per negative support, and
-the top homology degree of an independence complex by the dense engine with
-no reduction and no memo.
+by Fraction-based elimination on dense matrices, regularity by Hochster's
+formula over induced subgraphs, symbolic depth by one grid scan per negative
+support, and the top homology degree of an independence complex by the dense
+engine (every face, every boundary rank) with no reduction and no memo.
 
 It also holds the reference side of the algebra that the library itself no
 longer needs: the cover complex, Alexander duality, degree complexes,
@@ -182,6 +182,24 @@ def naive_rank_mod(rows, p: int) -> int:
                 m[i] = [(a - f * b) % p for a, b in zip(m[i], m[rank])]
         rank += 1
     return rank
+
+
+def dense_boundary(cx: SimplicialComplex, d: int) -> list[list[int]]:
+    """The boundary map from d-chains to (d-1)-chains of ``cx`` as a dense
+    f_{d-1} x f_d matrix, one row per (d-1)-face and one column per d-face,
+    built apart from the library's sparse rows (one per d-face)."""
+    faces_d, faces_dm1 = cx.faces_of_dim(d), cx.faces_of_dim(d - 1)
+    index = {f: i for i, f in enumerate(faces_dm1)}
+    rows = [[0] * len(faces_d) for _ in faces_dm1]
+    for j, f in enumerate(faces_d):
+        for pos, v in enumerate(sorted(f)):
+            rows[index[f - {v}]][j] = -1 if pos % 2 else 1
+    return rows
+
+
+def sparse_rows(dense) -> list[dict[int, int]]:
+    """A dense matrix as the sparse rows ``linalg.rank`` takes."""
+    return [{j: x for j, x in enumerate(row) if x} for row in dense]
 
 
 def brute_independent_sets(G: Graph):

@@ -40,6 +40,14 @@ def test_analyze_malformed_file(tmp_path, capsys):
     assert "loop" in capsys.readouterr().err
 
 
+def test_huge_prime_field_is_input_error(capsys):
+    # refused before the primality check, which would not finish
+    code = main(["analyze", "--graph", "builtin:FIG3", "--field", "gf:1000000000000000003",
+                 "--mode", "combinatorial"])
+    assert code == 2
+    assert "2^31" in capsys.readouterr().err
+
+
 def test_oracle_mode_on_char16_refuses(capsys):
     code = main(["analyze", "--graph", "builtin:CHAR16", "--mode", "oracle"])
     assert code == 3

@@ -11,8 +11,15 @@ from coverdepth.complexes import (
     nonzero_degrees,
     reduced_homology,
 )
-from coverdepth.linalg import PrimeField, Rationals, parse_field, rank, rank_mod, rank_rational
-from brute import alexander_dual, dual_homology_check, naive_rank, naive_rank_mod
+from coverdepth.linalg import PrimeField, Rationals, parse_field, rank
+from brute import (
+    alexander_dual,
+    dense_boundary,
+    dual_homology_check,
+    naive_rank,
+    naive_rank_mod,
+    sparse_rows,
+)
 
 RP2 = from_facets(6, [
     (1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
@@ -105,15 +112,9 @@ def test_rp2_is_a_closed_surface():
 def test_rp2_ranks_against_naive_oracle():
     # rebuild the boundary matrices independently and rank them both ways
     for d in (1, 2):
-        faces_d = RP2.faces_of_dim(d)
-        faces_dm1 = RP2.faces_of_dim(d - 1)
-        index = {f: i for i, f in enumerate(faces_dm1)}
-        rows = [[0] * len(faces_d) for _ in faces_dm1]
-        for j, f in enumerate(faces_d):
-            for pos, v in enumerate(sorted(f)):
-                rows[index[frozenset(f - {v})]][j] = -1 if pos % 2 else 1
-        assert rank_rational(rows) == naive_rank(rows)
-        assert rank_mod(rows, 2) == naive_rank_mod(rows, 2)
+        rows = dense_boundary(RP2, d)
+        assert rank(sparse_rows(rows), Rationals()) == naive_rank(rows)
+        assert rank(sparse_rows(rows), PrimeField(2)) == naive_rank_mod(rows, 2)
 
 
 def test_cones_are_acyclic_property():
@@ -143,15 +144,44 @@ def test_rank_routines_against_naive():
     for _ in range(40):
         nr, nc = rng.randint(1, 7), rng.randint(1, 7)
         rows = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(nr)]
-        assert rank_rational(rows) == naive_rank(rows)
+        assert rank(sparse_rows(rows), Rationals()) == naive_rank(rows)
         for p in (2, 3, 5):
-            assert rank_mod(rows, p) == naive_rank_mod(rows, p)
+            assert rank(sparse_rows(rows), PrimeField(p)) == naive_rank_mod(rows, p)
 
 
 def test_rank_dispatch():
     rows = [[2, 0], [0, 2]]
-    assert rank(rows, Rationals()) == 2
-    assert rank(rows, PrimeField(2)) == 0
+    assert rank(sparse_rows(rows), Rationals()) == 2
+    assert rank(sparse_rows(rows), PrimeField(2)) == 0
+
+
+def test_sparse_rank_against_naive_beyond_unit_entries():
+    # entries far from +-1 make the rational leads non-coprime and leave
+    # zeros mod p; the empty matrix, zero rows and zero columns give rank 0
+    # or drop out
+    rng = random.Random(61)
+    cases = [[], [[]], [[], []], [[0, 0, 0]], [[0], [0]], [[0, 5], [0, 10], [0, 0]]]
+    for _ in range(300):
+        nr, nc = rng.randint(1, 8), rng.randint(1, 8)
+        density = rng.random()
+        cases.append([[rng.randint(-50, 50) if rng.random() < density else 0 for _ in range(nc)]
+                      for _ in range(nr)])
+    for rows in cases:
+        sparse = sparse_rows(rows)
+        assert rank(sparse, Rationals()) == naive_rank(rows), rows
+        for p in (2, 3, 7):
+            assert rank(sparse, PrimeField(p)) == naive_rank_mod(rows, p), (rows, p)
+        assert sparse == sparse_rows(rows)
+
+
+def test_prime_field_refuses_sizes_from_two_to_the_31():
+    # trial division up to sqrt(p) would otherwise run for hours
+    assert PrimeField(2 ** 31 - 1).label == "gf:2147483647"
+    for p in (2 ** 31, 1000000000000000003):
+        with pytest.raises(ValueError, match=r"not below the bound 2\^31"):
+            PrimeField(p)
+        with pytest.raises(ValueError, match=r"not below the bound 2\^31"):
+            parse_field(f"gf:{p}")
 
 
 def test_field_parsing():

@@ -31,7 +31,7 @@ from coverdepth.depth import (
 )
 from coverdepth.families import random_graphs
 from coverdepth.graphs import Graph, GraphError, builtin_graph, cycle_graph, path_graph
-from coverdepth.linalg import PrimeField, Rationals
+from coverdepth.linalg import PrimeField, Rationals, rank
 from coverdepth.matchings import has_perfect_ordered_matching
 from coverdepth.verification import _duality_instances
 from brute import (
@@ -41,7 +41,12 @@ from brute import (
     brute_reg_edge_ideal,
     brute_support_depth,
     brute_symbolic_depth,
+    dense_boundary,
+    independence_complex,
+    naive_rank,
+    naive_rank_mod,
     random_small_graph,
+    sparse_rows,
 )
 
 
@@ -359,6 +364,20 @@ def test_reg_against_hochster_formula():
     for G in _hochster_graphs():
         for field in (Rationals(), PrimeField(2)):
             assert reg_edge_ideal(G, field) == brute_reg_edge_ideal(G, field), (G.edge_list, field)
+
+
+def test_boundary_ranks_of_ind_against_naive():
+    # the dense engine behind the kernel tests reads its ranks from
+    # linalg.rank, so every boundary matrix of Ind(G), built here as a dense
+    # matrix, is also ranked by the Fraction and mod-p references
+    for G in _hochster_graphs():
+        cx = independence_complex(G)
+        for d in range(cx.dim + 1):
+            rows = dense_boundary(cx, d)
+            sparse = sparse_rows(rows)
+            assert rank(sparse, Rationals()) == naive_rank(rows), (G.edge_list, d)
+            for p in (2, 3):
+                assert rank(sparse, PrimeField(p)) == naive_rank_mod(rows, p), (G.edge_list, d, p)
 
 
 def test_memo_holds_only_unfoldable_connected_parts(monkeypatch):
