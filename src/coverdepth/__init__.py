@@ -35,7 +35,7 @@ from .altpaths import (
     stability_bound,
     walk_length,
 )
-from .complexes import SimplicialComplex, from_facets, reduced_homology
+from .complexes import from_facets, reduced_homology
 from .depth import (
     BudgetRefusal,
     DepthReport,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .complexes import SimplicialComplex
 from .graphs import Graph, GraphError
 
 
@@ -28,29 +27,27 @@ def negative_support(alpha: Sequence[int]) -> tuple[int, ...]:
     return tuple(i + 1 for i, x in enumerate(alpha) if x < 0)
 
 
-def _independence_complex(vertices: tuple[int, ...], edges: Iterable[tuple[int, int]]) -> SimplicialComplex:
-    verts = tuple(sorted(vertices))
-    n = len(verts)
-    idx = {v: i for i, v in enumerate(verts)}
-    nbr = [0] * n
+def _independence_complex(vertices: tuple[int, ...], edges: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Ind of the graph on ``vertices`` with ``edges``, in the face format of
+    ``complexes``.  Each independent set is extended only by a vertex above
+    its largest one and outside its closed neighbourhood, so every set is
+    listed once, each degree in lexicographic order."""
+    nbr = {1 << (v - 1): 0 for v in vertices}  # vertex bit -> neighbour mask
     for u, v in edges:
-        nbr[idx[u]] |= 1 << idx[v]
-        nbr[idx[v]] |= 1 << idx[u]
-    full = (1 << n) - 1
-    facets: list[frozenset[int]] = []
-
-    def rec(i: int, chosen: int, dominated: int) -> None:
-        if i == n:
-            if chosen | dominated == full:  # maximal: everything else has a chosen neighbor
-                facets.append(frozenset(verts[j] for j in range(n) if chosen >> j & 1))
-            return
-        bit = 1 << i
-        if not (nbr[i] & chosen):
-            rec(i + 1, chosen | bit, dominated | nbr[i])
-        rec(i + 1, chosen, dominated)
-
-    rec(0, 0, 0)
-    return SimplicialComplex.make(verts, facets)
+        nbr[1 << (u - 1)] |= 1 << (v - 1)
+        nbr[1 << (v - 1)] |= 1 << (u - 1)
+    level = [(0, sum(nbr))]  # (independent set, the vertices that may extend it)
+    faces = []
+    while level:
+        faces.append([face for face, _ in level])
+        grown = []
+        for face, free in level:
+            while free:
+                low = free & -free
+                free ^= low
+                grown.append((face | low, free & ~nbr[low]))
+        level = grown
+    return faces
 
 
 def qualifying_edges(G: Graph, n: int, alpha: Sequence[int]) -> list[tuple[int, int]]:

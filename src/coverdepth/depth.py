@@ -53,7 +53,7 @@ hands each link to the same reduction, as the masks of G cut to
 V - N[F].  Fold before the memo; the memo holds parts: a cone builds no
 edge set, a lone edge has top 0, and only a connected part with more than
 one edge that no fold shrinks is built and read through the bounded memo
-in front of the dense engine.
+in front of the exact homology, whose faces are listed straight from masks.
 """
 
 from __future__ import annotations
@@ -203,14 +203,15 @@ def _greedy_matching(nbr: dict[int, int], room: int) -> list[tuple[int, int]]:
 
 def _max_nonzero_degree(edge_key: frozenset, field: FieldSpec) -> Optional[int]:
     """Largest degree with nonzero homology of the independence complex of the
-    given edge set (vertices = covered vertices), from the dense engine
-    behind a bounded memo; None when acyclic.  ``_top_degree`` hands it only
-    connected parts with more than one edge that no fold shrinks."""
+    given edge set (vertices = covered vertices), from the boundary ranks of
+    its faces as listed by ``_independence_complex``, behind a bounded memo;
+    None when acyclic.  ``_top_degree`` hands it only connected parts with
+    more than one edge that no fold shrinks."""
     key = (edge_key, field)
     if key in _MAX_DEGREE_CACHE:
         return _MAX_DEGREE_CACHE[key]
-    verts = tuple(sorted({v for e in edge_key for v in e}))
-    nz = nonzero_degrees(reduced_homology(_independence_complex(verts, sorted(edge_key)), field))
+    verts = tuple({v for e in edge_key for v in e})
+    nz = nonzero_degrees(reduced_homology(_independence_complex(verts, edge_key), field))
     top = max(nz) if nz else None
     if len(_MAX_DEGREE_CACHE) >= _MAX_DEGREE_CACHE_SIZE:
         _MAX_DEGREE_CACHE.popitem(last=False)  # oldest first

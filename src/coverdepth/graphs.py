@@ -176,8 +176,8 @@ _FIG2_EDGES = [(1, 5), (1, 6), (2, 6), (3, 7), (3, 8), (4, 8), (5, 7), (4, 9)]
 _FIG3_EDGES = [(1, 5), (2, 6), (3, 7), (4, 8), (1, 7), (2, 7), (3, 8)]
 
 # 10x6 bipartite graph whose depth function depends on the base field; the
-# algebraic oracle refuses it at this size, so it ships for combinatorial
-# analysis only.
+# algebraic oracle refuses its 16 vertices unless forced, and forced it gives
+# the n = 1 depths that criterion 13 checks.
 _CHAR16_PAIRS = [
     (1, 1), (2, 1), (3, 1), (7, 1), (9, 1),
     (1, 2), (2, 2), (4, 2), (6, 2), (10, 2),

@@ -5,30 +5,130 @@ scan, ordered matchings by trying every orientation and permutation against
 the raw definition, alternating walks by unpruned recursion, matrix rank
 by Fraction-based elimination on dense matrices, regularity by Hochster's
 formula over induced subgraphs, symbolic depth by one grid scan per negative
-support, and the top homology degree of an independence complex by the dense
-engine (every face, every boundary rank) with no reduction and no memo.
+support, and the top homology degree of an independence complex by the facet
+pipeline (every facet by recursion, every face from the facets, every
+boundary rank) with no reduction and no memo.
 
 It also holds the reference side of the algebra that the library itself no
-longer needs: the cover complex, Alexander duality, degree complexes,
-membership in symbolic powers, the independence complex of a whole graph and
-induced subgraphs, and the set-based greedy order that the grid search's
-bit-mask order must reproduce.
+longer needs: complexes as facet antichains of frozensets, the cover
+complex, Alexander duality, degree complexes, membership in symbolic powers,
+the independence complex of a whole graph and induced subgraphs, and the
+set-based greedy order that the grid search's bit-mask order must reproduce.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from typing import FrozenSet, Iterable
 
-from coverdepth.complexes import SimplicialComplex, nonzero_degrees, reduced_homology
-from coverdepth.degree import (
-    _check_alpha,
-    _independence_complex,
-    negative_support,
-    qualifying_edges,
-)
+from coverdepth.complexes import ComplexError, nonzero_degrees, reduced_homology
+from coverdepth.degree import _check_alpha, negative_support, qualifying_edges
 from coverdepth.graphs import Graph, GraphError
-from coverdepth.linalg import Rationals
+from coverdepth.linalg import Rationals, rank
+
+Face = FrozenSet[int]
+
+
+def _canonical_facets(facets: Iterable[Iterable[int]]) -> tuple[Face, ...]:
+    sets = {frozenset(int(v) for v in f) for f in facets}
+    maximal = [f for f in sets if not any(f < g for g in sets)]
+    return tuple(sorted(maximal, key=lambda f: (len(f), sorted(f))))
+
+
+@dataclass(frozen=True)
+class SimplicialComplex:
+    """A complex as (ground set, facet antichain): no facet at all is the
+    void complex, and the one facet {} is the irrelevant complex {{}}."""
+    ground: tuple[int, ...]
+    facets: tuple[Face, ...]
+
+    @staticmethod
+    def make(ground: Iterable[int], facets: Iterable[Iterable[int]]) -> "SimplicialComplex":
+        gtuple = tuple(sorted(set(int(v) for v in ground)))
+        gset = set(gtuple)
+        canon = _canonical_facets(facets)
+        for f in canon:
+            if not f <= gset:
+                raise ComplexError(f"facet {sorted(f)} not inside the ground set")
+        return SimplicialComplex(gtuple, canon)
+
+    @property
+    def is_void(self) -> bool:
+        return not self.facets
+
+    @property
+    def dim(self) -> int:
+        """Dimension; -1 for the irrelevant complex.  Undefined (raises) on void."""
+        if self.is_void:
+            raise ComplexError("the void complex has no dimension")
+        return max(len(f) for f in self.facets) - 1
+
+    def faces_of_dim(self, d: int) -> list[Face]:
+        """d-faces, enumerated from facets on demand (no global face table)."""
+        if self.is_void or d < -1 or d > self.dim:
+            return []
+        out: set[Face] = set()
+        for f in self.facets:
+            if len(f) >= d + 1:
+                out.update(frozenset(c) for c in combinations(sorted(f), d + 1))
+        return sorted(out, key=sorted)
+
+
+def face_masks(cx: SimplicialComplex) -> list[list[int]]:
+    """``cx`` in the library's face format: faces[d + 1] lists the d-faces as
+    vertex masks, bit v - 1 for vertex v, in the order of ``faces_of_dim``."""
+    if cx.is_void:
+        return []
+    return [[sum(1 << (v - 1) for v in f) for f in cx.faces_of_dim(d)] for d in range(-1, cx.dim + 1)]
+
+
+def facet_independence_complex(vertices, edges) -> SimplicialComplex:
+    """Ind by its facets: a recursion over the vertices that keeps a chosen
+    set when every other vertex has a chosen neighbour."""
+    verts = tuple(sorted(vertices))
+    n = len(verts)
+    idx = {v: i for i, v in enumerate(verts)}
+    nbr = [0] * n
+    for u, v in edges:
+        nbr[idx[u]] |= 1 << idx[v]
+        nbr[idx[v]] |= 1 << idx[u]
+    full = (1 << n) - 1
+    facets: list[frozenset[int]] = []
+
+    def rec(i: int, chosen: int, dominated: int) -> None:
+        if i == n:
+            if chosen | dominated == full:  # maximal: everything else has a chosen neighbor
+                facets.append(frozenset(verts[j] for j in range(n) if chosen >> j & 1))
+            return
+        bit = 1 << i
+        if not (nbr[i] & chosen):
+            rec(i + 1, chosen | bit, dominated | nbr[i])
+        rec(i + 1, chosen, dominated)
+
+    rec(0, 0, 0)
+    return SimplicialComplex.make(verts, facets)
+
+
+def facet_homology(cx: SimplicialComplex, field=None) -> dict[int, int]:
+    """Reduced homology dimensions by degree from the faces that
+    ``faces_of_dim`` derives from the facets, one sparse boundary row
+    {index of F - v: +-1} per d-face F; {} on the void complex."""
+    field = field or Rationals()
+    if cx.is_void:
+        return {}
+    top = cx.dim
+    faces = {d: cx.faces_of_dim(d) for d in range(-1, top + 1)}
+    ranks = {d: 0 for d in range(-1, top + 2)}
+    for d in range(0, top + 1):
+        index = {f: i for i, f in enumerate(faces[d - 1])}
+        rows = [{index[f - {v}]: -1 if pos % 2 else 1 for pos, v in enumerate(sorted(f))}
+                for f in faces[d]]
+        ranks[d] = rank(rows, field)
+    profile = {d: len(faces[d]) - ranks[d] - ranks[d + 1] for d in range(-1, top + 1)}
+    assert min(profile.values()) >= 0, profile
+    return profile
 
 
 def edges_disjoint(edges) -> bool:
@@ -287,11 +387,12 @@ def alexander_dual(cx: SimplicialComplex) -> SimplicialComplex:
 
 
 def dual_homology_check(cx: SimplicialComplex, field=None) -> bool:
-    """Dimension identity H_{i-1}(dual) = H_{m-2-i}(complex) across all i."""
+    """Dimension identity H_{i-1}(dual) = H_{m-2-i}(complex) across all i,
+    both sides read by the library's ``reduced_homology``."""
     field = field or Rationals()
     m = len(cx.ground)
-    prof = reduced_homology(cx, field)
-    dual_prof = reduced_homology(alexander_dual(cx), field)
+    prof = reduced_homology(face_masks(cx), field)
+    dual_prof = reduced_homology(face_masks(alexander_dual(cx)), field)
     degrees = set(prof) | {m - 3 - d for d in dual_prof}
     return all(prof.get(d, 0) == dual_prof.get(m - 3 - d, 0) for d in degrees)
 
@@ -301,7 +402,7 @@ def dense_max_nonzero_degree(edges, field=None):
     of ``edges``, from the full complex and its boundary ranks; None when
     acyclic.  No fold, no component split, no memo."""
     verts = tuple(sorted({v for e in edges for v in e}))
-    nz = nonzero_degrees(reduced_homology(_independence_complex(verts, sorted(edges)), field or Rationals()))
+    nz = nonzero_degrees(facet_homology(facet_independence_complex(verts, sorted(edges)), field))
     return max(nz) if nz else None
 
 
@@ -324,7 +425,7 @@ def brute_symbolic_depth(G: Graph, n: int, field=None) -> int:
             cx = degree_complex(G, n, alpha)
             if cx.is_void:
                 continue
-            for d, h in reduced_homology(cx, field).items():
+            for d, h in facet_homology(cx, field).items():
                 if h:
                     i = d + len(support) + 1
                     best = i if best is None else min(best, i)
@@ -349,14 +450,14 @@ def brute_support_depth(G: Graph, n: int, field=None) -> int:
                 if {v for e in subset for v in e} != set(rest):
                     continue
                 Q = Graph.make(len(rest), [(pos[u], pos[v]) for u, v in subset])
-                for j in nonzero_degrees(reduced_homology(independence_complex(Q), field)):
+                for j in nonzero_degrees(facet_homology(independence_complex(Q), field)):
                     best = r - 2 - j if best is None else min(best, r - 2 - j)
     return best
 
 
 def independence_complex(G: Graph) -> SimplicialComplex:
     """Faces are the independent sets; Alexander dual of the cover complex."""
-    return _independence_complex(tuple(G.vertices()), G.edge_list)
+    return facet_independence_complex(G.vertices(), G.edge_list)
 
 
 def vertex_set(subset, vertex_count: int) -> tuple[int, ...]:
@@ -396,7 +497,7 @@ def brute_reg_edge_ideal(G: Graph, field=None) -> int:
             if not any(u in W and v in W for u, v in G.edges):
                 continue
             H, _ = induced_subgraph(G, W)
-            for j in nonzero_degrees(reduced_homology(independence_complex(H), field)):
+            for j in nonzero_degrees(facet_homology(independence_complex(H), field)):
                 best = j if best is None else max(best, j)
     return 2 + best
 

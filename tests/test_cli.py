@@ -48,6 +48,13 @@ def test_huge_prime_field_is_input_error(capsys):
     assert "2^31" in capsys.readouterr().err
 
 
+def test_non_ascii_field_digit_is_input_error(capsys):
+    code = main(["analyze", "--graph", "builtin:FIG3", "--field", "gf:\u0663",
+                 "--mode", "combinatorial"])
+    assert code == 2
+    assert "unrecognized field" in capsys.readouterr().err
+
+
 def test_oracle_mode_on_char16_refuses(capsys):
     code = main(["analyze", "--graph", "builtin:CHAR16", "--mode", "oracle"])
     assert code == 3

@@ -6,48 +6,61 @@ import pytest
 from coverdepth import complexes
 from coverdepth.complexes import (
     ComplexError,
-    SimplicialComplex,
     from_facets,
     nonzero_degrees,
     reduced_homology,
 )
 from coverdepth.linalg import PrimeField, Rationals, parse_field, rank
 from brute import (
+    SimplicialComplex,
     alexander_dual,
     dense_boundary,
     dual_homology_check,
+    face_masks,
     naive_rank,
     naive_rank_mod,
     sparse_rows,
 )
 
-RP2 = from_facets(6, [
+RP2_FACETS = [
     (1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
     (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6),
-])
+]
+RP2 = from_facets(6, RP2_FACETS)
 
-TRIANGLE = from_facets(3, [(1, 2), (2, 3), (1, 3)])
+TRIANGLE_FACETS = [(1, 2), (2, 3), (1, 3)]
+TRIANGLE = from_facets(3, TRIANGLE_FACETS)
 
 
 def random_complex(rng, m=5):
+    """A reference complex on {1..m} with up to six random facets."""
     facets = []
     for _ in range(rng.randint(1, 6)):
         size = rng.randint(1, m)
         facets.append(tuple(rng.sample(range(1, m + 1), size)))
-    return from_facets(m, facets)
+    return SimplicialComplex.make(range(1, m + 1), facets)
 
 
 def test_from_facets_domination():
     cx = from_facets(3, [(1, 2), (2, 3), (1, 3), (1,)])
-    assert cx.facets == TRIANGLE.facets
+    assert cx == TRIANGLE
 
 
 def test_void_and_irrelevant_distinct():
     void = from_facets(2, [])
     irr = from_facets(2, [()])
-    assert void.is_void and not irr.is_void
+    assert void == [] and irr == [[0]]
     assert void != irr
-    assert void.facets == () and irr.facets == (frozenset(),)
+
+
+def test_from_facets_matches_the_reference():
+    # every face of the facets, in the order the reference's faces_of_dim
+    # gives them, on RP^2, the triangle, void, {{}} and random complexes
+    cases = [(6, RP2_FACETS), (3, TRIANGLE_FACETS), (2, []), (2, [()])]
+    rng = random.Random(5)
+    cases += [(5, random_complex(rng).facets) for _ in range(20)]
+    for m, facets in cases:
+        assert from_facets(m, facets) == face_masks(SimplicialComplex.make(range(1, m + 1), facets)), facets
 
 
 def test_from_facets_range_check():
@@ -63,9 +76,9 @@ def test_alexander_dual_involution():
 
 
 def test_alexander_dual_full_simplex_is_void():
-    full = from_facets(3, [(1, 2, 3)])
+    full = SimplicialComplex.make(range(1, 4), [(1, 2, 3)])
     assert alexander_dual(full).is_void
-    assert alexander_dual(from_facets(3, [])) == full
+    assert alexander_dual(SimplicialComplex.make(range(1, 4), [])) == full
 
 
 def test_homology_circle():
@@ -102,17 +115,18 @@ def test_homology_rp2_by_field():
 
 
 def test_rp2_is_a_closed_surface():
-    triangles = RP2.faces_of_dim(2)
+    triangles = RP2[3]
     assert len(triangles) == 10
-    for e in combinations(range(1, 7), 2):
-        count = sum(1 for t in triangles if set(e) <= t)
+    for u, v in combinations(range(1, 7), 2):
+        edge = 1 << (u - 1) | 1 << (v - 1)
+        count = sum(1 for t in triangles if t & edge == edge)
         assert count == 2
 
 
 def test_rp2_ranks_against_naive_oracle():
     # rebuild the boundary matrices independently and rank them both ways
     for d in (1, 2):
-        rows = dense_boundary(RP2, d)
+        rows = dense_boundary(SimplicialComplex.make(range(1, 7), RP2_FACETS), d)
         assert rank(sparse_rows(rows), Rationals()) == naive_rank(rows)
         assert rank(sparse_rows(rows), PrimeField(2)) == naive_rank_mod(rows, 2)
 
@@ -122,17 +136,15 @@ def test_cones_are_acyclic_property():
     for _ in range(15):
         cx = random_complex(rng, m=5)
         if not frozenset.intersection(*cx.facets):  # no vertex lies in every facet
-            cone = SimplicialComplex.make(
-                tuple(cx.ground) + (9,), [set(f) | {9} for f in cx.facets]
-            )
+            cone = [set(f) | {9} for f in cx.facets]
         else:
-            cone = cx
-        assert nonzero_degrees(reduced_homology(cone)) == []
+            cone = cx.facets
+        assert nonzero_degrees(reduced_homology(from_facets(9, cone))) == []
 
 
 def test_dual_homology_identity_property():
     rng = random.Random(29)
-    assert dual_homology_check(TRIANGLE)
+    assert dual_homology_check(SimplicialComplex.make(range(1, 4), TRIANGLE_FACETS))
     for _ in range(20):
         cx = random_complex(rng, m=6)
         assert dual_homology_check(cx)
@@ -193,3 +205,7 @@ def test_field_parsing():
         parse_field("complex")
     with pytest.raises(ValueError, match=r"unrecognized field 'gf:x' \(use 'q' or 'gf:<p>'\)"):
         parse_field("gf:x")
+    # int() reads Arabic-Indic and fullwidth digits, but a field is ASCII
+    for text in ("gf:\u0663", "gf:\uff13"):
+        with pytest.raises(ValueError, match=r"unrecognized field .* \(use 'q' or 'gf:<p>'\)"):
+            parse_field(text)

@@ -11,6 +11,8 @@ import pytest
 import coverdepth
 
 from coverdepth import depth
+from coverdepth.complexes import reduced_homology
+from coverdepth.degree import _independence_complex
 from coverdepth.depth import (
     _fold,
     _frontier_order,
@@ -42,6 +44,9 @@ from brute import (
     brute_support_depth,
     brute_symbolic_depth,
     dense_boundary,
+    face_masks,
+    facet_homology,
+    facet_independence_complex,
     independence_complex,
     naive_rank,
     naive_rank_mod,
@@ -366,8 +371,30 @@ def test_reg_against_hochster_formula():
             assert reg_edge_ideal(G, field) == brute_reg_edge_ideal(G, field), (G.edge_list, field)
 
 
+def test_mask_faces_match_the_facet_pipeline():
+    # the library lists Ind's faces from masks, the reference derives them
+    # from the facets: the same faces in the same order, and the same
+    # homology over Q, GF(2) and GF(3), also on cones (an isolated vertex)
+    # and on no vertex, whose Ind is {{}}
+    fields = (Rationals(), PrimeField(2), PrimeField(3))
+    graphs = _hochster_graphs()
+    cases = [(tuple(G.vertices()), G.edge_list) for G in graphs]
+    cones = [(tuple(G.vertices()) + (G.vertex_count + 1,), G.edge_list) for G in graphs[30:]]
+    for verts, edges in cases + cones + [((), [])]:
+        faces = _independence_complex(verts, edges)
+        ref = facet_independence_complex(verts, edges)
+        assert faces == face_masks(ref), (verts, edges)
+        for field in fields:
+            assert reduced_homology(faces, field) == facet_homology(ref, field), (verts, edges, field)
+    for verts, edges in cones:
+        for field in fields:
+            assert not any(reduced_homology(_independence_complex(verts, edges), field).values())
+    assert _independence_complex((), []) == [[0]]
+    assert reduced_homology([[0]]) == facet_homology(facet_independence_complex((), [])) == {-1: 1}
+
+
 def test_boundary_ranks_of_ind_against_naive():
-    # the dense engine behind the kernel tests reads its ranks from
+    # the facet pipeline behind the kernel tests reads its ranks from
     # linalg.rank, so every boundary matrix of Ind(G), built here as a dense
     # matrix, is also ranked by the Fraction and mod-p references
     for G in _hochster_graphs():
@@ -460,7 +487,7 @@ def test_acyclic_component_makes_the_union_acyclic(empty_memo):
 
 
 def test_reduced_kernel_matches_dense(monkeypatch):
-    # the fold, cone and component rules against the dense engine with no
+    # the fold, cone and component rules against the facet pipeline with no
     # memo, over Q and GF(2): every edge set the grid search returns for
     # n = 1..3 on seeded random graphs with r <= 9 and for n = 1..sdstab on
     # the bound sweep's graphs, and every link that reg_edge_ideal reads on
