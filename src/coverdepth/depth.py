@@ -26,34 +26,32 @@ that leaves a vertex of V - S uncovered (a cone) is the set that
 distinct E stands for the support V - V(E) and cones need no filter; (3)
 i = r - 2 - j >= |S| = r - |V(E)|, since Ind(E) on V(E) has dimension at
 most |V(E)| - 2; (4) a tighter ceiling holds over every field: j + 2 <=
-reg I(E) by Hochster's formula (1977), and reg I(E) <= nu(E) + 1 <=
-floor(|V(E)|/2) + 1 (Ha and Van Tuyl, J. Algebraic Combin. 2008), so
-i >= r - 1 - floor(|V(E)|/2).  Neither bound falls as |V(E)| falls, so
-visiting E by descending |V(E)| and stopping once (4) reaches the best
-value loses nothing; (5) reg I(E) <= |M| + 1 for every maximal matching M
-of E, over every field (Woodroofe, J. Commut. Algebra 2014), so
-i >= r - 1 - |M|, and a visited E whose greedy maximal matching has
-r - 1 - |M| >= best is skipped.  The greedy takes vertices by descending
-degree and stops once |M| is too large to skip.  The grid is searched
-vertex by vertex.  A state is the tuple of values of the frontier (placed
-vertices with an unplaced neighbour) and holds the distinct bit codes of
-the edges decided so far; equal states merge.  Placing a vertex, each state
-buckets the edges it closes by the earlier end's value, and a running OR
-gives the mask of edges each value adds.  The search returns bit codes;
-|V(E)| is read from a table per byte of code.  A visited set is held as bit
-masks, vertex -> mask of its neighbours, read straight from the code; every
-mask in this module puts vertex v at bit v - 1, as ``Graph.neighbor_masks``
-does.  ``_top_degree`` reduces the masks before any homology: (a) fold,
-deleting v while N(u) lies in N(v) for some u != v, which keeps the
-homotopy type; (b) cone, a vertex left with no neighbour makes the set
-acyclic; (c) components, what is left splits into connected parts; (d)
-join, a disjoint union gives the join of the parts' complexes, so over a
-field their top degrees add, plus one per extra part.  ``reg_edge_ideal``
-hands each link to the same reduction, as the masks of G cut to
-V - N[F].  Fold before the memo; the memo holds parts: a cone builds no
-edge set, a lone edge has top 0, and only a connected part with more than
-one edge that no fold shrinks is built and read through the bounded memo
-in front of the exact homology, whose faces are listed straight from masks.
+reg I(E) by Hochster's formula (1977), and reg I(E) <= |M| + 1 for every
+maximal matching M of E (Woodroofe, J. Commut. Algebra 2014), so
+i >= r - 1 - |M|.  M is read off the bit code: the edge bits are numbered
+by descending degree sum in G, and the lowest edge bit left is kept while
+every edge that meets it is dropped.  Visiting E by descending |M| and
+stopping once r - 1 - |M| reaches the best value loses nothing, since the
+ceiling does not fall along the visit.  The grid is searched vertex by
+vertex.  A state is the tuple of values of the frontier (placed vertices
+with an unplaced neighbour) and holds the distinct bit codes of the edges
+decided so far; equal states merge.  Placing a vertex, each state buckets
+the edges it closes by the earlier end's value, and a running OR gives the
+mask of edges each value adds.  The search returns bit codes.  A visited
+set is held as bit masks, vertex -> mask of its neighbours, read straight
+from the code; every mask in this module puts vertex v at bit v - 1, as
+``Graph.neighbor_masks`` does.  ``_top_degree`` reduces the masks before
+any homology: (a) fold, deleting v while N(u) lies in N(v) for some
+u != v, which keeps the homotopy type; (b) cone, a vertex left with no
+neighbour makes the set acyclic; (c) components, what is left splits into
+connected parts; (d) join, a disjoint union gives the join of the parts'
+complexes, so over a field their top degrees add, plus one per extra part.
+``reg_edge_ideal`` hands each link to the same reduction, as the masks of
+G cut to V - N[F].  Fold before the memo; the memo holds parts: a cone
+builds no edge set, a lone edge has top 0, and only a connected part with
+more than one edge that no fold shrinks is built and read through the
+bounded memo in front of the exact homology, whose faces are listed
+straight from masks.
 """
 
 from __future__ import annotations
@@ -166,39 +164,6 @@ def _fold(nbr: dict[int, int]) -> Optional[list[int]]:
         left &= ~part
         parts.append(part)
     return parts
-
-
-def _greedy_matching(nbr: dict[int, int], room: int) -> list[tuple[int, int]]:
-    """A maximal matching of the graph given as vertex -> neighbour mask, or
-    its first room + 1 edges.  Vertices are taken by descending degree (the
-    greatest vertex first on a tie), and each unmatched one is matched to
-    its unmatched neighbour of highest degree, the greatest on a tie.
-    Vertices of one degree share a mask, so the choices are bit operations."""
-    level: dict[int, int] = {}  # degree -> mask of the vertices of that degree
-    for v, Nv in nbr.items():
-        d = Nv.bit_count()
-        level[d] = level.get(d, 0) | 1 << (v - 1)
-    levels = [level[d] for d in sorted(level, reverse=True)]
-    matched = 0
-    pairs: list[tuple[int, int]] = []
-    for todo in levels:
-        todo &= ~matched
-        while todo:
-            v = todo.bit_length()
-            todo ^= 1 << (v - 1)
-            free = nbr[v] & ~matched
-            if not free:
-                continue
-            for mask in levels:
-                if free & mask:
-                    break
-            w = (free & mask).bit_length()
-            matched |= 1 << (v - 1) | 1 << (w - 1)
-            todo &= ~matched
-            pairs.append((v, w))
-            if len(pairs) > room:
-                return pairs
-    return pairs
 
 
 def _max_nonzero_degree(edge_key: frozenset, field: FieldSpec) -> Optional[int]:
@@ -331,41 +296,37 @@ def depth_symbolic(G: Graph, n: int, field: FieldSpec = Rationals(), *,
     """depth of R modulo the n-th symbolic power of the cover ideal.
 
     One search over the grid {0..n}^V stands for every negative support;
-    the module's "Oracle layout" gives the argument (1)-(5) that makes it
-    exact.  The grid gives bit codes; |V(E)| is read per code from a table,
-    per byte of the code, of the vertices that byte's edges cover.  The
-    distinct edge sets E are visited by ascending support size r - |V(E)|,
-    in ascending bit code within one size.  The one stop rule is the
-    ceiling (4): the visit ends once r - 1 - floor(|V(E)|/2) reaches the
+    the module's "Oracle layout" gives the argument (1)-(4) that makes it
+    exact.  Each bit code from the grid is read once, for the size of its
+    bit-order maximal matching M, and the distinct edge sets E are visited
+    by descending |M|, in ascending bit code within one size.  The one stop
+    rule is the ceiling (4): the visit ends once r - 1 - |M| reaches the
     best value, since no later edge set can lower it.  The least possible
     depth needs no rule of its own: once the best is 1 (0 when r = 2), the
-    ceiling is at least the best for every edge set.  A visited E gets its
-    neighbour masks from the code; once a best exists it is skipped by the
-    ceiling (5) when its greedy maximal matching leaves r - 1 - |M| >= best,
-    and otherwise its top degree comes from ``_top_degree``.
+    ceiling is at least the best for every edge set.  Every set before the
+    stop is decoded into neighbour masks and gets its top degree from
+    ``_top_degree``.
     """
     if n < 1:
         raise ValueError(f"power must be >= 1, got {n}")
     _check_budget(G, n, budget, force)
     r = G.vertex_count
-    edges = G.edge_list
-    tables = []  # tables[b][byte]: the vertices covered by the edges that byte b of a code holds
-    for lo in range(0, len(edges), 8):
-        table = [0]
-        for u, v in edges[lo:lo + 8]:
-            table += [m | 1 << (u - 1) | 1 << (v - 1) for m in table]
-        tables.append(table)
-    visits = []  # (|V(E)|, code of E)
-    for code in _qualifying_subsets(list(_frontier_order(G)), list(edges), n, n):
-        covered, byte = 0, code
-        for table in tables:
-            covered |= table[byte & 255]
-            byte >>= 8
-        visits.append((covered.bit_count(), code))
+    # edge bits by descending degree sum in G, so the bit-order greedy takes
+    # the edges that cover most first
+    edges = sorted(G.edge_list, key=lambda e: -len(G.neighbors[e[0]]) - len(G.neighbors[e[1]]))
+    ends = [1 << (u - 1) | 1 << (v - 1) for u, v in edges]
+    meets = [sum(1 << i for i, other in enumerate(ends) if other & end) for end in ends]
+    visits = []  # (|M| for the bit-order maximal matching M of E, code of E)
+    for code in _qualifying_subsets(list(_frontier_order(G)), edges, n, n):
+        size, rest = 0, code
+        while rest:  # the lowest edge left has two free ends
+            size += 1
+            rest &= ~meets[(rest & -rest).bit_length() - 1]
+        visits.append((size, code))
     visits.sort(key=lambda visit: -visit[0])  # stable, so ascending bit code within one size
     best: Optional[int] = None
-    for covered, code in visits:
-        if best is not None and r - 1 - covered // 2 >= best:
+    for size, code in visits:
+        if best is not None and r - 1 - size >= best:
             break
         nbr: dict[int, int] = {}
         rest = code
@@ -375,8 +336,6 @@ def depth_symbolic(G: Graph, n: int, field: FieldSpec = Rationals(), *,
             nbr[u] = nbr.get(u, 0) | 1 << (v - 1)
             nbr[v] = nbr.get(v, 0) | 1 << (u - 1)
             rest ^= low
-        if best is not None and len(_greedy_matching(nbr, r - 1 - best)) <= r - 1 - best:
-            continue
         top = _top_degree(nbr, field)
         if top is not None and (best is None or r - 2 - top < best):
             best = r - 2 - top
@@ -401,8 +360,9 @@ def reg_edge_ideal(G: Graph, field: FieldSpec = Rationals(), *,
     Ind(G) is listed."""
     _check_budget(G, 1, budget, force)  # the link scan costs what the n = 1 oracle does
     # Unlike depth_symbolic's visit, the scan is not cut by the ceiling
-    # reg I(H) <= nu(H) + 1: it is the independent reference for the n = 1
-    # duality, and the analyzer's regularity-upper check tests that ceiling.
+    # reg I(H) <= |M| + 1 for a maximal matching M: it is the independent
+    # reference for the n = 1 duality, and the analyzer's regularity-upper
+    # check tests reg I(H) <= nu(H) + 1, which that ceiling implies.
     masks = G.neighbor_masks
     closed_masks = {0}  # N[{}] is empty
     for v in G.vertices():

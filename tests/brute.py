@@ -12,8 +12,9 @@ boundary rank) with no reduction and no memo.
 It also holds the reference side of the algebra that the library itself no
 longer needs: complexes as facet antichains of frozensets, the cover
 complex, Alexander duality, degree complexes, membership in symbolic powers,
-the independence complex of a whole graph and induced subgraphs, and the
-set-based greedy order that the grid search's bit-mask order must reproduce.
+the independence complex of a whole graph and induced subgraphs, the
+set-based greedy order that the grid search's bit-mask order must reproduce,
+and the in-order maximal matching that the oracle's visit reads off a code.
 """
 
 from __future__ import annotations
@@ -138,6 +139,18 @@ def edges_disjoint(edges) -> bool:
             return False
         seen.update((u, v))
     return True
+
+
+def bit_order_matching(edges) -> list[tuple[int, int]]:
+    """The maximal matching that takes the edges in the given order and keeps
+    each one whose two ends are still free, on vertex sets."""
+    matched: set[int] = set()
+    kept = []
+    for u, v in edges:
+        if u not in matched and v not in matched:
+            matched.update((u, v))
+            kept.append((u, v))
+    return kept
 
 
 def brute_matchings(G: Graph, size: int):

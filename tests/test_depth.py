@@ -16,7 +16,6 @@ from coverdepth.degree import _independence_complex
 from coverdepth.depth import (
     _fold,
     _frontier_order,
-    _greedy_matching,
     _qualifying_subsets,
     _top_degree,
     BudgetRefusal,
@@ -37,6 +36,7 @@ from coverdepth.linalg import PrimeField, Rationals, rank
 from coverdepth.matchings import has_perfect_ordered_matching
 from coverdepth.verification import _duality_instances
 from brute import (
+    bit_order_matching,
     brute_frontier_order,
     brute_qualifying_subsets,
     dense_max_nonzero_degree,
@@ -258,7 +258,7 @@ def _edges_of(nbr):
 @pytest.fixture
 def fold_visits(monkeypatch):
     """The edge sets that depth_symbolic's visit hands to the fold, in order:
-    every set that passes both cuts."""
+    every set before the ceiling cut."""
     fold, visited = depth._fold, []
 
     def recording_fold(nbr):
@@ -269,12 +269,18 @@ def fold_visits(monkeypatch):
     return visited
 
 
+def _degree_sum_order(G):
+    """G's edges by descending degree sum, ties in ``edge_list`` order: the
+    numbering of the edge bits in depth_symbolic's visit."""
+    return sorted(G.edge_list, key=lambda e: -(len(G.neighbors[e[0]]) + len(G.neighbors[e[1]])))
+
+
 def test_matching_ceiling_cut_skips_edge_sets(fold_visits):
-    # the visit stops once r - 1 - floor(|V(E)|/2) reaches the best value (4)
-    # and skips E once r - 1 - |M| does, for its greedy maximal matching M
-    # (5).  The sets that reach the fold are fewer than the former rule, stop
-    # once r - |V(E)| exceeds the best, visits (every E with r - |V(E)| <=
-    # depth), and fewer than the ceiling (4) alone lets through
+    # the visit stops once r - 1 - |M| reaches the best value, for the
+    # bit-order maximal matching M of each set (ceiling (4)).  The sets that
+    # reach the fold are fewer than the former rule, stop once r - |V(E)|
+    # exceeds the best, visits (every E with r - |V(E)| <= depth), and fewer
+    # than the looser ceiling r - 1 - floor(|V(E)|/2) lets through
     for G in _dense_graphs() + [cycle_graph(7), cycle_graph(8)]:
         r = G.vertex_count
         grid = _decode(_qualifying_subsets(list(_frontier_order(G)), list(G.edge_list), 2, 2), G.edge_list)
@@ -287,49 +293,43 @@ def test_matching_ceiling_cut_skips_edge_sets(fold_visits):
 
 
 def test_visit_takes_decoded_sets_by_size_then_code(fold_visits):
-    # the edge sets that depth_symbolic folds are the grid's codes decoded,
-    # in descending |V(E)| and then ascending code, cut exactly where the
-    # ceiling r - 1 - floor(|V(E)|/2) reaches the best (4), less the sets
-    # whose greedy maximal matching M has r - 1 - |M| >= best (5); no set
-    # that (5) skips could have lowered the best
+    # the edge sets that depth_symbolic folds are the grid's codes, with the
+    # edge bits numbered by descending degree sum, in descending size of the
+    # bit-order maximal matching M and then ascending code, cut exactly where
+    # r - 1 - |M| reaches the best (4); no set cut away could have lowered
+    # the best
     for G in _dense_graphs() + [cycle_graph(7)]:
-        r, edges = G.vertex_count, G.edge_list
-        codes = _qualifying_subsets(list(_frontier_order(G)), list(edges), 2, 2)
-        expected, skipped, best = [], [], None
-        for _, E in sorted(zip(codes, _decode(codes, edges)), key=lambda ce: (-_covered(ce[1]), ce[0])):
-            if best is not None and r - 1 - _covered(E) // 2 >= best:
+        r, induced = G.vertex_count, _degree_sum_order(G)
+        codes = _qualifying_subsets(list(_frontier_order(G)), induced, 2, 2)
+        visits = sorted(((len(bit_order_matching(E)), code, E) for code, E in zip(codes, _decode(codes, induced))),
+                        key=lambda visit: (-visit[0], visit[1]))
+        expected, best = [], None
+        for size, _, E in visits:
+            if best is not None and r - 1 - size >= best:
                 break
-            if best is not None and len(_greedy_matching(_neighbour_masks(E), r - 1 - best)) <= r - 1 - best:
-                skipped.append(E)
-                continue
             expected.append(frozenset(E))
             j = dense_max_nonzero_degree(frozenset(E), Rationals())
             if j is not None and (best is None or r - 2 - j < best):
                 best = r - 2 - j
+        cut = [E for _, _, E in visits[len(expected):]]
         fold_visits.clear()
         assert depth_symbolic(G, 2, Rationals()) == best
         assert fold_visits == expected, G.edge_list
-        assert skipped and len(expected) + len(skipped) < len(codes), G.edge_list
-        for E in skipped:
+        assert cut, G.edge_list
+        for E in cut:
             j = dense_max_nonzero_degree(frozenset(E), Rationals())
             assert j is None or r - 2 - j >= best, (G.edge_list, E)
 
 
-def test_greedy_matching_is_maximal_and_stops_at_room():
-    # the helper's pairs are disjoint edges and every edge touches one; with
-    # room k below the full size it returns the first k + 1 pairs only
-    rng = random.Random(311)
-    graphs = [random_small_graph(rng, max_r=8) for _ in range(40)]
-    graphs += [cycle_graph(7), Graph.make(6, combinations(range(1, 7), 2))]
-    for G in graphs:
-        E = G.edge_list
-        full = _greedy_matching(_neighbour_masks(E), len(E))
-        matched = [v for pair in full for v in pair]
-        assert len(matched) == len(set(matched)), E
-        assert all(tuple(sorted(pair)) in G.edges for pair in full), E
-        assert all(u in matched or v in matched for u, v in E), E
-        for room in range(len(full)):
-            assert _greedy_matching(_neighbour_masks(E), room) == full[:room + 1], (E, room)
+def test_r11_case_depths_under_the_default_budget():
+    # ROADMAP's r=11 case (28 edges, nu0 = 4): at n = 3 the grid returns
+    # about 400,000 codes and the visit stops at the matching ceiling
+    rng = random.Random(5)
+    r = rng.randint(11, 11)
+    p = rng.uniform(0.2, 0.6)
+    G = Graph.make(r, [(u, v) for u in range(1, r + 1) for v in range(u + 1, r + 1) if rng.random() < p])
+    assert len(G.edges) == 28
+    assert [depth_symbolic(G, n) for n in (1, 2, 3)] == [8, 7, 6]
 
 
 def test_depth_against_naive_takayama_enumeration():
@@ -515,7 +515,10 @@ def test_reduced_kernel_matches_dense(monkeypatch):
     for key in edge_sets:
         ceiling = len({v for e in key for v in e}) // 2 - 1  # j + 2 <= reg I(E) <= nu(E) + 1
         # Woodroofe: reg I(E) <= |M| + 1 for every maximal matching M
-        match_ceiling = len(_greedy_matching(_neighbour_masks(key), len(key))) - 1
+        M = bit_order_matching(sorted(key))
+        matched = {v for e in M for v in e}
+        assert len(matched) == 2 * len(M) and all(u in matched or v in matched for u, v in key), sorted(key)
+        match_ceiling = len(M) - 1
         for field in (Rationals(), PrimeField(2)):
             dense = dense_max_nonzero_degree(key, field)
             assert _top_degree(_neighbour_masks(key), field) == dense, (sorted(key), field)
@@ -632,7 +635,7 @@ def test_qualifying_subsets_beyond_64_edges():
     # the vertices valued 1 fix the set: at most one of them leaves every
     # edge, all twelve leave none, and every other choice is its own set
     assert len(got) == 2 ** 12 - 13
-    # the oracle's visit reads |V(E)| from one table per byte of code: nine here
+    # the oracle's visit reads a maximal matching off codes of 66 edge bits
     assert depth_symbolic(G, 1) == 12 - reg_edge_ideal(G) == 10
 
 
