@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .graphs import Graph, GraphError, cycle_graph, path_graph
+from .graphs import Graph, GraphError, _ascii_int, cycle_graph, path_graph
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ def random_forests(seed: int, count: int, max_r: int) -> Iterator[FamilyInstance
         yield FamilyInstance(f"forest-seed{seed}-{i}", random_forest(rng, max_r), seed)
 
 
-_RANGE_RE = re.compile(r"^(\d+)\.\.(\d+)$")
+_RANGE_RE = re.compile(r"^(\d+)\.\.(\d+)$", re.ASCII)
 
 
 def _parse_kv(tokens: list[str], required: tuple[str, ...]) -> dict[str, int]:
@@ -78,7 +78,7 @@ def _parse_kv(tokens: list[str], required: tuple[str, ...]) -> dict[str, int]:
         if k in out:
             raise ValueError(f"repeated key {k!r} in family spec")
         try:
-            out[k] = int(v)
+            out[k] = _ascii_int(v)
         except ValueError:
             raise ValueError(f"value of {k!r} must be an integer in family spec, got {v!r}") from None
     missing = [k for k in required if k not in out]

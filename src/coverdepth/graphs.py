@@ -35,6 +35,15 @@ def _normalize_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _ascii_int(token: str) -> int:
+    """``int(token)`` for an optional sign and ASCII digits only; ``int``
+    alone also reads other Unicode digits and ``_`` separators."""
+    digits = token[1:] if token[:1] in ("+", "-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid integer {token!r}")
+    return int(token)
+
+
 def _add_edge(u: int, v: int, vertex_count: int, seen: set[Edge]) -> None:
     """Add the normalized edge to ``seen`` once it passes the loop, range and
     duplicate checks; the one edge check of ``Graph.make`` and ``parse_graph``."""
@@ -59,6 +68,9 @@ class Graph:
     def __post_init__(self) -> None:
         if not self.edges:
             raise GraphError("a graph needs at least one edge")
+        for u, v in self.edges:  # an edge inside 1..r also means r >= 2
+            if not 1 <= u < v <= self.vertex_count:
+                raise GraphError(f"edge ({u},{v}) is not (u, v) with 1 <= u < v <= {self.vertex_count}")
 
     @staticmethod
     def make(vertex_count: int, edges: Iterable[Sequence[int]]) -> "Graph":
@@ -124,7 +136,7 @@ def parse_graph(text: str) -> Graph:
             if len(parts) != 3:
                 raise GraphParseError(line_no, f"malformed header {line!r}")
             try:
-                r, m = int(parts[1]), int(parts[2])
+                r, m = _ascii_int(parts[1]), _ascii_int(parts[2])
             except ValueError:
                 raise GraphParseError(line_no, f"malformed header {line!r}") from None
             if r < 1 or m < 0:
@@ -138,7 +150,7 @@ def parse_graph(text: str) -> Graph:
             if len(parts) != 3:
                 raise GraphParseError(line_no, f"malformed edge line {line!r}")
             try:
-                u, v = int(parts[1]), int(parts[2])
+                u, v = _ascii_int(parts[1]), _ascii_int(parts[2])
             except ValueError:
                 raise GraphParseError(line_no, f"malformed edge line {line!r}") from None
             try:
@@ -209,7 +221,7 @@ def family_graph(s: int) -> Graph:
     return Graph.make(4 * s, sorted(edges))
 
 
-_FAM_RE = re.compile(r"^FAM\((\d+)\)$")
+_FAM_RE = re.compile(r"^FAM\((\d+)\)$", re.ASCII)
 
 
 def builtin_graph(name: str) -> Graph:

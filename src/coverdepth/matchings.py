@@ -4,11 +4,12 @@ An ordered matching is an indexed list of oriented pairs (u_i, v_i) whose
 free side {u_1..u_s} is independent and whose cross edges {u_i, v_j} only
 run forward (i <= j).  Orientation + pair set determine the object; a
 canonical (lexicographically smallest) valid index order is stored.
+``_max_ordered`` finds the largest in one search over matchings and their
+orientations, cut only where no orientation can be completed.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, Optional, Sequence
@@ -159,54 +160,22 @@ def is_ordered_matching(G: Graph, pairs: Sequence[Sequence[int]]) -> bool:
 
 
 def _canonical_order(G: Graph, oriented: tuple[Pair, ...]) -> Optional[tuple[Pair, ...]]:
-    """Lexicographically smallest topological order of the pair digraph, or None."""
-    n = len(oriented)
-    succ: list[set[int]] = [set() for _ in range(n)]
-    indeg = [0] * n
-    for a, (u, _) in enumerate(oriented):
-        for b, (_, w) in enumerate(oriented):
-            if a != b and G.has_edge(u, w):
-                if b not in succ[a]:
-                    succ[a].add(b)
-                    indeg[b] += 1
-    heap = [(oriented[i], i) for i in range(n) if indeg[i] == 0]
-    heapq.heapify(heap)
-    out: list[Pair] = []
-    while heap:
-        pair, i = heapq.heappop(heap)
-        out.append(pair)
-        for b in succ[i]:
-            indeg[b] -= 1
-            if indeg[b] == 0:
-                heapq.heappush(heap, (oriented[b], b))
-    if len(out) != n:
-        return None
-    return tuple(out)
-
-
-def _ordered_matchings_of_pair_set(G: Graph, edges: frozenset[Edge]) -> tuple[OrderedMatching, ...]:
-    """All valid orientations of one matching, each with its canonical order."""
-    edge_list = sorted(edges)
+    """Least valid index order of an oriented pair set, or None: take the
+    least pair (u, w) whose w no other remaining free vertex sees; such a
+    pair stays takeable as others go, so this greedy order is the least."""
     masks = G.neighbor_masks
-    found: list[OrderedMatching] = []
-
-    def rec(idx: int, free_mask: int, oriented: list[Pair]) -> None:
-        if idx == len(edge_list):
-            order = _canonical_order(G, tuple(sorted(oriented)))
-            if order is not None:
-                found.append(OrderedMatching(order))
-            return
-        u, v = edge_list[idx]
-        for f, p in ((u, v), (v, u)):
-            fbit = 1 << (f - 1)
-            if masks[f] & free_mask:
-                continue  # f adjacent to an already chosen free vertex
-            oriented.append((f, p))
-            rec(idx + 1, free_mask | fbit, oriented)
-            oriented.pop()
-
-    rec(0, 0, [])
-    return tuple(sorted(found, key=lambda om: om.pairs))
+    rest = sorted(oriented)
+    free = sum(1 << (u - 1) for u, _ in rest)
+    out: list[Pair] = []
+    while rest:
+        for i, (u, w) in enumerate(rest):
+            if not masks[w] & free & ~(1 << (u - 1)):
+                break
+        else:
+            return None
+        out.append(rest.pop(i))
+        free ^= 1 << (u - 1)
+    return tuple(out)
 
 
 # The analyzer, the path bound, the certificate, the oracle and the stability
@@ -215,16 +184,45 @@ def _ordered_matchings_of_pair_set(G: Graph, edges: frozenset[Edge]) -> tuple[Or
 @lru_cache(maxsize=64)
 def _max_ordered(G: Graph) -> tuple[tuple[frozenset[Edge], tuple[OrderedMatching, ...]], ...]:
     """Every maximum pair set that has a valid orientation, in ``sorted``
-    order, each with its valid orientations.  The scan always returns by
-    size 1, since a lone edge is an ordered matching."""
+    order, each with its valid orientations in ``sorted`` order.
+
+    One search per size from nu down lists each matching once, branching on
+    the lowest active vertex, and each orientation once, taking each chosen
+    edge both ways.  It cuts a branch when the vertices left cannot match
+    the pairs still needed, or when the new free vertex sees an earlier one:
+    independence is hereditary, so that orientation extends to no ordered
+    matching.  Size 1 always returns, since a lone edge is ordered.
+    """
+    masks = G.neighbor_masks
+    matching_number_on = _matching_number_on(G)
+    found: dict[frozenset[Edge], list[OrderedMatching]] = {}
+
+    def rec(avail: int, free: int, oriented: tuple[Pair, ...], need: int) -> None:
+        if need == 0:
+            order = _canonical_order(G, oriented)
+            if order is not None:
+                om = OrderedMatching(order)
+                found.setdefault(om.edge_set, []).append(om)
+            return
+        if matching_number_on(avail) < need:
+            return
+        v = _lowest_active(G, avail)
+        vbit = 1 << (v - 1)
+        nbrs = masks[v] & avail
+        while nbrs:
+            wbit = nbrs & -nbrs
+            nbrs ^= wbit
+            w = wbit.bit_length()
+            for u, ubit, partner in ((v, vbit, w), (w, wbit, v)):
+                if not masks[u] & free:
+                    rec(avail ^ vbit ^ wbit, free | ubit, oriented + ((u, partner),), need - 1)
+        rec(avail ^ vbit, free, oriented, need)  # leave v unmatched
+
     for s in range(matching_number(G), 0, -1):
-        found = []
-        for m in iter_matchings(G, s):
-            oms = _ordered_matchings_of_pair_set(G, m)
-            if oms:
-                found.append((m, oms))
+        rec((1 << G.vertex_count) - 1, 0, (), s)
         if found:
-            return tuple(sorted(found, key=lambda item: sorted(item[0])))
+            groups = ((m, tuple(sorted(oms, key=lambda om: om.pairs))) for m, oms in found.items())
+            return tuple(sorted(groups, key=lambda item: sorted(item[0])))
 
 
 def ordered_matching_number(G: Graph) -> int:

@@ -19,6 +19,7 @@ and the in-order maximal matching that the oracle's visit reads off a code.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -513,6 +514,14 @@ def brute_reg_edge_ideal(G: Graph, field=None) -> int:
             for j in nonzero_degrees(facet_homology(independence_complex(H), field)):
                 best = j if best is None else max(best, j)
     return 2 + best
+
+
+def seeded_gnp(seed: int, r: int, p: float) -> Graph:
+    """G(r, p) from ``random.Random(seed)``: each pair u < v, in ascending
+    order, is kept when ``rng.random() < p``."""
+    rng = random.Random(seed)
+    return Graph.make(r, [(u, v) for u in range(1, r + 1) for v in range(u + 1, r + 1)
+                          if rng.random() < p])
 
 
 def random_small_graph(rng, max_r: int = 6) -> Graph:

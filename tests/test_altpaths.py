@@ -17,8 +17,7 @@ from coverdepth.matchings import (
     OrderedMatching,
     enumerate_max_ordered_matchings,
     has_perfect_ordered_matching,
-    _ordered_matchings_of_pair_set,
-    max_ordered_pair_sets,
+    _max_ordered,
 )
 from brute import brute_walk_length, random_small_graph
 
@@ -71,10 +70,10 @@ def test_walk_against_brute_enumeration():
     checked = 0
     for _ in range(30):
         G = random_small_graph(rng, max_r=6)
-        sets = max_ordered_pair_sets(G)
-        if not sets:
+        groups = _max_ordered(G)
+        if not groups:
             continue
-        om = _ordered_matchings_of_pair_set(G, sets[0])[0]
+        om = groups[0][1][0]  # first orientation of the first pair set
         checked += 1
         assert walk_length(G, om) == brute_walk_length(G, om.pairs)
     assert checked >= 20
@@ -103,11 +102,8 @@ def test_length_invariant_across_orientations():
     rng = random.Random(83)
     for _ in range(25):
         G = random_small_graph(rng, max_r=7)
-        for pair_set in max_ordered_pair_sets(G):
-            values = {
-                alt_path_length(G, om)
-                for om in _ordered_matchings_of_pair_set(G, pair_set)
-            }
+        for _, oms in _max_ordered(G):
+            values = {alt_path_length(G, om) for om in oms}
             assert len(values) == 1
 
 

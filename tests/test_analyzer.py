@@ -16,6 +16,7 @@ from coverdepth.families import parse_family_spec
 from coverdepth.graphs import Graph, builtin_graph, cycle_graph, path_graph
 from coverdepth.linalg import PrimeField
 from coverdepth.matchings import _max_ordered
+from brute import seeded_gnp
 
 
 def test_closed_forms():
@@ -143,6 +144,20 @@ def test_analyze_enumerates_ordered_matchings_once():
     assert report.method == "equality-class"
     assert report.walk_length is not None
     assert _max_ordered.cache_info().misses == 1
+
+
+def test_dense_g16_combinatorial_pins():
+    # seeded G(16, 0.6): nu = 8 with a small nu0, so nearly every matching of
+    # each size from nu down has no valid orientation
+    for seed, edges, invariants, sets, orientations in ((0, 62, (8, 4, 5), 453, 1241),
+                                                       (1, 76, (8, 3, 3), 778, 1913)):
+        G = seeded_gnp(seed, 16, 0.6)
+        assert len(G.edges) == edges
+        report = analyze(G, options=AnalyzeOptions(mode="combinatorial"))
+        assert (report.nu, report.nu0, report.alt_path_length) == invariants
+        assert report.method == "not computed (combinatorial)"
+        groups = _max_ordered(G)
+        assert (len(groups), sum(len(oms) for _, oms in groups)) == (sets, orientations)
 
 
 def test_module_level_memos_are_bounded():
@@ -332,6 +347,12 @@ def test_family_spec_parsing():
         parse_family_spec("forests count=3.5 maxr=5")
     with pytest.raises(ValueError, match="count must be >= 0"):
         parse_family_spec("graphs count=-3 maxr=5")
+    with pytest.raises(ValueError, match="expected 'paths A..B'"):
+        parse_family_spec("paths \u0662..\u0664")  # Arabic-Indic digits
+    for seed in ("\u0661", "1_0"):
+        with pytest.raises(ValueError, match="value of 'seed' must be an integer"):
+            parse_family_spec(f"graphs seed={seed} count=2 maxr=4")
+    assert parse_family_spec("graphs seed=-1 count=+2 maxr=4") == parse_family_spec("graphs seed=-1 count=2 maxr=4")
     assert parse_family_spec("forests count=0 maxr=2") == []
     assert {inst.graph.vertex_count for inst in parse_family_spec("graphs count=5 maxr=2")} == {2}
 

@@ -31,6 +31,8 @@ def test_analyze_missing_file_is_input_error(capsys):
 
 def test_analyze_bad_builtin_is_input_error(capsys):
     assert main(["analyze", "--graph", "builtin:FIG9"]) == 2
+    assert main(["analyze", "--graph", "builtin:FAM(\u0662)"]) == 2  # not FAM(2)
+    assert "unknown builtin graph 'FAM(\u0662)'" in capsys.readouterr().err
 
 
 def test_analyze_malformed_file(tmp_path, capsys):

@@ -38,6 +38,8 @@ def test_parse_comments_and_blanks():
         ("p 3 2\ne 1 2\n", "announced 2 edges"),
         ("p 3 0\n", "announces no edges"),
         ("e 1 2\n", "before header"),
+        ("p 3 1\ne \u0661 2\n", "malformed edge line"),
+        ("p 1_0 1\ne 1 2\n", "malformed header"),
     ],
 )
 def test_parse_errors(text, fragment):
@@ -57,6 +59,17 @@ def test_make_rejects_empty_edges_unless_flagged():
         Graph.make(3, [])
     with pytest.raises(GraphError, match="at least one edge"):
         Graph(3, frozenset())
+
+
+@pytest.mark.parametrize("edges", [{(2, 1)}, {(1, 1), (1, 2)}, {(1, 9)}, {(0, 1)}])
+def test_direct_constructor_checks_edges(edges):
+    with pytest.raises(GraphError, match="1 <= u < v <= 3"):
+        Graph(3, frozenset(edges))
+
+
+def test_parse_keeps_signed_ascii_integers():
+    G = parse_graph("p +3 1\ne 1 +2\n")
+    assert (G.vertex_count, G.edges) == (3, {(1, 2)})
 
 
 def test_builtin_family_s1():
@@ -85,6 +98,8 @@ def test_builtin_char16():
 def test_builtin_unknown():
     with pytest.raises(GraphError):
         builtin_graph("FIG9")
+    with pytest.raises(GraphError, match="unknown builtin"):
+        builtin_graph("FAM(\u0662)")  # Arabic-Indic two, not FAM(2)
 
 
 def test_generators():

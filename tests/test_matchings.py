@@ -22,6 +22,7 @@ from brute import (
     brute_ordered_matching_number,
     is_ordered_by_definition,
     random_small_graph,
+    seeded_gnp,
 )
 
 STAR3 = Graph.make(4, [(1, 2), (1, 3), (1, 4)])
@@ -123,6 +124,8 @@ def test_max_ordered_matchings_against_brute():
     graphs = [random_small_graph(rng, max_r=7) for _ in range(40)]
     graphs += [builtin_graph("FIG1"), builtin_graph("FIG3"), builtin_graph("FAM(1)"),
                cycle_graph(4), path_graph(5)]
+    # dense graphs, where most orientations die on the free side's independence
+    graphs += [seeded_gnp(seed, 8, p) for p in (0.5, 0.6, 0.7) for seed in range(3)]
     perfect = 0
     for G in graphs:
         want = brute_max_ordered_matchings(G)
