@@ -22,7 +22,7 @@ from .depth import (
     stability_index,
 )
 from .families import FamilyInstance, parse_family_spec
-from .graphs import Graph, has_cycle_of_length, is_bipartite, is_forest
+from .graphs import Graph, builtin_graph, has_cycle_of_length, is_bipartite, is_forest
 from .linalg import FieldSpec, Rationals
 from .matchings import (
     induced_matching_number,
@@ -171,7 +171,7 @@ def analyze(G: Graph, field: FieldSpec = Rationals(),
 
     notes = []
     key = name.strip().upper()
-    if key in CORPUS_NOTES:
+    if key in CORPUS_NOTES and G == builtin_graph(key):  # the corpus graph, not just its name
         notes.append(CORPUS_NOTES[key])
     if res.witness is not None:
         notes.append(f"certificate witness: {json.dumps(res.witness.to_json(), sort_keys=True)}")

@@ -76,7 +76,3 @@ def reduced_homology(faces: list[list[int]], field: FieldSpec = Rationals()) -> 
         if profile[k - 1] < 0:
             raise AssertionError(f"negative homology dimension in degree {k - 1}")
     return profile
-
-
-def nonzero_degrees(profile: dict[int, int]) -> list[int]:
-    return sorted(d for d, h in profile.items() if h)

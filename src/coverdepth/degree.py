@@ -27,15 +27,13 @@ def negative_support(alpha: Sequence[int]) -> tuple[int, ...]:
     return tuple(i + 1 for i, x in enumerate(alpha) if x < 0)
 
 
-def _independence_complex(vertices: tuple[int, ...], edges: Iterable[tuple[int, int]]) -> list[list[int]]:
-    """Ind of the graph on ``vertices`` with ``edges``, in the face format of
-    ``complexes``.  Each independent set is extended only by a vertex above
-    its largest one and outside its closed neighbourhood, so every set is
-    listed once, each degree in lexicographic order."""
-    nbr = {1 << (v - 1): 0 for v in vertices}  # vertex bit -> neighbour mask
-    for u, v in edges:
-        nbr[1 << (u - 1)] |= 1 << (v - 1)
-        nbr[1 << (v - 1)] |= 1 << (u - 1)
+def _independence_complex(nbrs: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Ind of the graph given as (vertex, neighbour mask) pairs, bit v - 1
+    for vertex v, in the face format of ``complexes``; a vertex with mask 0
+    is a cone point.  Each independent set is extended only by a vertex
+    above its largest one and outside its closed neighbourhood, so every set
+    is listed once, each degree in lexicographic order."""
+    nbr = {1 << (v - 1): mask for v, mask in nbrs}  # vertex bit -> neighbour mask
     level = [(0, sum(nbr))]  # (independent set, the vertices that may extend it)
     faces = []
     while level:

@@ -30,9 +30,9 @@ reg I(E) by Hochster's formula (1977), and reg I(E) <= |M| + 1 for every
 maximal matching M of E (Woodroofe, J. Commut. Algebra 2014), so
 i >= r - 1 - |M|.  M is read off the bit code: the edge bits are numbered
 by descending degree sum in G, and the lowest edge bit left is kept while
-every edge that meets it is dropped.  Visiting E by descending |M| and
-stopping once r - 1 - |M| reaches the best value loses nothing, since the
-ceiling does not fall along the visit.  The grid is searched vertex by
+every edge that meets it is dropped.  Visiting E in buckets by descending
+|M| and stopping once r - 1 - |M| reaches the best value loses nothing:
+the ceiling does not fall along the visit.  The grid is searched vertex by
 vertex.  A state is the tuple of values of the frontier (placed vertices
 with an unplaced neighbour) and holds the distinct bit codes of the edges
 decided so far; equal states merge.  Placing a vertex, each state buckets
@@ -48,10 +48,10 @@ connected parts; (d) join, a disjoint union gives the join of the parts'
 complexes, so over a field their top degrees add, plus one per extra part.
 ``reg_edge_ideal`` hands each link to the same reduction, as the masks of
 G cut to V - N[F].  Fold before the memo; the memo holds parts: a cone
-builds no edge set, a lone edge has top 0, and only a connected part with
-more than one edge that no fold shrinks is built and read through the
-bounded memo in front of the exact homology, whose faces are listed
-straight from masks.
+reaches no homology, a lone edge has top 0, and only a connected part with
+more than one edge that no fold shrinks is read through the bounded memo,
+keyed on the frozenset of its (vertex, neighbour mask) pairs, in front of
+the exact homology, whose faces are listed straight from those pairs.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .altpaths import ExponentCertificate, alt_path_length, stability_bound
-from .complexes import nonzero_degrees, reduced_homology
+from .complexes import reduced_homology
 from .degree import _independence_complex
 from .graphs import Graph, connected_components, has_cycle_of_length, is_forest
 from .linalg import FieldSpec, Rationals
@@ -167,17 +167,17 @@ def _fold(nbr: dict[int, int]) -> Optional[list[int]]:
 
 
 def _max_nonzero_degree(edge_key: frozenset, field: FieldSpec) -> Optional[int]:
-    """Largest degree with nonzero homology of the independence complex of the
-    given edge set (vertices = covered vertices), from the boundary ranks of
-    its faces as listed by ``_independence_complex``, behind a bounded memo;
-    None when acyclic.  ``_top_degree`` hands it only connected parts with
-    more than one edge that no fold shrinks."""
+    """Largest degree with nonzero homology of Ind of the graph whose edge set
+    ``edge_key`` names as its (vertex, neighbour mask) pairs, from the
+    boundary ranks of the faces that ``_independence_complex`` lists, behind a
+    bounded memo; None when acyclic.  ``_top_degree`` hands it only connected
+    parts with more than one edge that no fold shrinks; every mask lies
+    inside its part, so one key stands for one labelled edge set."""
     key = (edge_key, field)
     if key in _MAX_DEGREE_CACHE:
         return _MAX_DEGREE_CACHE[key]
-    verts = tuple({v for e in edge_key for v in e})
-    nz = nonzero_degrees(reduced_homology(_independence_complex(verts, edge_key), field))
-    top = max(nz) if nz else None
+    homology = reduced_homology(_independence_complex(edge_key), field)
+    top = max((d for d, h in homology.items() if h), default=None)
     if len(_MAX_DEGREE_CACHE) >= _MAX_DEGREE_CACHE_SIZE:
         _MAX_DEGREE_CACHE.popitem(last=False)  # oldest first
     _MAX_DEGREE_CACHE[key] = top
@@ -192,17 +192,17 @@ def _top_degree(nbr: dict[int, int], field: FieldSpec) -> Optional[int]:
     neighbours makes a cone; a disjoint union gives a join of complexes
     (Adamaszek 2012), whose top degree over a field is the sum of the
     parts' plus one per extra part.  A lone edge has top 0, and every other
-    part goes through ``_max_nonzero_degree``.  The graph with no vertex
-    has Ind = {{}}, top -1."""
+    part goes through ``_max_nonzero_degree`` as the frozenset of its
+    (vertex, neighbour mask) pairs.  The graph with no vertex has
+    Ind = {{}}, top -1."""
     parts = _fold(nbr)
     if parts is None:
         return None
     top = len(parts) - 1
     for part in parts:
         if part.bit_count() > 2:
-            verts = [v for v in nbr if part >> (v - 1) & 1]
-            j = _max_nonzero_degree(frozenset([(u, v) for u in verts for v in verts
-                                               if u < v and nbr[u] >> (v - 1) & 1]), field)
+            key = frozenset([(v, Nv) for v, Nv in nbr.items() if part >> (v - 1) & 1])
+            j = _max_nonzero_degree(key, field)
             if j is None:
                 return None
             top += j
@@ -298,8 +298,9 @@ def depth_symbolic(G: Graph, n: int, field: FieldSpec = Rationals(), *,
     One search over the grid {0..n}^V stands for every negative support;
     the module's "Oracle layout" gives the argument (1)-(4) that makes it
     exact.  Each bit code from the grid is read once, for the size of its
-    bit-order maximal matching M, and the distinct edge sets E are visited
-    by descending |M|, in ascending bit code within one size.  The one stop
+    bit-order maximal matching M, into the bucket for |M|; the codes come
+    ascending, so the distinct edge sets E are visited by descending |M|,
+    from floor(r/2), in ascending bit code within one size.  The one stop
     rule is the ceiling (4): the visit ends once r - 1 - |M| reaches the
     best value, since no later edge set can lower it.  The least possible
     depth needs no rule of its own: once the best is 1 (0 when r = 2), the
@@ -316,16 +317,16 @@ def depth_symbolic(G: Graph, n: int, field: FieldSpec = Rationals(), *,
     edges = sorted(G.edge_list, key=lambda e: -len(G.neighbors[e[0]]) - len(G.neighbors[e[1]]))
     ends = [1 << (u - 1) | 1 << (v - 1) for u, v in edges]
     meets = [sum(1 << i for i, other in enumerate(ends) if other & end) for end in ends]
-    visits = []  # (|M| for the bit-order maximal matching M of E, code of E)
+    # by_size[s]: the codes with |M| = s for the bit-order maximal matching M
+    by_size: list[list[int]] = [[] for _ in range(r // 2 + 1)]
     for code in _qualifying_subsets(list(_frontier_order(G)), edges, n, n):
         size, rest = 0, code
         while rest:  # the lowest edge left has two free ends
             size += 1
             rest &= ~meets[(rest & -rest).bit_length() - 1]
-        visits.append((size, code))
-    visits.sort(key=lambda visit: -visit[0])  # stable, so ascending bit code within one size
+        by_size[size].append(code)
     best: Optional[int] = None
-    for size, code in visits:
+    for size, code in ((size, code) for size in range(r // 2, 0, -1) for code in by_size[size]):
         if best is not None and r - 1 - size >= best:
             break
         nbr: dict[int, int] = {}

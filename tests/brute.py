@@ -13,8 +13,9 @@ It also holds the reference side of the algebra that the library itself no
 longer needs: complexes as facet antichains of frozensets, the cover
 complex, Alexander duality, degree complexes, membership in symbolic powers,
 the independence complex of a whole graph and induced subgraphs, the
-set-based greedy order that the grid search's bit-mask order must reproduce,
-and the in-order maximal matching that the oracle's visit reads off a code.
+sorted nonzero degrees of a homology profile, the set-based greedy order
+that the grid search's bit-mask order must reproduce, and the in-order
+maximal matching that the oracle's visit reads off a code.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import FrozenSet, Iterable
 
-from coverdepth.complexes import ComplexError, nonzero_degrees, reduced_homology
+from coverdepth.complexes import ComplexError, reduced_homology
 from coverdepth.degree import _check_alpha, negative_support, qualifying_edges
 from coverdepth.graphs import Graph, GraphError
 from coverdepth.linalg import Rationals, rank
@@ -86,6 +87,17 @@ def face_masks(cx: SimplicialComplex) -> list[list[int]]:
     return [[sum(1 << (v - 1) for v in f) for f in cx.faces_of_dim(d)] for d in range(-1, cx.dim + 1)]
 
 
+def neighbour_pairs(vertices, edges) -> list[tuple[int, int]]:
+    """The graph on ``vertices`` with ``edges`` as (vertex, neighbour mask)
+    pairs, bit w - 1 for w, the form the library's face lister takes; a
+    vertex on no edge gets mask 0."""
+    nbr = {v: 0 for v in vertices}
+    for u, v in edges:
+        nbr[u] |= 1 << (v - 1)
+        nbr[v] |= 1 << (u - 1)
+    return list(nbr.items())
+
+
 def facet_independence_complex(vertices, edges) -> SimplicialComplex:
     """Ind by its facets: a recursion over the vertices that keeps a chosen
     set when every other vertex has a chosen neighbour."""
@@ -131,6 +143,10 @@ def facet_homology(cx: SimplicialComplex, field=None) -> dict[int, int]:
     profile = {d: len(faces[d]) - ranks[d] - ranks[d + 1] for d in range(-1, top + 1)}
     assert min(profile.values()) >= 0, profile
     return profile
+
+
+def nonzero_degrees(profile: dict[int, int]) -> list[int]:
+    return sorted(d for d, h in profile.items() if h)
 
 
 def edges_disjoint(edges) -> bool:

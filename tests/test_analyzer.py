@@ -10,7 +10,7 @@ import pytest
 
 import coverdepth
 from coverdepth import cache
-from coverdepth.analyzer import AnalyzeOptions, analyze, batch
+from coverdepth.analyzer import CORPUS_NOTES, AnalyzeOptions, analyze, batch
 from coverdepth.depth import cycle_stability_closed_form, path_stability_closed_form
 from coverdepth.families import parse_family_spec
 from coverdepth.graphs import Graph, builtin_graph, cycle_graph, path_graph
@@ -124,6 +124,13 @@ def test_analyze_char16_combinatorial():
     assert report.nu == 6
     assert any("field" in note for note in report.notes)
     assert report.equality == "unknown"
+
+
+def test_corpus_note_follows_the_graph_not_the_name():
+    # C4 named after FIG2 is not FIG2, so it gets none of FIG2's note
+    assert analyze(cycle_graph(4), name="fig2").notes == []
+    report = analyze(builtin_graph("FIG2"), options=AnalyzeOptions(mode="combinatorial"), name=" fig2 ")
+    assert CORPUS_NOTES["FIG2"] in report.notes
 
 
 def test_analyze_single_edge():

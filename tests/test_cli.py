@@ -1,5 +1,6 @@
 import json
 
+from coverdepth.analyzer import CORPUS_NOTES
 from coverdepth.cli import main
 
 
@@ -22,6 +23,19 @@ def test_analyze_graph_file(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["stability_index"] == 2
     assert report["method"] == "closed-form"
+
+
+def test_corpus_note_needs_the_corpus_graph(tmp_path, capsys):
+    # a file named after CHAR16 that holds a triangle gets no corpus note;
+    # the builtin corpus graphs keep theirs
+    gfile = tmp_path / "char16.g"
+    gfile.write_text("p 3 3\ne 1 2\ne 2 3\ne 1 3\n")
+    assert main(["analyze", "--graph", str(gfile)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["name"], report["notes"]) == ("char16", [])
+    for name in ("FIG2", "CHAR16"):
+        assert main(["analyze", "--graph", f"builtin:{name}", "--mode", "combinatorial"]) == 0
+        assert CORPUS_NOTES[name] in json.loads(capsys.readouterr().out)["notes"]
 
 
 def test_analyze_missing_file_is_input_error(capsys):

@@ -7,7 +7,6 @@ from coverdepth import complexes
 from coverdepth.complexes import (
     ComplexError,
     from_facets,
-    nonzero_degrees,
     reduced_homology,
 )
 from coverdepth.linalg import PrimeField, Rationals, parse_field, rank
@@ -19,6 +18,7 @@ from brute import (
     face_masks,
     naive_rank,
     naive_rank_mod,
+    nonzero_degrees,
     sparse_rows,
 )
 

@@ -14,6 +14,7 @@ from brute import (
     face_masks,
     facet_independence_complex,
     independence_complex,
+    neighbour_pairs,
     random_small_graph,
     symbolic_membership,
 )
@@ -52,7 +53,8 @@ def test_independence_complex_faces_are_independent_sets():
         cx = independence_complex(G)
         faces = {f for d in range(-1, cx.dim + 1) for f in cx.faces_of_dim(d)}
         assert faces == set(brute_independent_sets(G))
-        listed = [m for level in _independence_complex(tuple(G.vertices()), G.edge_list) for m in level]
+        faces_by_degree = _independence_complex(neighbour_pairs(G.vertices(), G.edge_list))
+        listed = [m for level in faces_by_degree for m in level]
         assert len(listed) == len(set(listed))
         assert {frozenset(v for v in G.vertices() if m >> (v - 1) & 1) for m in listed} == faces
 
@@ -176,7 +178,7 @@ def test_takayama_degree_shift_identity():
         if cx.is_void:
             continue
         rest = tuple(v for v in G.vertices() if v not in negative_support(alpha))
-        dual = _independence_complex(rest, qualifying_edges(G, n, alpha))
+        dual = _independence_complex(neighbour_pairs(rest, qualifying_edges(G, n, alpha)))
         m = len(cx.ground)
         prof = reduced_homology(face_masks(cx))
         dual_prof = reduced_homology(dual)

@@ -50,6 +50,7 @@ from brute import (
     independence_complex,
     naive_rank,
     naive_rank_mod,
+    neighbour_pairs,
     random_small_graph,
     sparse_rows,
 )
@@ -255,6 +256,11 @@ def _edges_of(nbr):
     return frozenset((u, v) for u, Nu in nbr.items() for v in range(u + 1, Nu.bit_length() + 1) if Nu >> (v - 1) & 1)
 
 
+def _mask_key(E):
+    """The memo key that ``_top_degree`` builds for a connected part with edges E."""
+    return frozenset(_neighbour_masks(E).items())
+
+
 @pytest.fixture
 def fold_visits(monkeypatch):
     """The edge sets that depth_symbolic's visit hands to the fold, in order:
@@ -321,15 +327,37 @@ def test_visit_takes_decoded_sets_by_size_then_code(fold_visits):
             assert j is None or r - 2 - j >= best, (G.edge_list, E)
 
 
-def test_r11_case_depths_under_the_default_budget():
-    # ROADMAP's r=11 case (28 edges, nu0 = 4): at n = 3 the grid returns
-    # about 400,000 codes and the visit stops at the matching ceiling
+def _r11_case():
+    """ROADMAP's r=11 case: 28 edges, nu0 = 4."""
     rng = random.Random(5)
     r = rng.randint(11, 11)
     p = rng.uniform(0.2, 0.6)
     G = Graph.make(r, [(u, v) for u in range(1, r + 1) for v in range(u + 1, r + 1) if rng.random() < p])
     assert len(G.edges) == 28
-    assert [depth_symbolic(G, n) for n in (1, 2, 3)] == [8, 7, 6]
+    return G
+
+
+def test_r11_case_depths_under_the_default_budget():
+    # at n = 3 the grid returns about 400,000 codes and the visit stops at
+    # the matching ceiling
+    assert [depth_symbolic(_r11_case(), n) for n in (1, 2, 3)] == [8, 7, 6]
+
+
+def test_memo_key_is_canonical(monkeypatch):
+    # the r=11 case at n = 2 from an empty memo: each edge set reaches the
+    # memo under one key, whatever order its masks were built in, so the
+    # distinct keys are as many as the distinct edge sets they name
+    monkeypatch.setattr(depth, "_MAX_DEGREE_CACHE", OrderedDict())
+    keys, inner = [], depth._max_nonzero_degree
+
+    def recording(edge_key, field):
+        keys.append(edge_key)
+        return inner(edge_key, field)
+
+    monkeypatch.setattr(depth, "_max_nonzero_degree", recording)
+    assert depth_symbolic(_r11_case(), 2) == 7
+    assert len(set(keys)) == len({_edges_of(dict(key)) for key in keys})
+    assert (len(keys), len(depth._MAX_DEGREE_CACHE)) == (2048, 293)
 
 
 def test_depth_against_naive_takayama_enumeration():
@@ -381,15 +409,16 @@ def test_mask_faces_match_the_facet_pipeline():
     cases = [(tuple(G.vertices()), G.edge_list) for G in graphs]
     cones = [(tuple(G.vertices()) + (G.vertex_count + 1,), G.edge_list) for G in graphs[30:]]
     for verts, edges in cases + cones + [((), [])]:
-        faces = _independence_complex(verts, edges)
+        faces = _independence_complex(neighbour_pairs(verts, edges))
         ref = facet_independence_complex(verts, edges)
         assert faces == face_masks(ref), (verts, edges)
         for field in fields:
             assert reduced_homology(faces, field) == facet_homology(ref, field), (verts, edges, field)
     for verts, edges in cones:
+        faces = _independence_complex(neighbour_pairs(verts, edges))
         for field in fields:
-            assert not any(reduced_homology(_independence_complex(verts, edges), field).values())
-    assert _independence_complex((), []) == [[0]]
+            assert not any(reduced_homology(faces, field).values())
+    assert _independence_complex([]) == [[0]]
     assert reduced_homology([[0]]) == facet_homology(facet_independence_complex((), [])) == {-1: 1}
 
 
@@ -409,7 +438,8 @@ def test_boundary_ranks_of_ind_against_naive():
 
 def test_memo_holds_only_unfoldable_connected_parts(monkeypatch):
     # both callers reduce before the memo, so every key is a connected edge
-    # set with more than one edge on which the fold deletes nothing
+    # set with more than one edge on which the fold deletes nothing, given
+    # as the (vertex, neighbour mask) pairs of exactly its covered vertices
     monkeypatch.setattr(depth, "_MAX_DEGREE_CACHE", OrderedDict())
     for G in _hochster_graphs():
         for field in (Rationals(), PrimeField(2)):
@@ -418,9 +448,10 @@ def test_memo_holds_only_unfoldable_connected_parts(monkeypatch):
             reg_edge_ideal(G, field)
     assert depth._MAX_DEGREE_CACHE
     for key, _ in depth._MAX_DEGREE_CACHE:
-        nbr = _neighbour_masks(key)
-        assert len(key) > 1 and _fold(nbr) == [sum(1 << (v - 1) for v in nbr)], sorted(key)
-        assert _edges_of(nbr) == key, sorted(key)
+        nbr = dict(key)
+        edges = _edges_of(nbr)
+        assert len(edges) > 1 and _fold(dict(nbr)) == [sum(1 << (v - 1) for v in nbr)], sorted(key)
+        assert _neighbour_masks(edges) == nbr, sorted(key)
 
 
 C5 = [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]
@@ -475,7 +506,7 @@ def test_disjoint_edges_add_one_each(empty_memo):
 def test_two_pentagons_join_to_a_three_sphere(empty_memo):
     assert len(_fold(_neighbour_masks(C5_C5))) == 2
     assert _kernel_and_dense(C5_C5) == (3, 3)  # 1 + 1 + one join
-    assert depth._MAX_DEGREE_CACHE[(frozenset(C5), Rationals())] == 1
+    assert depth._MAX_DEGREE_CACHE[(_mask_key(C5), Rationals())] == 1
 
 
 def test_acyclic_component_makes_the_union_acyclic(empty_memo):
@@ -563,7 +594,7 @@ def test_max_degree_cache_is_bounded(monkeypatch):
     assert 0 < Watched.peak <= 4
     # first in, first out: the evictions replay the insertions in order
     assert Watched.evicted and Watched.evicted == Watched.inserted[:len(Watched.evicted)]
-    assert frozenset(C5) in {key[0] for key in Watched.inserted}  # a component read through the memo
+    assert _mask_key(C5) in {key[0] for key in Watched.inserted}  # a component read through the memo
 
 
 def test_depth_over_gf2_matches_rationals_on_torsion_free_instances():
