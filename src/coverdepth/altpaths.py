@@ -123,6 +123,7 @@ def walk_length(G: Graph, om: OrderedMatching) -> int:
     _require_valid(G, om)
     s = om.size
     limit = 4 * s + 2
+    masks = G.neighbor_masks
     partner_of: dict[int, int] = {}
     for u, v in om.pairs:
         partner_of[u] = v
@@ -137,15 +138,16 @@ def walk_length(G: Graph, om: OrderedMatching) -> int:
                 raise WalkCutoffError(
                     f"alternating walk reached cutoff {limit}; matching invariants violated"
                 )
+        mate = partner_of.get(v)
         if need_matching:
-            w = partner_of.get(v)
-            if w is not None and G.has_edge(v, w):
-                extend(w, False, length + 1)
+            if mate is not None:  # every pair is an edge once _require_valid passed
+                extend(mate, False, length + 1)
         else:
-            mate = partner_of.get(v)
-            for w in G.neighbors[v]:
-                if w != mate:
-                    extend(w, True, length + 1)
+            rest = masks[v] if mate is None else masks[v] & ~(1 << (mate - 1))
+            while rest:
+                low = rest & -rest
+                extend(low.bit_length(), True, length + 1)
+                rest ^= low
 
     for v in G.vertices():
         extend(v, True, 0)

@@ -43,15 +43,16 @@ from the code; every mask in this module puts vertex v at bit v - 1, as
 ``Graph.neighbor_masks`` does.  ``_top_degree`` reduces the masks before
 any homology: (a) fold, deleting v while N(u) lies in N(v) for some
 u != v, which keeps the homotopy type; (b) cone, a vertex left with no
-neighbour makes the set acyclic; (c) components, what is left splits into
-connected parts; (d) join, a disjoint union gives the join of the parts'
-complexes, so over a field their top degrees add, plus one per extra part.
-``reg_edge_ideal`` hands each link to the same reduction, as the masks of
-G cut to V - N[F].  Fold before the memo; the memo holds parts: a cone
-reaches no homology, a lone edge has top 0, and only a connected part with
-more than one edge that no fold shrinks is read through the bounded memo,
-keyed on the frozenset of its (vertex, neighbour mask) pairs, in front of
-the exact homology, whose faces are listed straight from those pairs.
+neighbour makes the set acyclic; (c) components, ``graphs.components``
+splits what is left into connected parts; (d) join, a disjoint union gives
+the join of the parts' complexes, so over a field their top degrees add,
+plus one per extra part.  ``reg_edge_ideal`` hands each link to the same
+reduction, as the masks of G cut to V - N[F].  Fold before the memo; the
+memo holds parts: a cone reaches no homology, a lone edge has top 0,
+and only a connected part with more than one edge that no fold shrinks is
+read through the bounded memo, keyed on the frozenset of its (vertex,
+neighbour mask) pairs, in front of the exact homology, whose faces are
+listed straight from those pairs.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from typing import Iterator, Optional
 from .altpaths import ExponentCertificate, alt_path_length, stability_bound
 from .complexes import reduced_homology
 from .degree import _independence_complex
-from .graphs import Graph, connected_components, has_cycle_of_length, is_forest
+from .graphs import Graph, components, has_cycle_of_length, is_forest
 from .linalg import FieldSpec, Rationals
 from .matchings import (
     OrderedMatching,
@@ -118,7 +119,8 @@ def _fold(nbr: dict[int, int]) -> Optional[list[int]]:
     of nbr[w] over w in N(u), less u.  None of them lies in N(u) (it would
     be its own neighbour), so each deletion leaves N(u) and the other
     inclusions intact, and the step is a sequence of single folds.  Passes
-    repeat until one deletes nothing.  Components grow over bit frontiers."""
+    repeat until one deletes nothing; ``graphs.components`` then splits what
+    is left."""
     if 0 in nbr.values():
         return None
     folded = True
@@ -150,20 +152,7 @@ def _fold(nbr: dict[int, int]) -> Optional[list[int]]:
                 if not nbr[w]:
                     return None
                 touched ^= low
-    parts: list[int] = []
-    left = 0
-    for v in nbr:
-        left |= 1 << (v - 1)
-    while left:
-        part = frontier = left & -left
-        while frontier:
-            low = frontier & -frontier
-            grown = nbr[low.bit_length()] & ~part
-            part |= grown
-            frontier = (frontier ^ low) | grown
-        left &= ~part
-        parts.append(part)
-    return parts
+    return components(nbr, sum(1 << (v - 1) for v in nbr))
 
 
 def _max_nonzero_degree(edge_key: frozenset, field: FieldSpec) -> Optional[int]:
@@ -314,7 +303,8 @@ def depth_symbolic(G: Graph, n: int, field: FieldSpec = Rationals(), *,
     r = G.vertex_count
     # edge bits by descending degree sum in G, so the bit-order greedy takes
     # the edges that cover most first
-    edges = sorted(G.edge_list, key=lambda e: -len(G.neighbors[e[0]]) - len(G.neighbors[e[1]]))
+    masks = G.neighbor_masks
+    edges = sorted(G.edge_list, key=lambda e: -masks[e[0]].bit_count() - masks[e[1]].bit_count())
     ends = [1 << (u - 1) | 1 << (v - 1) for u, v in edges]
     meets = [sum(1 << i for i, other in enumerate(ends) if other & end) for end in ends]
     # by_size[s]: the codes with |M| = s for the bit-order maximal matching M
@@ -441,19 +431,23 @@ def feasible_exponents(G: Graph, om: OrderedMatching, n: int) -> Optional[dict[i
     order with lexicographic value choices, so cross constraints to already
     assigned pairs check immediately."""
     pairs = om.pairs
-    covered = om.covered
+    masks = G.neighbor_masks
     # per pair: edges from its endpoints into later pairs (assigned before it)
     later_edges: list[list[tuple[int, int]]] = []
-    position = {}
+    position = {}  # covered vertex -> index of its pair
     for i, (u, v) in enumerate(pairs):
         position[u] = i
         position[v] = i
     for i, (u, v) in enumerate(pairs):
         lst = []
         for x in (u, v):
-            for w in G.neighbors[x]:
-                if w in covered and position[w] > i:
+            rest = masks[x]
+            while rest:
+                low = rest & -rest
+                w = low.bit_length()
+                if position.get(w, -1) > i:
                     lst.append((x, w))
+                rest ^= low
         later_edges.append(lst)
     values: dict[int, int] = {}
 
@@ -510,7 +504,8 @@ def stability_certificate(G: Graph) -> ExponentCertificate:
 def _structural_path_or_cycle(G: Graph) -> Optional[str]:
     """A connected graph of maximum degree at most 2 is a path when it has
     r - 1 edges and a cycle otherwise (it then has r)."""
-    if len(connected_components(G)) != 1 or any(len(G.neighbors[v]) > 2 for v in G.vertices()):
+    masks = G.neighbor_masks
+    if len(components(masks, (1 << G.vertex_count) - 1)) != 1 or any(m.bit_count() > 2 for m in masks):
         return None
     return "path" if len(G.edges) == G.vertex_count - 1 else "cycle"
 

@@ -91,14 +91,6 @@ class Graph:
         return tuple(sorted(self.edges))
 
     @cached_property
-    def neighbors(self) -> dict[int, frozenset[int]]:
-        adj: dict[int, set[int]] = {v: set() for v in self.vertices()}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return {v: frozenset(s) for v, s in adj.items()}
-
-    @cached_property
     def neighbor_masks(self) -> tuple[int, ...]:
         """Bitmask adjacency; index v holds the mask of neighbors of v (bit w-1)."""
         masks = [0] * (self.vertex_count + 1)
@@ -243,76 +235,70 @@ def builtin_graph(name: str) -> Graph:
 
 # -- predicates ----------------------------------------------------------
 
+def components(nbr, left: int) -> list[int]:
+    """Vertex masks of the connected components of the vertices in ``left``
+    (bit v - 1 for vertex v), by ascending least vertex.  ``nbr[v]`` is the
+    neighbour mask of v inside ``left``: a vertex -> mask dict, or
+    ``Graph.neighbor_masks``.  Each component grows over bit frontiers."""
+    parts: list[int] = []
+    while left:
+        part = frontier = left & -left
+        while frontier:
+            low = frontier & -frontier
+            grown = nbr[low.bit_length()] & ~part
+            part |= grown
+            frontier = (frontier ^ low) | grown
+        left &= ~part
+        parts.append(part)
+    return parts
+
+
 def is_bipartite(G: Graph) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Two-coloring if one exists, as a pair of sorted vertex tuples."""
-    color: dict[int, int] = {}
-    for start in G.vertices():
-        if start in color:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in G.neighbors[v]:
-                if w not in color:
-                    color[w] = 1 - color[v]
-                    stack.append(w)
-                elif color[w] == color[v]:
-                    return None
-    left = tuple(sorted(v for v, c in color.items() if c == 0))
-    right = tuple(sorted(v for v, c in color.items() if c == 1))
-    return left, right
-
-
-def connected_components(G: Graph) -> list[tuple[int, ...]]:
-    seen: set[int] = set()
-    comps: list[tuple[int, ...]] = []
-    for start in G.vertices():
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in G.neighbors[v]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        comps.append(tuple(sorted(comp)))
-    return comps
+    """Two-coloring if one exists, as a pair of sorted vertex tuples; the
+    least vertex of each component takes the first colour.  Each component
+    is read in BFS layers; an edge inside a layer closes an odd cycle."""
+    masks = G.neighbor_masks
+    sides = [0, 0]
+    for part in components(masks, (1 << G.vertex_count) - 1):
+        layer, side = part & -part, 0
+        while layer:
+            reach, rest = 0, layer
+            while rest:
+                low = rest & -rest
+                reach |= masks[low.bit_length()]
+                rest ^= low
+            if reach & layer:
+                return None
+            sides[side] |= layer
+            side ^= 1
+            layer = reach & ~(sides[0] | sides[1])
+    return tuple(tuple(v for v in G.vertices() if mask >> (v - 1) & 1) for mask in sides)
 
 
 def is_forest(G: Graph) -> bool:
-    comps = connected_components(G)
-    edge_count = len(G.edges)
-    return edge_count == G.vertex_count - len(comps)
+    return len(G.edges) == G.vertex_count - len(components(G.neighbor_masks, (1 << G.vertex_count) - 1))
 
 
 def has_cycle_of_length(G: Graph, k: int) -> bool:
     """True when some k vertices carry a k-cycle as a subgraph (not necessarily induced)."""
     if k < 3 or k > G.vertex_count:
         return False
-    nbrs = G.neighbors
+    masks = G.neighbor_masks
 
-    def extend(path: list[int], visited: set[int]) -> bool:
+    def extend(path: list[int], visited: int) -> bool:
         if len(path) == k:
-            return path[0] in nbrs[path[-1]]
-        for w in sorted(nbrs[path[-1]]):
-            # canonical start at the cycle's minimum breaks rotations
-            if w in visited or w < path[0]:
-                continue
-            if len(path) == k - 1 and len(path) > 1 and w < path[1]:
-                continue  # orientation break: second vertex below last
-            path.append(w)
-            visited.add(w)
-            if extend(path, visited):
+            return bool(masks[path[-1]] >> (path[0] - 1) & 1)
+        # canonical start at the cycle's minimum breaks rotations; at the last
+        # step the orientation break keeps the second vertex below the last
+        floor = path[1] if len(path) == k - 1 else path[0]
+        rest = masks[path[-1]] & ~visited & -(1 << (floor - 1))
+        while rest:
+            low = rest & -rest
+            path.append(low.bit_length())
+            if extend(path, visited | low):
                 return True
-            visited.remove(w)
             path.pop()
+            rest ^= low
         return False
 
-    for start in G.vertices():
-        if extend([start], {start}):
-            return True
-    return False
+    return any(extend([start], 1 << (start - 1)) for start in G.vertices())

@@ -15,7 +15,11 @@ complex, Alexander duality, degree complexes, membership in symbolic powers,
 the independence complex of a whole graph and induced subgraphs, the
 sorted nonzero degrees of a homology profile, the set-based greedy order
 that the grid search's bit-mask order must reproduce, and the in-order
-maximal matching that the oracle's visit reads off a code.
+maximal matching that the oracle's visit reads off a code.  Every reference
+that walks a graph builds its adjacency from ``G.edges`` as Python sets
+(``set_adjacency``), so none reads the library's ``neighbor_masks``; the
+graph predicates (components, two-colouring, forest, k-cycles) are
+set-based searches here.
 """
 
 from __future__ import annotations
@@ -247,8 +251,93 @@ def brute_max_ordered_matchings(G: Graph) -> set:
     return set()
 
 
+def set_adjacency(G: Graph) -> dict[int, set[int]]:
+    """vertex -> set of neighbours, built from ``G.edges`` alone."""
+    adj: dict[int, set[int]] = {v: set() for v in G.vertices()}
+    for u, v in G.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+def brute_components(G: Graph, vertices=None) -> list[tuple[int, ...]]:
+    """Connected components of the subgraph induced on ``vertices`` (default
+    all) as sorted vertex tuples, by ascending least vertex, from a
+    set-based search."""
+    adj = set_adjacency(G)
+    inside = set(G.vertices() if vertices is None else vertices)
+    seen: set[int] = set()
+    comps: list[tuple[int, ...]] = []
+    for start in sorted(inside):
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for w in adj[v] & inside:
+                if w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        seen |= comp
+        comps.append(tuple(sorted(comp)))
+    return comps
+
+
+def brute_is_bipartite(G: Graph):
+    """Two-colouring by depth-first search, the least vertex of each component
+    coloured first, as a pair of sorted vertex tuples; None on a clash."""
+    adj = set_adjacency(G)
+    color: dict[int, int] = {}
+    for start in G.vertices():
+        if start in color:
+            continue
+        color[start] = 0
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for w in adj[v]:
+                if w not in color:
+                    color[w] = 1 - color[v]
+                    stack.append(w)
+                elif color[w] == color[v]:
+                    return None
+    return tuple(tuple(sorted(v for v, c in color.items() if c == side)) for side in (0, 1))
+
+
+def brute_is_forest(G: Graph) -> bool:
+    return len(G.edges) == G.vertex_count - len(brute_components(G))
+
+
+def brute_has_cycle_of_length(G: Graph, k: int) -> bool:
+    """Some k-cycle as a subgraph, by paths from each cycle's least vertex
+    over Python sets."""
+    if k < 3 or k > G.vertex_count:
+        return False
+    adj = set_adjacency(G)
+
+    def extend(path: list[int], visited: set[int]) -> bool:
+        if len(path) == k:
+            return path[0] in adj[path[-1]]
+        for w in sorted(adj[path[-1]]):
+            if w in visited or w < path[0]:
+                continue
+            if len(path) == k - 1 and w < path[1]:
+                continue  # each cycle once per orientation pair
+            path.append(w)
+            visited.add(w)
+            if extend(path, visited):
+                return True
+            visited.remove(w)
+            path.pop()
+        return False
+
+    return any(extend([start], {start}) for start in G.vertices())
+
+
 def brute_walk_length(G: Graph, pairs, cap: int = 200) -> int:
     """Longest strictly alternating walk, plain recursion without pruning."""
+    adj = set_adjacency(G)
     matched = {}
     for u, v in pairs:
         matched[u] = v
@@ -260,7 +349,7 @@ def brute_walk_length(G: Graph, pairs, cap: int = 200) -> int:
         best = max(best, length)
         if length >= cap:
             raise RuntimeError("walk exceeded the brute cap")
-        for w in G.neighbors[v]:
+        for w in adj[v]:
             in_matching = matched.get(v) == w
             if in_matching == want_matching:
                 go(w, not want_matching, length + 1)
@@ -344,10 +433,11 @@ def brute_frontier_order(G: Graph) -> tuple[int, ...]:
     """Greedy vertex order from Python sets: each step places the vertex that
     leaves the fewest placed vertices with an unplaced neighbour, the least
     such vertex on a tie."""
+    adj = set_adjacency(G)
     order: list[int] = []
     while len(order) < G.vertex_count:
         left = set(G.vertices()).difference(order)
-        order.append(min(left, key=lambda v: (sum(1 for u in (*order, v) if G.neighbors[u] & (left - {v})), v)))
+        order.append(min(left, key=lambda v: (sum(1 for u in (*order, v) if adj[u] & (left - {v})), v)))
     return tuple(order)
 
 

@@ -2,7 +2,7 @@ import os
 import random
 import subprocess
 import sys
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from itertools import combinations
 from pathlib import Path
 
@@ -278,7 +278,8 @@ def fold_visits(monkeypatch):
 def _degree_sum_order(G):
     """G's edges by descending degree sum, ties in ``edge_list`` order: the
     numbering of the edge bits in depth_symbolic's visit."""
-    return sorted(G.edge_list, key=lambda e: -(len(G.neighbors[e[0]]) + len(G.neighbors[e[1]])))
+    degree = Counter(v for e in G.edges for v in e)
+    return sorted(G.edge_list, key=lambda e: -(degree[e[0]] + degree[e[1]]))
 
 
 def test_matching_ceiling_cut_skips_edge_sets(fold_visits):

@@ -7,7 +7,7 @@ from coverdepth.graphs import (
     GraphError,
     GraphParseError,
     builtin_graph,
-    connected_components,
+    components,
     cycle_graph,
     has_cycle_of_length,
     is_bipartite,
@@ -15,7 +15,31 @@ from coverdepth.graphs import (
     parse_graph,
     path_graph,
 )
-from brute import independence_complex, induced_subgraph, random_small_graph, vertex_set
+from brute import (
+    brute_components,
+    brute_has_cycle_of_length,
+    brute_is_bipartite,
+    brute_is_forest,
+    independence_complex,
+    induced_subgraph,
+    random_small_graph,
+    vertex_set,
+)
+
+
+def _vertices_of(mask: int) -> tuple[int, ...]:
+    return tuple(v for v in range(1, mask.bit_length() + 1) if mask >> (v - 1) & 1)
+
+
+def _seeded_graphs(count: int, seed: int):
+    """Graphs on r <= 9 vertices, from sparse to dense, so that isolated
+    vertices and several components with edges are common."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        r = rng.randint(2, 9)
+        p = rng.choice((0.12, 0.25, 0.5, 0.8))
+        edges = [(u, v) for u in range(1, r + 1) for v in range(u + 1, r + 1) if rng.random() < p]
+        yield Graph.make(r, edges or [(1, r)])
 
 
 def test_parse_path4():
@@ -172,7 +196,7 @@ def test_components_partition_property():
     rng = random.Random(7)
     for _ in range(25):
         G = random_small_graph(rng, max_r=8)
-        comps = connected_components(G)
+        comps = [_vertices_of(part) for part in components(G.neighbor_masks, (1 << G.vertex_count) - 1)]
         flat = [v for comp in comps for v in comp]
         assert sorted(flat) == list(G.vertices())
         owner = {v: i for i, comp in enumerate(comps) for v in comp}
@@ -188,3 +212,30 @@ def test_forest_implies_bipartition_property():
         G = Graph.make(r, edges or [(1, 2)])
         assert is_forest(G)
         assert is_bipartite(G) is not None
+
+
+def test_mask_predicates_match_set_references():
+    # components, two-colouring, forest and k-cycles on neighbour masks
+    # against set-based searches that read only G.edges
+    isolated = split = 0
+    for G in _seeded_graphs(400, seed=30):
+        full = (1 << G.vertex_count) - 1
+        comps = [_vertices_of(part) for part in components(G.neighbor_masks, full)]
+        assert comps == brute_components(G), G.edge_list
+        isolated += any(len(comp) == 1 for comp in comps)
+        split += sum(len(comp) > 1 for comp in comps) > 1
+        # the fold's form: a vertex -> mask dict over part of the vertex set
+        keep = [v for v in G.vertices() if v % 3]
+        W = sum(1 << (v - 1) for v in keep)
+        cut = [_vertices_of(part) for part in components({v: G.neighbor_masks[v] & W for v in keep}, W)]
+        assert cut == brute_components(G, keep), (G.edge_list, keep)
+        sides = is_bipartite(G)
+        assert sides == brute_is_bipartite(G), G.edge_list
+        if sides is not None:
+            assert sorted(sides[0] + sides[1]) == list(G.vertices())
+            assert all((u in sides[0]) != (v in sides[0]) for u, v in G.edges)
+        assert is_forest(G) == brute_is_forest(G), G.edge_list
+        for k in range(3, 8):
+            assert has_cycle_of_length(G, k) == brute_has_cycle_of_length(G, k), (G.edge_list, k)
+    assert isolated > 50 and split > 20, (isolated, split)
+

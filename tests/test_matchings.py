@@ -1,6 +1,8 @@
 import random
 from itertools import permutations
 
+import pytest
+
 from coverdepth.graphs import Graph, builtin_graph, cycle_graph, path_graph
 from coverdepth.matchings import (
     _canonical_order,
@@ -63,6 +65,14 @@ def test_violation_messages():
     assert "index condition" in ordered_matching_violation(c4, [(1, 2), (3, 4)])
     assert "not independent" in ordered_matching_violation(c4, [(2, 1), (3, 4)])
     assert "not an edge" in ordered_matching_violation(c4, [(1, 3)])
+
+
+@pytest.mark.parametrize("pair", [(-1, 2), (0, 1), (1, 5)])
+def test_pairs_from_outside_the_vertex_range_are_not_edges(pair):
+    # has_edge reads the edge set: vertex r = 4 is adjacent to 2, so a lookup
+    # through neighbour masks would take vertex -1 for vertex r and accept (-1, 2)
+    G = Graph.make(4, [(1, 2), (2, 3), (2, 4)])
+    assert "not an edge" in ordered_matching_violation(G, [pair])
 
 
 def test_ordering_feasibility_fig1():
