@@ -86,7 +86,7 @@ class AnalysisReport:
     seed: Optional[int] = None
 
     def to_json(self) -> dict:
-        out = asdict(self)
+        out = {**vars(self), "checks": [dict(vars(c)) for c in self.checks]}
         if self.profile is not None:
             out["profile"] = {str(k): v for k, v in sorted(self.profile.items())}
         return out
@@ -217,24 +217,29 @@ def _cache_key(inst: FamilyInstance, field: FieldSpec, options: dict) -> dict:
 def batch(family_spec: str, out_path: str | Path, field: FieldSpec = Rationals(),
           options: Optional[AnalyzeOptions] = None) -> int:
     """Analyze every instance of a family, then write one JSON report per
-    line once all are done; resumable via the cache, which each report
-    reaches as soon as it is made.  Returns the number of instances written."""
+    line once all are done.  With the cache on, the batch reads the cache's
+    one log once, holds it in memory, and appends one line per report as
+    soon as it is made, so a rerun resumes.  Single-write O_APPEND lines stay
+    whole on a local filesystem, not on NFS; blob trees of earlier cache
+    versions are left unread, and deleting the cache directory reclaims them.
+    Returns the number of instances written."""
     opts = options or AnalyzeOptions()
     instances = parse_family_spec(family_spec)
     out_file = Path(out_path)
     out_file.parent.mkdir(parents=True, exist_ok=True)
 
     options = {k: v for k, v in asdict(opts).items() if k != "use_cache"}
+    entries = cache_mod.load() if opts.use_cache else None
 
     def run_one(inst: FamilyInstance) -> dict:
-        if not opts.use_cache:
+        if entries is None:
             return analyze(inst.graph, field, opts, name=inst.name, seed=inst.seed).to_json()
         key = _cache_key(inst, field, options)
-        hit = cache_mod.get(key)
+        hit = cache_mod.get(key, entries)
         if hit is not None:
             return {**hit, "name": inst.name, "seed": inst.seed}
         report = analyze(inst.graph, field, opts, name=inst.name, seed=inst.seed).to_json()
-        cache_mod.put(key, report)
+        cache_mod.put(key, report, entries)
         return report
 
     results = [run_one(inst) for inst in instances]

@@ -1,8 +1,13 @@
-"""Content-addressed JSON cache for analysis results.
+"""Append-only JSON-lines cache for analysis results.
 
-Keys are canonical JSON objects (graph, field, operation, parameters); the
-blob lives under <cache-dir>/<first two hex>/<hash>.json.  Writes go through
-a temp file and rename, so concurrent identical writes are idempotent.
+Keys are canonical JSON objects (graph, field, operation, parameters) named
+by their sha256.  The cache is one log, <cache-dir>/reports.jsonl: each
+report is one ``[digest, value]`` line, appended by a single write to an
+``O_APPEND`` descriptor, which keeps concurrent writers' lines whole on a
+local filesystem but not on NFS.  A batch holds the parsed log in memory; a
+torn, glued or corrupt line does not parse and reads as a miss.  Blob trees
+of earlier versions (<2 hex>/<digest>.json) are left unread; deleting the
+cache directory reclaims them.
 """
 
 from __future__ import annotations
@@ -10,16 +15,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Any, Optional
 
 CACHE_ENV = "COVERDEPTH_CACHE"
-DEFAULT_CACHE_DIR = ".coverdepth-cache"
 
 
-def cache_dir() -> Path:
-    return Path(os.environ.get(CACHE_ENV, DEFAULT_CACHE_DIR))
+def log_path() -> Path:
+    return Path(os.environ.get(CACHE_ENV, ".coverdepth-cache")) / "reports.jsonl"
 
 
 def key_hash(key_obj: Any) -> str:
@@ -27,27 +30,40 @@ def key_hash(key_obj: Any) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _blob_path(digest: str) -> Path:
-    return cache_dir() / digest[:2] / f"{digest}.json"
-
-
-def get(key_obj: Any) -> Optional[Any]:
-    try:
-        return json.loads(_blob_path(key_hash(key_obj)).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
-        return None
-
-
-def put(key_obj: Any, value: Any) -> None:
-    path = _blob_path(key_hash(key_obj))
+def load() -> dict[str, Any]:
+    """Digest -> value for every well-formed line of the log ({} if none).
+    Also makes the cache directory, so ``put`` can append to the log."""
+    path = log_path()
     path.parent.mkdir(parents=True, exist_ok=True)
-    payload = json.dumps(value, sort_keys=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-        os.replace(tmp, path)
-    except OSError:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        lines = path.read_bytes().splitlines()
+    except FileNotFoundError:
+        return {}
+    entries: dict[str, Any] = {}
+    for line in lines:
+        try:
+            entry = json.loads(line)
+        except ValueError:
+            continue
+        if isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str):
+            entries[entry[0]] = entry[1]
+    return entries
+
+
+def get(key_obj: Any, entries: dict[str, Any]) -> Optional[Any]:
+    return entries.get(key_hash(key_obj))
+
+
+def put(key_obj: Any, value: Any, entries: dict[str, Any]) -> None:
+    """Append one line for ``value`` to the log, then record it in ``entries``."""
+    digest = key_hash(key_obj)
+    line = (json.dumps([digest, value], sort_keys=True) + "\n").encode("utf-8")
+    path = log_path()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o666)
+    try:
+        written = os.write(fd, line)
+    finally:
+        os.close(fd)
+    if written != len(line):  # the torn line, and the next one glued to it, read as misses
+        raise OSError(f"short write to {path}: {written} of {len(line)} bytes")
+    entries[digest] = value

@@ -2,7 +2,9 @@ import ast
 import importlib
 import importlib.util
 import json
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -404,14 +406,88 @@ def test_batch_forests_deterministic(tmp_path):
     assert first["seed"] == 3
 
 
-def test_cache_missing_or_corrupt_blob_is_a_miss(tmp_path, monkeypatch):
+def test_cache_missing_or_corrupt_line_is_a_miss(tmp_path, monkeypatch):
+    # a corrupt log line reads as a miss: never an error, never a stale value
     monkeypatch.setenv("COVERDEPTH_CACHE", str(tmp_path / "cache"))
-    key = {"op": "analyze", "graph": "P2"}
-    assert cache.get(key) is None
-    cache.put(key, {"stability_index": 1})
-    assert cache.get(key) == {"stability_index": 1}
-    cache._blob_path(cache.key_hash(key)).write_text("{not json", encoding="utf-8")
-    assert cache.get(key) is None
+    keys = [{"op": "analyze", "graph": f"P{r}"} for r in range(2, 7)]
+    digests = [cache.key_hash(key).encode() for key in keys]
+    entries = cache.load()
+    assert entries == {} and cache.get(keys[0], entries) is None
+    cache.put(keys[0], {"stability_index": 1}, entries)
+    log = cache.log_path()
+    with log.open("ab") as handle:
+        handle.write(b"{not json\n\xff\xfe\n" + b'"' + digests[1] + b'"\n')
+        handle.write(b'["' + digests[1] + b'"]\n["' + digests[1] + b'", {"stability_index": 2]\n')
+        handle.write(b'["' + digests[0] + b'", {"stability_index": 7}, 0]\n')
+        handle.write(b'["' + digests[2] + b'", {"stability_index": 3}')  # torn: no newline
+    entries = cache.load()
+    assert [cache.get(key, entries) for key in keys[:3]] == [{"stability_index": 1}, None, None]
+    cache.put(keys[3], {"stability_index": 4}, entries)  # glued to the torn line
+    assert cache.get(keys[3], entries) == {"stability_index": 4}
+    cache.put(keys[4], {"stability_index": 5}, entries)
+    entries = cache.load()
+    assert [cache.get(key, entries) for key in keys] == [
+        {"stability_index": 1}, None, None, None, {"stability_index": 5}]
+
+
+def test_cache_concurrent_appends_keep_every_line(tmp_path, monkeypatch):
+    # two writers append to one log at once; lines past 4 KB must stay whole too
+    monkeypatch.setenv("COVERDEPTH_CACHE", str(tmp_path / "cache"))
+    script = (
+        "import sys\n"
+        "from coverdepth import cache\n"
+        "writer, entries = sys.argv[1], cache.load()\n"
+        "sys.stdin.read()\n"
+        "for i in range(200):\n"
+        "    cache.put({'writer': writer, 'i': i}, {'pad': 'x' * (50 * i)}, entries)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(coverdepth.__file__).parents[1])}
+    writers = [subprocess.Popen([sys.executable, "-c", script, name], stdin=subprocess.PIPE, env=env)
+               for name in ("a", "b")]
+    for proc in writers:  # both have started; release them together
+        proc.stdin.close()
+    assert [proc.wait(timeout=60) for proc in writers] == [0, 0]
+    lines = cache.log_path().read_bytes().splitlines()
+    assert len(lines) == 400 and sum(len(line) > 4096 for line in lines) > 200
+    entries = cache.load()
+    assert len(entries) == 400
+    assert all(cache.get({"writer": name, "i": i}, entries) == {"pad": "x" * (50 * i)}
+               for name in ("a", "b") for i in range(200))
+
+
+def test_batch_resumes_from_the_log_and_reads_it_once(tmp_path, monkeypatch):
+    monkeypatch.setenv("COVERDEPTH_CACHE", str(tmp_path / "cache"))
+    spec, k = "graphs seed=0 count=12 maxr=5", 3
+    firsts: dict[str, str] = {}  # first instance name of each distinct graph
+    for inst in parse_family_spec(spec):
+        firsts.setdefault(json.dumps(inst.graph.to_json()), inst.name)
+    assert len(firsts) > k + 2 and len(firsts) < 12  # the family repeats graphs
+    analyzed: list[str] = []
+    limit = k  # analyze calls allowed before the batch is cut
+
+    def counting(*args, name, **kwargs):
+        if len(analyzed) == limit:
+            raise RuntimeError("interrupted")
+        analyzed.append(name)
+        return analyze(*args, name=name, **kwargs)
+
+    monkeypatch.setattr("coverdepth.analyzer.analyze", counting)
+    opts = AnalyzeOptions(use_cache=True)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        batch(spec, tmp_path / "cut.jsonl", options=opts)
+    assert len(cache.log_path().read_bytes().splitlines()) == len(cache.load()) == k
+
+    loads = []
+    load = cache.load
+    monkeypatch.setattr(cache, "load", lambda: loads.append(1) or load())
+    analyzed.clear()
+    limit = float("inf")
+    batch(spec, tmp_path / "resume.jsonl", options=opts)
+    assert analyzed == list(firsts.values())[k:]
+    assert loads == [1]
+    batch(spec, tmp_path / "fresh.jsonl")
+    assert loads == [1]
+    assert (tmp_path / "resume.jsonl").read_bytes() == (tmp_path / "fresh.jsonl").read_bytes()
 
 
 def test_batch_cache_hit_keeps_instance_name(tmp_path, monkeypatch):
