@@ -22,6 +22,7 @@ can exceed the operative value when the matching does not cover the graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .graphs import Graph
@@ -155,12 +156,14 @@ def walk_length(G: Graph, om: OrderedMatching) -> int:
     return best
 
 
+@lru_cache(maxsize=64)
 def _shortest_max_ordered(G: Graph) -> OrderedMatching:
     """The first maximum pair set, in sorted order, whose first orientation
     has the least operative length.
 
     The length is orientation-independent per pair set (property-tested), so
-    one orientation per pair set is evaluated.
+    one orientation per pair set is evaluated.  Memoized like ``_max_ordered``:
+    the bound, the oracle's witness and the report read the same matching.
     """
     return min((oms[0] for _, oms in _max_ordered(G)), key=lambda om: alt_path_length(G, om))
 

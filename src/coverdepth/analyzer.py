@@ -156,6 +156,9 @@ def analyze(G: Graph, field: FieldSpec = Rationals(),
     add("unique-perfect-matching", unique_perfect_matching_check(G) if flags["perfect_ordered_matching"] else None,
         "graphs with a perfect ordered matching have one perfect matching")
     if reg is not None:
+        # the oracle reads depth(1) as r - reg from this same link scan, so
+        # where it read depth(1) the check tests only reg <= nu0 + 1; verify's
+        # criteria 10 and 13 compare that reading with the grid
         add("constant-depth-iff", None if stab is None else ((stab == 1) == (reg == nu0 + 1)),
             f"reg={reg}, nu0+1={nu0 + 1}")
         add("regularity-upper", reg <= nu + 1, f"reg={reg} <= nu+1={nu + 1}")
@@ -230,16 +233,19 @@ def batch(family_spec: str, out_path: str | Path, field: FieldSpec = Rationals()
 
     options = {k: v for k, v in asdict(opts).items() if k != "use_cache"}
     entries = cache_mod.load() if opts.use_cache else None
+    digests: dict[Graph, str] = {}  # each distinct graph's key is encoded and hashed once
 
     def run_one(inst: FamilyInstance) -> dict:
         if entries is None:
             return analyze(inst.graph, field, opts, name=inst.name, seed=inst.seed).to_json()
-        key = _cache_key(inst, field, options)
-        hit = cache_mod.get(key, entries)
+        digest = digests.get(inst.graph)
+        if digest is None:
+            digest = digests[inst.graph] = cache_mod.key_hash(_cache_key(inst, field, options))
+        hit = cache_mod.get(digest, entries)
         if hit is not None:
             return {**hit, "name": inst.name, "seed": inst.seed}
         report = analyze(inst.graph, field, opts, name=inst.name, seed=inst.seed).to_json()
-        cache_mod.put(key, report, entries)
+        cache_mod.put(digest, report, entries)
         return report
 
     results = [run_one(inst) for inst in instances]

@@ -1,10 +1,11 @@
 """Append-only JSON-lines cache for analysis results.
 
 Keys are canonical JSON objects (graph, field, operation, parameters) named
-by their sha256.  The cache is one log, <cache-dir>/reports.jsonl: each
-report is one ``[digest, value]`` line, appended by a single write to an
-``O_APPEND`` descriptor, which keeps concurrent writers' lines whole on a
-local filesystem but not on NFS.  A batch holds the parsed log in memory; a
+by their sha256, which ``key_hash`` computes and ``get`` and ``put`` take.
+The cache is one log, <cache-dir>/reports.jsonl: each report is one
+``[digest, value]`` line, appended by a single write to an ``O_APPEND``
+descriptor, which keeps concurrent writers' lines whole on a local
+filesystem but not on NFS.  A batch holds the parsed log in memory; a
 torn, glued or corrupt line does not parse and reads as a miss.  Blob trees
 of earlier versions (<2 hex>/<digest>.json) are left unread; deleting the
 cache directory reclaims them.
@@ -23,6 +24,10 @@ CACHE_ENV = "COVERDEPTH_CACHE"
 
 def log_path() -> Path:
     return Path(os.environ.get(CACHE_ENV, ".coverdepth-cache")) / "reports.jsonl"
+
+
+# the bytes of json.dumps(obj, sort_keys=True), without an encoder per line
+_encode = json.JSONEncoder(sort_keys=True).encode
 
 
 def key_hash(key_obj: Any) -> str:
@@ -50,14 +55,15 @@ def load() -> dict[str, Any]:
     return entries
 
 
-def get(key_obj: Any, entries: dict[str, Any]) -> Optional[Any]:
-    return entries.get(key_hash(key_obj))
+def get(digest: str, entries: dict[str, Any]) -> Optional[Any]:
+    """The value stored under ``digest`` (a ``key_hash``), or None."""
+    return entries.get(digest)
 
 
-def put(key_obj: Any, value: Any, entries: dict[str, Any]) -> None:
-    """Append one line for ``value`` to the log, then record it in ``entries``."""
-    digest = key_hash(key_obj)
-    line = (json.dumps([digest, value], sort_keys=True) + "\n").encode("utf-8")
+def put(digest: str, value: Any, entries: dict[str, Any]) -> None:
+    """Append one line for ``value`` under ``digest`` (a ``key_hash``) to the
+    log, then record it in ``entries``."""
+    line = (_encode([digest, value]) + "\n").encode("utf-8")
     path = log_path()
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o666)
     try:

@@ -53,6 +53,22 @@ and only a connected part with more than one edge that no fold shrinks is
 read through the bounded memo, keyed on the frozenset of its (vertex,
 neighbour mask) pairs, in front of the exact homology, whose faces are
 listed straight from those pairs.
+
+(5) The witness lemma.  If the edges that qualify at one grid point of
+power n are exactly the nu0 pairs of a maximum ordered matching, then E is
+nu0 disjoint edges, Ind(E) on V(E) is the join of nu0 copies of S^0, the
+sphere S^(nu0 - 1), whose homology is nonzero in degree nu0 - 1 over every
+field, and so depth R/J^(n) <= r - 2 - (nu0 - 1) = r - nu0 - 1, the limit
+(Katzman's reg I(H) >= im(H) + 1, JCTA 2006, read through this layout).
+At the paper's bound B = ceil(l/2) the shifted path exponents of the
+shortest maximum ordered matching give such a point: uncovered vertices
+take the value B, which puts them in S, covered ones their exponent, so
+each pair sums to B - 1 and every other edge is killed or sums to >= B.
+``stability_index_oracle`` decides the index in this order: the admission
+rule at n = 1, then at B; the witness at B, checked edge by edge (without
+it, ``depth_symbolic`` at B); then one exact depth per power from B - 1
+down, r - reg I(G) at n = 1 (criterion 5's duality) and ``depth_symbolic``
+above; the first depth above the limit at n gives the index n + 1.
 """
 
 from __future__ import annotations
@@ -61,7 +77,14 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .altpaths import ExponentCertificate, alt_path_length, stability_bound
+from .altpaths import (
+    CertificateConstructionError,
+    ExponentCertificate,
+    _shortest_max_ordered,
+    alt_path_length,
+    shifted_exponents,
+    stability_bound,
+)
 from .complexes import reduced_homology
 from .degree import _independence_complex
 from .graphs import Graph, components, has_cycle_of_length, is_forest
@@ -413,14 +436,67 @@ def depth_profile(G: Graph, field: FieldSpec = Rationals(), *,
     return DepthReport(ordered_matching_number(G), limit, profile, stab)
 
 
+def _witness_point(G: Graph, bound: int) -> Optional[dict[int, int]]:
+    """The grid point of power ``bound`` that the shifted path exponents of
+    the shortest maximum ordered matching give (the layout's point (5)):
+    each uncovered vertex takes the value ``bound``, which puts it in S, and
+    each covered vertex its exponent.  Returned when the edges that qualify
+    there are exactly the matching's pairs, else None."""
+    om = _shortest_max_ordered(G)
+    try:
+        exponents = shifted_exponents(G, om, bound).witness
+    except CertificateConstructionError:
+        return None
+    point = {v: exponents.get(v, bound) for v in G.vertices()}
+    qualifying = {(u, v) for u, v in G.edge_list if point[u] + point[v] <= bound - 1}
+    return point if qualifying == om.edge_set else None
+
+
+def _exact_depth(G: Graph, n: int, field: FieldSpec, budget: int, force: bool) -> int:
+    """depth R/J^(n) from one exact engine: r - reg I(G) at n = 1 (the
+    duality of criterion 5, by the link scan), the grid search above."""
+    if n == 1:
+        return G.vertex_count - reg_edge_ideal(G, field, budget=budget, force=force)
+    return depth_symbolic(G, n, field, budget=budget, force=force)
+
+
 def stability_index_oracle(G: Graph, field: FieldSpec = Rationals(), *,
                            budget: int = DEFAULT_BUDGET, force: bool = False) -> int:
-    """Least n with depth R/J^(n) <= r - nu0 - 1, scanning n upward."""
-    limit = limit_depth(G)
-    for n, d in _power_scan(G, field, budget, force):
-        if d <= limit:
+    """Least n with depth R/J^(n) <= r - nu0 - 1, decided from the paper's
+    bound B down.
+
+    The symbolic depth function of a cover ideal is non-increasing with
+    limit r - nu0 - 1 (Hoa, Kimura, Terai and Trung, J. Algebra 2017), so
+    once depth(B) is at the limit the index is n + 1 for the largest n < B
+    whose depth is above the limit, or 1.  The witness point at B (the
+    layout's point (5)) shows that with no grid; without it
+    ``depth_symbolic`` at B decides, and a depth above the limit there
+    continues the scan upward from B + 1.  Below B each power gets one
+    exact depth, from B - 1 down.
+
+    Admission is asked at n = 1 before the bound is computed, then at B.
+    The cost estimate grows with n, so admission at B admits every power
+    below it; a graph refused at B is scanned upward from n = 1 instead.
+    Either way ``BudgetRefusal`` is raised exactly when, and as, the plain
+    upward scan over ``depth_symbolic`` raises it.
+    """
+    _check_budget(G, 1, budget, force)
+    limit, bound = limit_depth(G), stability_bound(G)
+    start = 1
+    try:
+        _check_budget(G, bound, budget, force)
+    except BudgetRefusal:
+        pass  # the scan from n = 1 is refused at the first power over budget
+    else:
+        if _witness_point(G, bound) is not None or \
+                depth_symbolic(G, bound, field, budget=budget, force=force) <= limit:
+            return next((n + 1 for n in range(bound - 1, 0, -1)
+                         if _exact_depth(G, n, field, budget, force) > limit), 1)
+        start = bound + 1
+    for n in range(start, 2 * ordered_matching_number(G)):
+        if _exact_depth(G, n, field, budget, force) <= limit:
             return n
-    raise DepthEngineError(f"depth never reached its limit {limit} by n = {n}")
+    raise DepthEngineError(f"depth never reached its limit {limit} by n = {2 * ordered_matching_number(G) - 1}")
 
 
 # -- perfect-matching certificate -------------------------------------------

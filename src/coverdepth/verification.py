@@ -211,12 +211,22 @@ def check_bound_sweep(level: str) -> tuple[bool, str]:
         bound = stability_bound(G)
         try:
             got = stability_index_oracle(G)
+            # the oracle reads depth(B) off the witness point and depth(1) as
+            # r - reg; the grid checks both
+            at_bound = depth_symbolic(G, bound)
+            d1, reg = depth_symbolic(G, 1), reg_edge_ideal(G)
         except BudgetRefusal:
             skipped += 1
             continue
         done += 1
         _expect(failures, got <= bound, f"{inst.name}: index {got} > bound {bound}")
-    return not failures, "; ".join(failures) or f"{done} oracles within bound ({skipped} over budget)"
+        _expect(failures, at_bound <= limit_depth(G),
+                f"{inst.name}: depth {at_bound} at the bound {bound} is above the limit")
+        _expect(failures, d1 == G.vertex_count - reg,
+                f"{inst.name}: depth {d1} at n=1 != r - reg = {G.vertex_count - reg}")
+    return not failures, "; ".join(failures) or (
+        f"{done} oracles within bound, the grid at the bound at the limit and at n=1 "
+        f"equal to r - reg ({skipped} over budget)")
 
 
 def check_forest_sweep(level: str) -> tuple[bool, str]:
@@ -278,16 +288,26 @@ def check_field_sensitivity(level: str) -> tuple[bool, str]:
     ell = min_alt_path_length(G)
     _expect(failures, ell <= 2 * nu0 - 1 <= 11,
             f"length {ell} vs bipartite cap {2 * nu0 - 1}")
-    # the first oracle values: above the limit over Q, at it over GF(2)
+    # the grid's depth at n = 1 is above the limit over Q and at it over
+    # GF(2), and equals r - reg over each field, the value the oracle reads
+    # at n = 1; the oracle decides each field's index from the bound
     limit = limit_depth(G)
     over_q = depth_symbolic(G, 1, Rationals(), force=True)
     over_2 = depth_symbolic(G, 1, PrimeField(2), force=True)
     _expect(failures, limit == 11 and over_q == 12, f"depth over Q at n=1 is {over_q}, limit {limit}")
     _expect(failures, over_2 == limit, f"depth over GF(2) at n=1 is {over_2}, limit {limit}")
+    for label, field, d1 in (("Q", Rationals(), over_q), ("GF(2)", PrimeField(2), over_2)):
+        reg = reg_edge_ideal(G, field, force=True)
+        _expect(failures, d1 == G.vertex_count - reg,
+                f"depth over {label} at n=1 is {d1}, but r - reg = {G.vertex_count - reg}")
+    stab_q = stability_index_oracle(G, Rationals(), force=True)
+    stab_2 = stability_index_oracle(G, PrimeField(2), force=True)
+    _expect(failures, stab_q == 2, f"sdstab over Q is {stab_q}, expected 2")
+    _expect(failures, stab_2 == 1, f"sdstab over GF(2) is {stab_2}, expected 1")
     detail = ("; ".join(failures) or
               f"projective plane splits the fields; CHAR16 (nu={nu}, nu0={nu0}, length={ell}) "
-              f"at n=1 has depth {over_q} over Q, above the limit {limit}, so sdstab_Q >= 2, "
-              f"and {over_2} over GF(2), at the limit, so sdstab_GF(2) = 1")
+              f"at n=1 has depth {over_q} over Q, above the limit {limit}, and {over_2} over GF(2), "
+              f"at the limit, each equal to r - reg; sdstab_Q = {stab_q} and sdstab_GF(2) = {stab_2}")
     return not failures, detail
 
 

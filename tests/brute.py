@@ -19,7 +19,9 @@ maximal matching that the oracle's visit reads off a code.  Every reference
 that walks a graph builds its adjacency from ``G.edges`` as Python sets
 (``set_adjacency``), so none reads the library's ``neighbor_masks``; the
 graph predicates (components, two-colouring, forest, k-cycles) are
-set-based searches here.
+set-based searches here.  ``brute_stability_index`` is the exception: it is
+the upward scan over the library's ``depth_symbolic``, the reference for the
+oracle's decision from the bound down.
 """
 
 from __future__ import annotations
@@ -32,8 +34,10 @@ from typing import FrozenSet, Iterable
 
 from coverdepth.complexes import ComplexError, reduced_homology
 from coverdepth.degree import _check_alpha, negative_support, qualifying_edges
+from coverdepth.depth import DEFAULT_BUDGET, depth_symbolic
 from coverdepth.graphs import Graph, GraphError
 from coverdepth.linalg import Rationals, rank
+from coverdepth.matchings import ordered_matching_number
 
 Face = FrozenSet[int]
 
@@ -620,6 +624,20 @@ def brute_reg_edge_ideal(G: Graph, field=None) -> int:
             for j in nonzero_degrees(facet_homology(independence_complex(H), field)):
                 best = j if best is None else max(best, j)
     return 2 + best
+
+
+def brute_stability_index(G: Graph, field=None, *, budget: int = DEFAULT_BUDGET,
+                          force: bool = False) -> int:
+    """The upward scan: the least n whose ``depth_symbolic`` is at most the
+    limit r - nu0 - 1, with every power from n = 1 computed in full and no
+    bound, witness or second engine.  A budget refusal propagates from the
+    first power the budget refuses."""
+    field = field or Rationals()
+    nu0 = ordered_matching_number(G)
+    for n in range(1, 2 * nu0):
+        if depth_symbolic(G, n, field, budget=budget, force=force) <= G.vertex_count - nu0 - 1:
+            return n
+    raise AssertionError(f"depth never reached its limit by n = {2 * nu0 - 1}")
 
 
 def seeded_gnp(seed: int, r: int, p: float) -> Graph:

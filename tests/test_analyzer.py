@@ -409,8 +409,8 @@ def test_batch_forests_deterministic(tmp_path):
 def test_cache_missing_or_corrupt_line_is_a_miss(tmp_path, monkeypatch):
     # a corrupt log line reads as a miss: never an error, never a stale value
     monkeypatch.setenv("COVERDEPTH_CACHE", str(tmp_path / "cache"))
-    keys = [{"op": "analyze", "graph": f"P{r}"} for r in range(2, 7)]
-    digests = [cache.key_hash(key).encode() for key in keys]
+    keys = [cache.key_hash({"op": "analyze", "graph": f"P{r}"}) for r in range(2, 7)]
+    digests = [key.encode() for key in keys]
     entries = cache.load()
     assert entries == {} and cache.get(keys[0], entries) is None
     cache.put(keys[0], {"stability_index": 1}, entries)
@@ -439,7 +439,7 @@ def test_cache_concurrent_appends_keep_every_line(tmp_path, monkeypatch):
         "writer, entries = sys.argv[1], cache.load()\n"
         "sys.stdin.read()\n"
         "for i in range(200):\n"
-        "    cache.put({'writer': writer, 'i': i}, {'pad': 'x' * (50 * i)}, entries)\n"
+        "    cache.put(cache.key_hash({'writer': writer, 'i': i}), {'pad': 'x' * (50 * i)}, entries)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(coverdepth.__file__).parents[1])}
     writers = [subprocess.Popen([sys.executable, "-c", script, name], stdin=subprocess.PIPE, env=env)
@@ -451,7 +451,7 @@ def test_cache_concurrent_appends_keep_every_line(tmp_path, monkeypatch):
     assert len(lines) == 400 and sum(len(line) > 4096 for line in lines) > 200
     entries = cache.load()
     assert len(entries) == 400
-    assert all(cache.get({"writer": name, "i": i}, entries) == {"pad": "x" * (50 * i)}
+    assert all(cache.get(cache.key_hash({"writer": name, "i": i}), entries) == {"pad": "x" * (50 * i)}
                for name in ("a", "b") for i in range(200))
 
 

@@ -11,6 +11,7 @@ import pytest
 import coverdepth
 
 from coverdepth import depth
+from coverdepth.altpaths import _shortest_max_ordered, stability_bound
 from coverdepth.complexes import reduced_homology
 from coverdepth.degree import _independence_complex
 from coverdepth.depth import (
@@ -33,10 +34,11 @@ from coverdepth.depth import (
 from coverdepth.families import random_graphs
 from coverdepth.graphs import Graph, GraphError, builtin_graph, cycle_graph, path_graph
 from coverdepth.linalg import PrimeField, Rationals, rank
-from coverdepth.matchings import has_perfect_ordered_matching
+from coverdepth.matchings import has_perfect_ordered_matching, ordered_matching_number
 from coverdepth.verification import _duality_instances
 from brute import (
     bit_order_matching,
+    brute_stability_index,
     brute_frontier_order,
     brute_qualifying_subsets,
     dense_max_nonzero_degree,
@@ -342,6 +344,101 @@ def test_r11_case_depths_under_the_default_budget():
     # at n = 3 the grid returns about 400,000 codes and the visit stops at
     # the matching ceiling
     assert [depth_symbolic(_r11_case(), n) for n in (1, 2, 3)] == [8, 7, 6]
+
+
+def _w5_plus_pendant():
+    """The wheel W5 with hub 6 plus a pendant 7 at the hub: sdstab 3 < B 4."""
+    return Graph.make(7, [(1, 2), (1, 5), (1, 6), (2, 3), (2, 6), (3, 4), (3, 6),
+                          (4, 5), (4, 6), (5, 6), (6, 7)])
+
+
+def _outcome(fn, *args, **kwargs):
+    """The value, or the refusal's message."""
+    try:
+        return fn(*args, **kwargs)
+    except BudgetRefusal as refusal:
+        return f"refused: {refusal}"
+
+
+def test_oracle_decision_matches_the_upward_scan():
+    # seeds 0..2 of the 1,200-graph sample, the corpus graphs, C5 (sdstab 1
+    # < B 2) and W5 plus a pendant (sdstab 3 < B 4, so the walk continues
+    # past B - 1); a refusal must come with the upward scan's message
+    graphs = [inst.graph for seed in range(3) for inst in random_graphs(seed=seed, count=40, max_r=8)]
+    graphs += [builtin_graph(name) for name in ("FIG1", "FIG2", "FIG3", "FAM(1)", "FAM(2)")]
+    graphs += [cycle_graph(5), _w5_plus_pendant()]
+    below_bound = 0
+    for G in graphs:
+        for field in (Rationals(), PrimeField(2)):
+            expected = _outcome(brute_stability_index, G, field)
+            assert _outcome(stability_index_oracle, G, field) == expected, (G.edge_list, field)
+            below_bound += isinstance(expected, int) and expected < stability_bound(G)
+    assert below_bound
+    assert [stability_index_oracle(G) for G in graphs[-2:]] == [1, 3]
+    assert [stability_bound(G) for G in graphs[-2:]] == [2, 4]
+
+
+@pytest.mark.parametrize("bound", [None, 1])
+def test_oracle_without_the_witness_decides_at_the_bound(monkeypatch, bound):
+    # no witness: depth_symbolic at B decides; with the bound forced to 1,
+    # a depth above the limit there continues the scan upward from 2
+    monkeypatch.setattr(depth, "_witness_point", lambda G, b: None)
+    if bound is not None:
+        monkeypatch.setattr(depth, "stability_bound", lambda G: bound)
+    for inst in random_graphs(seed=0, count=40, max_r=7):
+        for field in (Rationals(), PrimeField(2)):
+            assert stability_index_oracle(inst.graph, field) == brute_stability_index(inst.graph, field)
+
+
+def test_r11_case_index_takes_one_depth_symbolic_call(monkeypatch):
+    # the witness settles n = B = 3, the link scan n = 1, so the grid runs
+    # only at n = 2, where the depth 7 is above the limit 6
+    calls = []
+    full = depth.depth_symbolic
+    monkeypatch.setattr(depth, "depth_symbolic", lambda G, n, *a, **k: calls.append(n) or full(G, n, *a, **k))
+    assert stability_index_oracle(_r11_case()) == 3
+    assert calls == [2]
+
+
+def test_witness_point_gives_exactly_the_matching():
+    # the layout's point (5): at B the shifted exponents of the shortest
+    # maximum ordered matching make a grid point whose qualifying edges,
+    # read here without the library's check, are exactly the matching
+    rng = random.Random(13)
+    graphs = [random_small_graph(rng, 8) for _ in range(60)]
+    graphs += [builtin_graph(name) for name in ("FIG1", "FIG2", "FIG3", "FAM(2)", "CHAR16")]
+    graphs += [cycle_graph(5), _w5_plus_pendant()]
+    assert any(2 * ordered_matching_number(G) < G.vertex_count for G in graphs)
+    for G in graphs:
+        bound = stability_bound(G)
+        point = depth._witness_point(G, bound)
+        assert point is not None and set(point) == set(G.vertices()), G.edge_list
+        assert all(0 <= a <= bound for a in point.values())
+        edges = list(G.edge_list)
+        code = sum(1 << i for i, (u, v) in enumerate(edges)
+                   if point[u] < bound and point[v] < bound and point[u] + point[v] <= bound - 1)
+        if G.vertex_count <= 10:  # the grid of CHAR16 at B is too large to list here
+            assert code in _qualifying_subsets(list(_frontier_order(G)), edges, bound, bound), G.edge_list
+        matching = {edges[i] for i in range(len(edges)) if code >> i & 1}
+        assert matching == _shortest_max_ordered(G).edge_set
+        assert len(matching) == ordered_matching_number(G)
+
+
+def test_oracle_budget_parity_with_the_upward_scan():
+    # every budget at and just below each power's estimate (2n)^r up to B,
+    # and r >= 13 without force: the same value, or the same refusal
+    cases = [(G, (2 * n) ** G.vertex_count - below) for G in (_w5_plus_pendant(), cycle_graph(5), _r11_case())
+             for n in range(1, stability_bound(G) + 1) for below in (1, 0)]
+    outcomes = []
+    for G, budget in cases:
+        expected = _outcome(brute_stability_index, G, budget=budget)
+        assert _outcome(stability_index_oracle, G, budget=budget) == expected, (G.edge_list, budget)
+        outcomes.append(expected)
+    assert any(isinstance(o, int) for o in outcomes) and any(isinstance(o, str) for o in outcomes)
+    for G in (builtin_graph("CHAR16"), Graph.make(13, [(1, 2)])):
+        expected = _outcome(brute_stability_index, G)
+        assert expected.startswith("refused: refusing r=")
+        assert _outcome(stability_index_oracle, G) == expected
 
 
 def test_memo_key_is_canonical(monkeypatch):
