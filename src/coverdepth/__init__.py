@@ -29,7 +29,6 @@ from .matchings import (
 from .altpaths import (
     alt_path_length,
     min_alt_path_length,
-    partner_path_lengths,
     path_exponents,
     shifted_exponents,
     stability_bound,

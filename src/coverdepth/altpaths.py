@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 from .graphs import Graph
 from .matchings import OrderedMatching, _max_ordered, ordered_matching_violation
@@ -83,13 +82,6 @@ def _pair_depths(G: Graph, om: OrderedMatching) -> list[int]:
     return k
 
 
-def partner_path_lengths(G: Graph, om: OrderedMatching) -> dict[int, int]:
-    """Map partner vertex -> length of its longest admissible path (always odd)."""
-    _require_valid(G, om)
-    k = _pair_depths(G, om)
-    return {om.pairs[i][1]: 2 * k[i] - 1 for i in range(len(k))}
-
-
 def _bridged_length(G: Graph, om: OrderedMatching, lengths: dict[int, int]) -> int:
     """Best join of two partner paths through a partner-partner edge; 0 if none."""
     partners = om.partner_side
@@ -101,17 +93,21 @@ def _bridged_length(G: Graph, om: OrderedMatching, lengths: dict[int, int]) -> i
     return best
 
 
-def alt_path_length(G: Graph, om: OrderedMatching) -> int:
-    """The operative alternating-path length of the matching."""
-    lengths = partner_path_lengths(G, om)
-    return max(max(lengths.values()), _bridged_length(G, om, lengths))
-
-
 def profile(G: Graph, om: OrderedMatching) -> AltPathProfile:
-    lengths = partner_path_lengths(G, om)
+    """The one pass over a matching: it is validated, its pair depths are
+    computed, and each partner's longest admissible path (always odd), the
+    base and bridged maxima and the operative length are read off them."""
+    _require_valid(G, om)
+    k = _pair_depths(G, om)
+    lengths = {om.pairs[i][1]: 2 * k[i] - 1 for i in range(len(k))}
     b0 = max(lengths.values())
     b1 = _bridged_length(G, om, lengths)
     return AltPathProfile(lengths, b0, b1, max(b0, b1))
+
+
+def alt_path_length(G: Graph, om: OrderedMatching) -> int:
+    """The operative alternating-path length of the matching."""
+    return profile(G, om).length
 
 
 def walk_length(G: Graph, om: OrderedMatching) -> int:
@@ -157,20 +153,21 @@ def walk_length(G: Graph, om: OrderedMatching) -> int:
 
 
 @lru_cache(maxsize=64)
-def _shortest_max_ordered(G: Graph) -> OrderedMatching:
-    """The first maximum pair set, in sorted order, whose first orientation
-    has the least operative length.
+def _shortest_max_ordered(G: Graph) -> tuple[int, OrderedMatching]:
+    """(length, matching): the first maximum pair set, in sorted order, whose
+    first orientation has the least operative length, with that length.
 
     The length is orientation-independent per pair set (property-tested), so
     one orientation per pair set is evaluated.  Memoized like ``_max_ordered``:
-    the bound, the oracle's witness and the report read the same matching.
+    the bound, the oracle's witness and the report read the same matching and
+    its length, computed once.
     """
-    return min((oms[0] for _, oms in _max_ordered(G)), key=lambda om: alt_path_length(G, om))
+    return min(((alt_path_length(G, oms[0]), oms[0]) for _, oms in _max_ordered(G)), key=lambda entry: entry[0])
 
 
 def min_alt_path_length(G: Graph) -> int:
     """Minimum operative length over all maximum ordered matchings."""
-    return alt_path_length(G, _shortest_max_ordered(G))
+    return _shortest_max_ordered(G)[0]
 
 
 def stability_bound(G: Graph) -> int:
@@ -209,7 +206,7 @@ def _check_cross_edges(G: Graph, om: OrderedMatching, cert: ExponentCertificate)
                 )
 
 
-def shifted_exponents(G: Graph, om: OrderedMatching, power: Optional[int] = None) -> ExponentCertificate:
+def shifted_exponents(G: Graph, om: OrderedMatching, power: int) -> ExponentCertificate:
     """Shift the path exponents to a target power n: partners gain n - k.
 
     Verifies, on every edge of the covered subgraph, that pair sums equal
@@ -217,8 +214,6 @@ def shifted_exponents(G: Graph, om: OrderedMatching, power: Optional[int] = None
     the bound's construction and raises loudly.
     """
     base = path_exponents(G, om)
-    if power is None:
-        power = (alt_path_length(G, om) + 1) // 2
     if power < base.value:
         raise ValueError(f"power {power} below the base value {base.value}")
     shift = power - base.value

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import cache as cache_mod
-from .altpaths import _shortest_max_ordered, alt_path_length, walk_length
+from .altpaths import _shortest_max_ordered, stability_bound, walk_length
 from .depth import (
     DEFAULT_BUDGET,
     BudgetRefusal,
@@ -104,9 +104,8 @@ def analyze(G: Graph, field: FieldSpec = Rationals(),
     nu = matching_number(G)
     nu_prime = induced_matching_number(G)
     nu0 = ordered_matching_number(G)
-    shortest = _shortest_max_ordered(G)
-    ell = alt_path_length(G, shortest)
-    bound = (ell + 1) // 2
+    ell, shortest = _shortest_max_ordered(G)
+    bound = stability_bound(G)
     bip = is_bipartite(G)
     flags = {
         "bipartite": bip is not None,

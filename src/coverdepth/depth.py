@@ -64,21 +64,23 @@ At the paper's bound B = ceil(l/2) the shifted path exponents of the
 shortest maximum ordered matching give such a point: uncovered vertices
 take the value B, which puts them in S, covered ones their exponent, so
 each pair sums to B - 1 and every other edge is killed or sums to >= B.
+``shifted_exponents`` checks exactly that on every covered edge, so when it
+returns, the qualifying edges at the point are the nu0 pairs.
 ``stability_index_oracle`` decides the index in this order: the admission
-rule at n = 1, then at B; the witness at B, checked edge by edge (without
-it, ``depth_symbolic`` at B); then one exact depth per power from B - 1
-down, r - reg I(G) at n = 1 (criterion 5's duality) and ``depth_symbolic``
-above; the first depth above the limit at n gives the index n + 1.
+rule at n = 1, then at B; the witness at B, which is that call, so no grid
+runs at B and a construction failure raises CertificateConstructionError;
+then one exact depth per power from B - 1 down, r - reg I(G) at n = 1
+(criterion 5's duality) and ``depth_symbolic`` above; the first depth above
+the limit at n gives the index n + 1.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from .altpaths import (
-    CertificateConstructionError,
     ExponentCertificate,
     _shortest_max_ordered,
     alt_path_length,
@@ -404,13 +406,6 @@ def limit_depth(G: Graph) -> int:
     return G.vertex_count - ordered_matching_number(G) - 1
 
 
-def _power_scan(G: Graph, field: FieldSpec, budget: int, force: bool) -> Iterator[tuple[int, int]]:
-    """(n, depth R/J^(n)) for n = 1 .. 2*nu0 - 1, by which the depth has
-    reached its limit."""
-    for n in range(1, 2 * ordered_matching_number(G)):
-        yield n, depth_symbolic(G, n, field, budget=budget, force=force)
-
-
 def depth_profile(G: Graph, field: FieldSpec = Rationals(), *,
                   budget: int = DEFAULT_BUDGET, force: bool = False) -> DepthReport:
     """Symbolic depth values for n = 1 .. 2*nu0 - 1, their limit and the
@@ -424,32 +419,17 @@ def depth_profile(G: Graph, field: FieldSpec = Rationals(), *,
     grows with n, so a profile that would be refused is refused before any
     work.
     """
-    _check_budget(G, 2 * ordered_matching_number(G) - 1, budget, force)
-    profile = dict(_power_scan(G, field, budget, force))
-    limit = limit_depth(G)
+    nu0 = ordered_matching_number(G)
+    _check_budget(G, 2 * nu0 - 1, budget, force)
+    profile = {n: depth_symbolic(G, n, field, budget=budget, force=force) for n in range(1, 2 * nu0)}
+    limit = G.vertex_count - nu0 - 1
     values = list(profile.values())
     if any(a < b for a, b in zip(values, values[1:])):
         raise DepthEngineError(f"profile {profile} is not non-increasing")
     if values[-1] != limit:
         raise DepthEngineError(f"profile ends at {values[-1]}, expected {limit}")
     stab = min(n for n, d in profile.items() if d <= limit)
-    return DepthReport(ordered_matching_number(G), limit, profile, stab)
-
-
-def _witness_point(G: Graph, bound: int) -> Optional[dict[int, int]]:
-    """The grid point of power ``bound`` that the shifted path exponents of
-    the shortest maximum ordered matching give (the layout's point (5)):
-    each uncovered vertex takes the value ``bound``, which puts it in S, and
-    each covered vertex its exponent.  Returned when the edges that qualify
-    there are exactly the matching's pairs, else None."""
-    om = _shortest_max_ordered(G)
-    try:
-        exponents = shifted_exponents(G, om, bound).witness
-    except CertificateConstructionError:
-        return None
-    point = {v: exponents.get(v, bound) for v in G.vertices()}
-    qualifying = {(u, v) for u, v in G.edge_list if point[u] + point[v] <= bound - 1}
-    return point if qualifying == om.edge_set else None
+    return DepthReport(nu0, limit, profile, stab)
 
 
 def _exact_depth(G: Graph, n: int, field: FieldSpec, budget: int, force: bool) -> int:
@@ -468,35 +448,28 @@ def stability_index_oracle(G: Graph, field: FieldSpec = Rationals(), *,
     The symbolic depth function of a cover ideal is non-increasing with
     limit r - nu0 - 1 (Hoa, Kimura, Terai and Trung, J. Algebra 2017), so
     once depth(B) is at the limit the index is n + 1 for the largest n < B
-    whose depth is above the limit, or 1.  The witness point at B (the
-    layout's point (5)) shows that with no grid; without it
-    ``depth_symbolic`` at B decides, and a depth above the limit there
-    continues the scan upward from B + 1.  Below B each power gets one
-    exact depth, from B - 1 down.
+    whose depth is above the limit, or 1.  The witness at B (the layout's
+    point (5)) shows that with no grid: it is ``shifted_exponents`` at B on
+    the shortest maximum ordered matching, whose own edge check makes the
+    qualifying edges exactly the pairs, and a construction failure raises
+    CertificateConstructionError.  Below B each power gets one exact depth,
+    from B - 1 down.
 
     Admission is asked at n = 1 before the bound is computed, then at B.
     The cost estimate grows with n, so admission at B admits every power
-    below it; a graph refused at B is scanned upward from n = 1 instead.
-    Either way ``BudgetRefusal`` is raised exactly when, and as, the plain
-    upward scan over ``depth_symbolic`` raises it.
+    below it; a graph refused at B is scanned upward from n = 1 instead,
+    which returns the index or is refused by n = B.  Either way
+    ``BudgetRefusal`` is raised exactly when, and as, the plain upward scan
+    over ``depth_symbolic`` raises it.
     """
     _check_budget(G, 1, budget, force)
     limit, bound = limit_depth(G), stability_bound(G)
-    start = 1
     try:
         _check_budget(G, bound, budget, force)
     except BudgetRefusal:
-        pass  # the scan from n = 1 is refused at the first power over budget
-    else:
-        if _witness_point(G, bound) is not None or \
-                depth_symbolic(G, bound, field, budget=budget, force=force) <= limit:
-            return next((n + 1 for n in range(bound - 1, 0, -1)
-                         if _exact_depth(G, n, field, budget, force) > limit), 1)
-        start = bound + 1
-    for n in range(start, 2 * ordered_matching_number(G)):
-        if _exact_depth(G, n, field, budget, force) <= limit:
-            return n
-    raise DepthEngineError(f"depth never reached its limit {limit} by n = {2 * ordered_matching_number(G) - 1}")
+        return next(n for n in range(1, bound + 1) if _exact_depth(G, n, field, budget, force) <= limit)
+    shifted_exponents(G, _shortest_max_ordered(G)[1], bound)  # the witness at B, or it raises
+    return next((n + 1 for n in range(bound - 1, 0, -1) if _exact_depth(G, n, field, budget, force) > limit), 1)
 
 
 # -- perfect-matching certificate -------------------------------------------

@@ -5,7 +5,6 @@ import pytest
 from coverdepth.altpaths import (
     alt_path_length,
     min_alt_path_length,
-    partner_path_lengths,
     path_exponents,
     profile,
     shifted_exponents,
@@ -26,15 +25,15 @@ FIG2_ALT = OrderedMatching(((1, 5), (2, 6), (4, 9), (3, 8)))
 
 
 def test_partner_lengths_fig2():
-    assert partner_path_lengths(builtin_graph("FIG2"), M_1234) == {5: 3, 6: 1, 7: 3, 8: 1}
+    assert profile(builtin_graph("FIG2"), M_1234).partner_lengths == {5: 3, 6: 1, 7: 3, 8: 1}
 
 
 def test_partner_lengths_fig3():
-    assert partner_path_lengths(builtin_graph("FIG3"), M_1234) == {5: 5, 6: 5, 7: 3, 8: 1}
+    assert profile(builtin_graph("FIG3"), M_1234).partner_lengths == {5: 5, 6: 5, 7: 3, 8: 1}
 
 
 def test_partner_lengths_single_edge():
-    assert partner_path_lengths(path_graph(2), OrderedMatching(((1, 2),))) == {2: 1}
+    assert profile(path_graph(2), OrderedMatching(((1, 2),))).partner_lengths == {2: 1}
 
 
 def test_profile_fig2():
@@ -81,7 +80,7 @@ def test_walk_against_brute_enumeration():
 
 def test_invalid_matching_rejected():
     with pytest.raises(ValueError, match="index condition"):
-        partner_path_lengths(cycle_graph(4), OrderedMatching(((1, 2), (3, 4))))
+        profile(cycle_graph(4), OrderedMatching(((1, 2), (3, 4)))).partner_lengths
     with pytest.raises(ValueError):
         walk_length(cycle_graph(4), OrderedMatching(((1, 2), (3, 4))))
 
@@ -91,9 +90,8 @@ def test_all_partner_lengths_odd_property():
     for _ in range(30):
         G = random_small_graph(rng, max_r=7)
         for om in enumerate_max_ordered_matchings(G)[:6]:
-            lengths = partner_path_lengths(G, om)
-            assert all(l % 2 == 1 for l in lengths.values())
             p = profile(G, om)
+            assert all(l % 2 == 1 for l in p.partner_lengths.values())
             assert p.base_max % 2 == 1
             assert p.bridged_max == 0 or p.bridged_max % 2 == 1
 
@@ -198,7 +196,7 @@ def test_shifted_exponents_validate_on_random_perfect_matchings():
             continue
         checked += 1
         n = (alt_path_length(G, om) + 1) // 2
-        cert = shifted_exponents(G, om)  # verifies its own constraints
+        cert = shifted_exponents(G, om, n)  # verifies its own constraints
         assert cert.value == n
         pair_edges = om.edge_set
         for u, v in G.edge_list:

@@ -10,8 +10,14 @@ import pytest
 
 import coverdepth
 
-from coverdepth import depth
-from coverdepth.altpaths import _shortest_max_ordered, stability_bound
+from coverdepth import altpaths, depth
+from coverdepth.altpaths import (
+    CertificateConstructionError,
+    _shortest_max_ordered,
+    min_alt_path_length,
+    shifted_exponents,
+    stability_bound,
+)
 from coverdepth.complexes import reduced_homology
 from coverdepth.degree import _independence_complex
 from coverdepth.depth import (
@@ -378,16 +384,36 @@ def test_oracle_decision_matches_the_upward_scan():
     assert [stability_bound(G) for G in graphs[-2:]] == [2, 4]
 
 
-@pytest.mark.parametrize("bound", [None, 1])
-def test_oracle_without_the_witness_decides_at_the_bound(monkeypatch, bound):
-    # no witness: depth_symbolic at B decides; with the bound forced to 1,
-    # a depth above the limit there continues the scan upward from 2
-    monkeypatch.setattr(depth, "_witness_point", lambda G, b: None)
-    if bound is not None:
-        monkeypatch.setattr(depth, "stability_bound", lambda G: bound)
-    for inst in random_graphs(seed=0, count=40, max_r=7):
-        for field in (Rationals(), PrimeField(2)):
-            assert stability_index_oracle(inst.graph, field) == brute_stability_index(inst.graph, field)
+def test_oracle_raises_when_the_construction_fails(monkeypatch):
+    # the witness at B is shifted_exponents' own check; a failure there
+    # contradicts the bound's construction, so it propagates and no grid
+    # search stands in for it
+    def broken(G, om, power):
+        raise CertificateConstructionError("forced failure")
+
+    grids = []
+    monkeypatch.setattr(depth, "shifted_exponents", broken)
+    monkeypatch.setattr(depth, "depth_symbolic", lambda G, n, *a, **k: grids.append(n))
+    for G in (builtin_graph("FIG3"), cycle_graph(5), _w5_plus_pendant(), _r11_case()):
+        with pytest.raises(CertificateConstructionError, match="forced failure"):
+            stability_index_oracle(G)
+    assert grids == []
+
+
+def test_bound_and_witness_reuse_the_memoized_construction(monkeypatch):
+    # once _shortest_max_ordered(G) holds (length, matching), the bound and
+    # the length read it with no pass over the matching, and the oracle
+    # makes one, for the witness at B
+    calls = []
+    inner = altpaths._pair_depths
+    monkeypatch.setattr(altpaths, "_pair_depths", lambda G, om: calls.append(om) or inner(G, om))
+    for G, ell, bound in ((builtin_graph("FIG3"), 5, 3), (_w5_plus_pendant(), 7, 4)):
+        _, om = _shortest_max_ordered(G)
+        calls.clear()
+        assert (min_alt_path_length(G), stability_bound(G)) == (ell, bound)
+        assert calls == []
+        stability_index_oracle(G)
+        assert calls == [om]
 
 
 def test_r11_case_index_takes_one_depth_symbolic_call(monkeypatch):
@@ -402,8 +428,9 @@ def test_r11_case_index_takes_one_depth_symbolic_call(monkeypatch):
 
 def test_witness_point_gives_exactly_the_matching():
     # the layout's point (5): at B the shifted exponents of the shortest
-    # maximum ordered matching make a grid point whose qualifying edges,
-    # read here without the library's check, are exactly the matching
+    # maximum ordered matching, with every uncovered vertex at B, make a
+    # grid point whose qualifying edges, read here without the library's
+    # check, are exactly the matching
     rng = random.Random(13)
     graphs = [random_small_graph(rng, 8) for _ in range(60)]
     graphs += [builtin_graph(name) for name in ("FIG1", "FIG2", "FIG3", "FAM(2)", "CHAR16")]
@@ -411,8 +438,10 @@ def test_witness_point_gives_exactly_the_matching():
     assert any(2 * ordered_matching_number(G) < G.vertex_count for G in graphs)
     for G in graphs:
         bound = stability_bound(G)
-        point = depth._witness_point(G, bound)
-        assert point is not None and set(point) == set(G.vertices()), G.edge_list
+        om = _shortest_max_ordered(G)[1]
+        exponents = shifted_exponents(G, om, bound).witness
+        point = {**{v: bound for v in G.vertices()}, **exponents}
+        assert exponents and set(point) == set(G.vertices()), G.edge_list
         assert all(0 <= a <= bound for a in point.values())
         edges = list(G.edge_list)
         code = sum(1 << i for i, (u, v) in enumerate(edges)
@@ -420,7 +449,7 @@ def test_witness_point_gives_exactly_the_matching():
         if G.vertex_count <= 10:  # the grid of CHAR16 at B is too large to list here
             assert code in _qualifying_subsets(list(_frontier_order(G)), edges, bound, bound), G.edge_list
         matching = {edges[i] for i in range(len(edges)) if code >> i & 1}
-        assert matching == _shortest_max_ordered(G).edge_set
+        assert matching == om.edge_set
         assert len(matching) == ordered_matching_number(G)
 
 

@@ -5,7 +5,9 @@ code, stdout, stderr and, for ``batch``, the JSONL file it wrote, with the
 output path written as ``{out}``.  The cases are every corpus graph (FIG1,
 FIG2, FIG3, FAM(1), FAM(2), CHAR16) in every mode, FIG3 with
 ``--profile --field gf:2`` and with ``--profile --mode combinatorial``, and
-``batch --no-cache`` over ``cycles 3..10``.
+``batch --no-cache`` over ``cycles 3..10`` and over ``graphs seed=3 count=40
+maxr=8``, the latter also with ``--mode oracle --field gf:2``, which runs the
+oracle's decision walk over GF(2) on random graphs.
 To record a case again, run ``coverdepth.cli.main(argv)`` with stdout and
 stderr captured and store what it printed.
 """
