@@ -21,9 +21,9 @@ from .matchings import (
     enumerate_max_ordered_matchings,
     has_perfect_ordered_matching,
     induced_matching_number,
-    is_ordered_matching,
     matching_number,
     ordered_matching_number,
+    ordered_matching_violation,
     unique_perfect_matching_check,
 )
 from .altpaths import (

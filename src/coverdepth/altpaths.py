@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .graphs import Graph
-from .matchings import OrderedMatching, _max_ordered, ordered_matching_violation
+from .matchings import OrderedMatching, _max_ordered
 
 
 class WalkCutoffError(RuntimeError):
@@ -61,47 +61,37 @@ class ExponentCertificate:
                 "pairs": [list(p) for p in self.pairs]}
 
 
-def _require_valid(G: Graph, om: OrderedMatching) -> None:
-    reason = ordered_matching_violation(G, om.pairs)
-    if reason is not None:
-        raise ValueError(f"not a valid ordered matching: {reason}")
-
-
 def _pair_depths(G: Graph, om: OrderedMatching) -> list[int]:
     """k_i per pair, by the longest-chain recursion in reverse index order."""
-    pairs = om.pairs
-    s = len(pairs)
-    k = [1] * s
-    for i in range(s - 1, -1, -1):
-        u = pairs[i][0]
-        best = 0
-        for j in range(i + 1, s):
-            if G.has_edge(u, pairs[j][1]):
-                best = max(best, k[j])
+    pairs, masks = om.pairs, G.neighbor_masks
+    k = [1] * len(pairs)
+    for i in range(len(pairs) - 1, -1, -1):
+        seen, best = masks[pairs[i][0]], 0
+        for j in range(i + 1, len(pairs)):
+            if seen >> (pairs[j][1] - 1) & 1 and k[j] > best:
+                best = k[j]
         k[i] = 1 + best
     return k
 
 
-def _bridged_length(G: Graph, om: OrderedMatching, lengths: dict[int, int]) -> int:
+def _bridged_length(G: Graph, lengths: dict[int, int]) -> int:
     """Best join of two partner paths through a partner-partner edge; 0 if none."""
-    partners = om.partner_side
+    partners, masks = list(lengths), G.neighbor_masks
     best = 0
-    for i in range(len(partners)):
-        for j in range(i + 1, len(partners)):
-            if G.has_edge(partners[i], partners[j]):
-                best = max(best, lengths[partners[i]] + lengths[partners[j]] + 1)
+    for i, v in enumerate(partners):
+        for w in partners[i + 1:]:
+            if masks[v] >> (w - 1) & 1:
+                best = max(best, lengths[v] + lengths[w] + 1)
     return best
 
 
 def profile(G: Graph, om: OrderedMatching) -> AltPathProfile:
-    """The one pass over a matching: it is validated, its pair depths are
-    computed, and each partner's longest admissible path (always odd), the
-    base and bridged maxima and the operative length are read off them."""
-    _require_valid(G, om)
+    """The one pass over a matching: each partner's longest admissible path
+    (always odd), the base and bridged maxima and the operative length."""
     k = _pair_depths(G, om)
     lengths = {om.pairs[i][1]: 2 * k[i] - 1 for i in range(len(k))}
     b0 = max(lengths.values())
-    b1 = _bridged_length(G, om, lengths)
+    b1 = _bridged_length(G, lengths)
     return AltPathProfile(lengths, b0, b1, max(b0, b1))
 
 
@@ -117,7 +107,6 @@ def walk_length(G: Graph, om: OrderedMatching) -> int:
     strictly alternate along the walk.  Raises :class:`WalkCutoffError` if any
     walk reaches the safety cutoff 4s + 2, above the provable maximum.
     """
-    _require_valid(G, om)
     s = om.size
     limit = 4 * s + 2
     masks = G.neighbor_masks
@@ -137,7 +126,7 @@ def walk_length(G: Graph, om: OrderedMatching) -> int:
                 )
         mate = partner_of.get(v)
         if need_matching:
-            if mate is not None:  # every pair is an edge once _require_valid passed
+            if mate is not None:  # every pair of a valid matching is an edge
                 extend(mate, False, length + 1)
         else:
             rest = masks[v] if mate is None else masks[v] & ~(1 << (mate - 1))
@@ -184,7 +173,6 @@ def path_exponents(G: Graph, om: OrderedMatching) -> ExponentCertificate:
     Only edges between the two sides are consulted; pair sums equal k - 1 and
     forward cross edges sum to at least k, where 2k - 1 is the base length.
     """
-    _require_valid(G, om)
     k = _pair_depths(G, om)
     kmax = max(k)
     values: dict[int, int] = {}
@@ -197,10 +185,10 @@ def path_exponents(G: Graph, om: OrderedMatching) -> ExponentCertificate:
 
 
 def _check_cross_edges(G: Graph, om: OrderedMatching, cert: ExponentCertificate) -> None:
-    values, n = cert.witness, cert.value
+    values, n, masks = cert.witness, cert.value, G.neighbor_masks
     for i, (u, _) in enumerate(om.pairs):
-        for j, (_, w) in enumerate(om.pairs):
-            if i < j and G.has_edge(u, w) and values[u] + values[w] < n:
+        for _, w in om.pairs[i + 1:]:
+            if masks[u] >> (w - 1) & 1 and values[u] + values[w] < n:
                 raise CertificateConstructionError(
                     f"cross edge ({u},{w}) sums to {values[u] + values[w]} < {n}"
                 )

@@ -117,7 +117,8 @@ def analyze(G: Graph, field: FieldSpec = Rationals(),
 
     walk_len = walk_length(G, shortest) if G.vertex_count <= WALK_VERTEX_LIMIT else None
 
-    # a refused or disabled link scan skips constant-depth-iff and leaves
+    # reg is the oracle's own reading where it read depth(1), else one link
+    # scan's; a refused or disabled scan skips constant-depth-iff and leaves
     # regularity-upper out; a refused or disabled profile skips both profile
     # checks; the refusal or the mode is the detail
     reg: Optional[int] = None
@@ -127,7 +128,7 @@ def analyze(G: Graph, field: FieldSpec = Rationals(),
     limit = G.vertex_count - nu0 - 1
     if opts.mode in ("auto", "oracle"):
         try:
-            reg = reg_edge_ideal(G, field, budget=opts.budget, force=opts.force)
+            reg = res.reg if res.reg is not None else reg_edge_ideal(G, field, budget=opts.budget, force=opts.force)
         except BudgetRefusal as refusal:
             reg_skipped = str(refusal)
         if opts.with_profile:
@@ -155,9 +156,9 @@ def analyze(G: Graph, field: FieldSpec = Rationals(),
     add("unique-perfect-matching", unique_perfect_matching_check(G) if flags["perfect_ordered_matching"] else None,
         "graphs with a perfect ordered matching have one perfect matching")
     if reg is not None:
-        # the oracle reads depth(1) as r - reg from this same link scan, so
-        # where it read depth(1) the check tests only reg <= nu0 + 1; verify's
-        # criteria 10 and 13 compare that reading with the grid
+        # where the oracle read depth(1), reg is its own reading of r - depth(1),
+        # so the check tests only reg <= nu0 + 1; verify's criteria 10 and 13
+        # compare that reading with the grid
         add("constant-depth-iff", None if stab is None else ((stab == 1) == (reg == nu0 + 1)),
             f"reg={reg}, nu0+1={nu0 + 1}")
         add("regularity-upper", reg <= nu + 1, f"reg={reg} <= nu+1={nu + 1}")
@@ -221,10 +222,11 @@ def batch(family_spec: str, out_path: str | Path, field: FieldSpec = Rationals()
     """Analyze every instance of a family, then write one JSON report per
     line once all are done.  With the cache on, the batch reads the cache's
     one log once, holds it in memory, and appends one line per report as
-    soon as it is made, so a rerun resumes.  Single-write O_APPEND lines stay
-    whole on a local filesystem, not on NFS; blob trees of earlier cache
-    versions are left unread, and deleting the cache directory reclaims them.
-    Returns the number of instances written."""
+    soon as it is made, so a rerun resumes; ``put``'s text for a new report
+    is also its output line.  Single-write O_APPEND lines stay whole on a
+    local filesystem, not on NFS; blob trees of earlier cache versions are
+    left unread, and deleting the cache directory reclaims them.  Returns
+    the number of instances written."""
     opts = options or AnalyzeOptions()
     instances = parse_family_spec(family_spec)
     out_file = Path(out_path)
@@ -234,21 +236,18 @@ def batch(family_spec: str, out_path: str | Path, field: FieldSpec = Rationals()
     entries = cache_mod.load() if opts.use_cache else None
     digests: dict[Graph, str] = {}  # each distinct graph's key is encoded and hashed once
 
-    def run_one(inst: FamilyInstance) -> dict:
-        if entries is None:
-            return analyze(inst.graph, field, opts, name=inst.name, seed=inst.seed).to_json()
-        digest = digests.get(inst.graph)
-        if digest is None:
-            digest = digests[inst.graph] = cache_mod.key_hash(_cache_key(inst, field, options))
-        hit = cache_mod.get(digest, entries)
-        if hit is not None:
-            return {**hit, "name": inst.name, "seed": inst.seed}
+    def run_one(inst: FamilyInstance) -> str:
+        if entries is not None:
+            digest = digests.get(inst.graph)
+            if digest is None:
+                digest = digests[inst.graph] = cache_mod.key_hash(_cache_key(inst, field, options))
+            hit = cache_mod.get(digest, entries)
+            if hit is not None:
+                return json.dumps({**hit, "name": inst.name, "seed": inst.seed}, sort_keys=True)
         report = analyze(inst.graph, field, opts, name=inst.name, seed=inst.seed).to_json()
-        cache_mod.put(digest, report, entries)
-        return report
+        return json.dumps(report, sort_keys=True) if entries is None else cache_mod.put(digest, report, entries)
 
-    results = [run_one(inst) for inst in instances]
+    lines = [run_one(inst) + "\n" for inst in instances]
     with out_file.open("w", encoding="utf-8") as handle:
-        for payload in results:
-            handle.write(json.dumps(payload, sort_keys=True) + "\n")
-    return len(results)
+        handle.writelines(lines)
+    return len(lines)

@@ -5,10 +5,11 @@ by their sha256, which ``key_hash`` computes and ``get`` and ``put`` take.
 The cache is one log, <cache-dir>/reports.jsonl: each report is one
 ``[digest, value]`` line, appended by a single write to an ``O_APPEND``
 descriptor, which keeps concurrent writers' lines whole on a local
-filesystem but not on NFS.  A batch holds the parsed log in memory; a
-torn, glued or corrupt line does not parse and reads as a miss.  Blob trees
-of earlier versions (<2 hex>/<digest>.json) are left unread; deleting the
-cache directory reclaims them.
+filesystem but not on NFS.  ``put`` encodes the value once and returns
+the text, which a batch writes as that report's output line.  A batch holds
+the parsed log in memory; a torn, glued or corrupt line reads as a miss.
+Blob trees of earlier versions (<2 hex>/<digest>.json) are left unread;
+deleting the cache directory reclaims them.
 """
 
 from __future__ import annotations
@@ -60,10 +61,12 @@ def get(digest: str, entries: dict[str, Any]) -> Optional[Any]:
     return entries.get(digest)
 
 
-def put(digest: str, value: Any, entries: dict[str, Any]) -> None:
+def put(digest: str, value: Any, entries: dict[str, Any]) -> str:
     """Append one line for ``value`` under ``digest`` (a ``key_hash``) to the
-    log, then record it in ``entries``."""
-    line = (_encode([digest, value]) + "\n").encode("utf-8")
+    log, record it in ``entries`` and return ``value``'s encoding, which the
+    line holds: the same bytes as ``json.dumps([digest, value], sort_keys=True)``."""
+    text = _encode(value)
+    line = f"[{_encode(digest)}, {text}]\n".encode("utf-8")
     path = log_path()
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o666)
     try:
@@ -73,3 +76,4 @@ def put(digest: str, value: Any, entries: dict[str, Any]) -> None:
     if written != len(line):  # the torn line, and the next one glued to it, read as misses
         raise OSError(f"short write to {path}: {written} of {len(line)} bytes")
     entries[digest] = value
+    return text

@@ -432,14 +432,6 @@ def depth_profile(G: Graph, field: FieldSpec = Rationals(), *,
     return DepthReport(nu0, limit, profile, stab)
 
 
-def _exact_depth(G: Graph, n: int, field: FieldSpec, budget: int, force: bool) -> int:
-    """depth R/J^(n) from one exact engine: r - reg I(G) at n = 1 (the
-    duality of criterion 5, by the link scan), the grid search above."""
-    if n == 1:
-        return G.vertex_count - reg_edge_ideal(G, field, budget=budget, force=force)
-    return depth_symbolic(G, n, field, budget=budget, force=force)
-
-
 def stability_index_oracle(G: Graph, field: FieldSpec = Rationals(), *,
                            budget: int = DEFAULT_BUDGET, force: bool = False) -> int:
     """Least n with depth R/J^(n) <= r - nu0 - 1, decided from the paper's
@@ -462,14 +454,26 @@ def stability_index_oracle(G: Graph, field: FieldSpec = Rationals(), *,
     ``BudgetRefusal`` is raised exactly when, and as, the plain upward scan
     over ``depth_symbolic`` raises it.
     """
+    return _oracle_walk(G, field, budget, force, [])
+
+
+def _oracle_walk(G: Graph, field: FieldSpec, budget: int, force: bool, regs: list[int]) -> int:
+    """The oracle's walk; the reg I(G) it reads for depth(1) stays in ``regs``, even past a refusal."""
     _check_budget(G, 1, budget, force)
     limit, bound = limit_depth(G), stability_bound(G)
+
+    def depth(n: int) -> int:  # one exact engine: r - reg I(G) by the link scan at n = 1, the grid above
+        if n > 1:
+            return depth_symbolic(G, n, field, budget=budget, force=force)
+        regs.append(reg_edge_ideal(G, field, budget=budget, force=force))
+        return G.vertex_count - regs[0]
+
     try:
         _check_budget(G, bound, budget, force)
     except BudgetRefusal:
-        return next(n for n in range(1, bound + 1) if _exact_depth(G, n, field, budget, force) <= limit)
+        return next(n for n in range(1, bound + 1) if depth(n) <= limit)
     shifted_exponents(G, _shortest_max_ordered(G)[1], bound)  # the witness at B, or it raises
-    return next((n + 1 for n in range(bound - 1, 0, -1) if _exact_depth(G, n, field, budget, force) > limit), 1)
+    return next((n + 1 for n in range(bound - 1, 0, -1) if depth(n) > limit), 1)
 
 
 # -- perfect-matching certificate -------------------------------------------
@@ -579,6 +583,7 @@ class StabilityResult:
     value: Optional[int]
     method: str
     witness: Optional[ExponentCertificate] = None
+    reg: Optional[int] = None  # reg I(G), where an oracle walk read depth(1) = r - reg
 
 
 def stability_index(G: Graph, field: FieldSpec = Rationals(), mode: str = "auto", *,
@@ -605,16 +610,23 @@ def stability_index(G: Graph, field: FieldSpec = Rationals(), mode: str = "auto"
     5. Otherwise no value: ``None``.  ``auto`` gets here only after a budget
        refusal, so its method is ``not computed (budget)``; ``combinatorial``
        consults no budget and says ``not computed (combinatorial)``.
+
+    ``reg`` is the reg I(G) that the oracle of step 2 or 3 read for depth(1),
+    also where a later power was refused; None where it read none.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r} (choose from {MODES})")
-    r = G.vertex_count
+    regs: list[int] = []
+
+    def result(value: Optional[int], method: str, witness: Optional[ExponentCertificate] = None) -> StabilityResult:
+        return StabilityResult(value, method, witness, regs[0] if regs else None)
+
     if mode in ("auto", "combinatorial"):
         shape = _structural_path_or_cycle(G)
         if shape == "path":
-            return StabilityResult(path_stability_closed_form(r), "closed-form")
+            return result(path_stability_closed_form(G.vertex_count), "closed-form")
         if shape == "cycle":
-            return StabilityResult(cycle_stability_closed_form(r), "closed-form")
+            return result(cycle_stability_closed_form(G.vertex_count), "closed-form")
     if mode != "oracle":
         try:
             out = stability_certificate(G)
@@ -626,21 +638,21 @@ def stability_index(G: Graph, field: FieldSpec = Rationals(), mode: str = "auto"
             if mode == "auto":
                 try:
                     _check_budget(G, out.value, CROSS_CHECK_ESTIMATE_LIMIT, False)
-                    oracle_value = stability_index_oracle(G, field, budget=budget, force=force)
+                    oracle_value = _oracle_walk(G, field, budget, force, regs)
                 except BudgetRefusal:
-                    return StabilityResult(out.value, "certificate", out)
+                    return result(out.value, "certificate", out)
                 if oracle_value != out.value:
                     raise DepthEngineError(f"certificate {out.value} != oracle {oracle_value}")
-                return StabilityResult(out.value, "certificate+oracle", out)
-            return StabilityResult(out.value, "certificate", out)
+                return result(out.value, "certificate+oracle", out)
+            return result(out.value, "certificate", out)
     if mode in ("auto", "oracle"):
         try:
-            return StabilityResult(stability_index_oracle(G, field, budget=budget, force=force), "oracle")
+            return result(_oracle_walk(G, field, budget, force, regs), "oracle")
         except BudgetRefusal:
             if mode == "oracle":
                 raise
     if is_forest(G) or (
         matching_number(G) == ordered_matching_number(G) and not has_cycle_of_length(G, 5)
     ):
-        return StabilityResult(stability_bound(G), "equality-class")
-    return StabilityResult(None, f"not computed ({'budget' if mode == 'auto' else mode})")
+        return result(stability_bound(G), "equality-class")
+    return result(None, f"not computed ({'budget' if mode == 'auto' else mode})")

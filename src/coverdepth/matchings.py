@@ -5,13 +5,14 @@ free side {u_1..u_s} is independent and whose cross edges {u_i, v_j} only
 run forward (i <= j).  Orientation + pair set determine the object; a
 canonical (lexicographically smallest) valid index order is stored.
 ``_max_ordered`` finds the largest in one search over matchings and their
-orientations, cut only where no orientation can be completed.
+orientations, cut only where no orientation can be completed; other pairs
+enter through ``OrderedMatching.validated``, so no consumer checks again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterator, Optional, Sequence
 
 from .graphs import Graph, _normalize_edge
@@ -26,19 +27,23 @@ class OrderedMatching:
 
     pairs: tuple[Pair, ...]
 
+    @classmethod
+    def validated(cls, G: Graph, pairs: Sequence[Sequence[int]]) -> OrderedMatching:
+        """The matching of ``pairs`` in the given order; ValueError unless valid in G."""
+        reason = ordered_matching_violation(G, pairs)
+        if reason is not None:
+            raise ValueError(f"not a valid ordered matching: {reason}")
+        return cls(tuple((int(u), int(v)) for u, v in pairs))
+
     @property
     def size(self) -> int:
         return len(self.pairs)
 
-    @property
-    def partner_side(self) -> tuple[int, ...]:
-        return tuple(v for _, v in self.pairs)
-
-    @property
+    @cached_property
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(_normalize_edge(u, v) for u, v in self.pairs)
 
-    @property
+    @cached_property
     def covered(self) -> frozenset[int]:
         return frozenset(v for p in self.pairs for v in p)
 
@@ -153,10 +158,6 @@ def ordered_matching_violation(G: Graph, pairs: Sequence[Sequence[int]]) -> Opti
             if i > j and G.has_edge(u, v):
                 return f"index condition fails on edge ({u},{v}): pair {i + 1} > {j + 1}"
     return None
-
-
-def is_ordered_matching(G: Graph, pairs: Sequence[Sequence[int]]) -> bool:
-    return ordered_matching_violation(G, pairs) is None
 
 
 def _canonical_order(G: Graph, oriented: tuple[Pair, ...]) -> Optional[tuple[Pair, ...]]:

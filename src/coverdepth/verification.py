@@ -42,7 +42,6 @@ from .linalg import PrimeField, Rationals
 from .matchings import (
     OrderedMatching,
     enumerate_max_ordered_matchings,
-    is_ordered_matching,
     matching_number,
     ordered_matching_number,
 )
@@ -137,8 +136,7 @@ def check_depth_reg_duality(level: str) -> tuple[bool, str]:
 def check_fig1(level: str) -> tuple[bool, str]:
     G = builtin_graph("FIG1")
     failures: list[str] = []
-    _expect(failures, is_ordered_matching(G, FIG1_PAIRS), "stated pairs rejected")
-    om = OrderedMatching(FIG1_PAIRS)
+    om = OrderedMatching.validated(G, FIG1_PAIRS)  # the stated pairs, or it raises
     _expect(failures, om.covered == frozenset(G.vertices()), "matching not perfect")
     length, walk = alt_path_length(G, om), walk_length(G, om)
     _expect(failures, length == 13, f"operative length {length} != 13")
@@ -155,8 +153,7 @@ def check_fig1(level: str) -> tuple[bool, str]:
 def check_fig3(level: str) -> tuple[bool, str]:
     G = builtin_graph("FIG3")
     failures: list[str] = []
-    om = OrderedMatching(FIG1_PAIRS)  # same pair labels as FIG1
-    _expect(failures, is_ordered_matching(G, om.pairs), "pairs rejected")
+    om = OrderedMatching.validated(G, FIG1_PAIRS)  # same pair labels as FIG1
     lengths = profile(G, om).partner_lengths
     _expect(failures, lengths == {5: 5, 6: 5, 7: 3, 8: 1}, f"partner lengths {lengths}")
     alpha = path_exponents(G, om)
@@ -171,12 +168,11 @@ def check_fig3(level: str) -> tuple[bool, str]:
 def check_fig2(level: str) -> tuple[bool, str]:
     G = builtin_graph("FIG2")
     failures: list[str] = []
-    om = OrderedMatching(FIG1_PAIRS)
+    om = OrderedMatching.validated(G, FIG1_PAIRS)
     prof = profile(G, om)
     _expect(failures, (prof.base_max, prof.bridged_max, prof.length) == (3, 7, 7),
             f"(ell0, ell1, length) = {(prof.base_max, prof.bridged_max, prof.length)} != (3, 7, 7)")
-    alt = OrderedMatching(FIG2_ALT_PAIRS)
-    _expect(failures, is_ordered_matching(G, alt.pairs), "second matching rejected")
+    alt = OrderedMatching.validated(G, FIG2_ALT_PAIRS)
     wl = walk_length(G, alt)
     fl = alt_path_length(G, alt)
     _expect(failures, wl == 4, f"walk length {wl} != 4")

@@ -79,10 +79,14 @@ def test_walk_against_brute_enumeration():
 
 
 def test_invalid_matching_rejected():
+    # pairs from outside the search are validated once, where the matching is
+    # built, so profile, walk_length and the exponents never see an invalid one
     with pytest.raises(ValueError, match="index condition"):
-        profile(cycle_graph(4), OrderedMatching(((1, 2), (3, 4)))).partner_lengths
-    with pytest.raises(ValueError):
-        walk_length(cycle_graph(4), OrderedMatching(((1, 2), (3, 4))))
+        OrderedMatching.validated(cycle_graph(4), ((1, 2), (3, 4)))
+    with pytest.raises(ValueError, match="not independent"):
+        OrderedMatching.validated(cycle_graph(4), ((2, 1), (3, 4)))
+    om = OrderedMatching.validated(cycle_graph(4), ((1, 2),))
+    assert (walk_length(cycle_graph(4), om), profile(cycle_graph(4), om).length) == (3, 1)
 
 
 def test_all_partner_lengths_odd_property():

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import coverdepth
-from coverdepth import cache
+from coverdepth import cache, depth, matchings
 from coverdepth.analyzer import CORPUS_NOTES, AnalyzeOptions, analyze, batch
 from coverdepth.depth import cycle_stability_closed_form, path_stability_closed_form
 from coverdepth.families import parse_family_spec
@@ -511,3 +511,71 @@ def test_batch_cache_key_covers_report_options(tmp_path, monkeypatch):
     batch("paths 4..5", out, options=AnalyzeOptions(use_cache=True, with_profile=True))
     assert [json.loads(line)["profile"] for line in out.read_text().splitlines()] == [
         {"1": 2, "2": 1, "3": 1}, {"1": 2, "2": 2, "3": 2}]
+
+
+def _count_calls(monkeypatch, fn, counts: dict, key: str) -> None:
+    """Replace ``fn`` under every name a package module holds it by, counting
+    its calls in ``counts[key]``."""
+    def counting(*args, **kwargs):
+        counts[key] += 1
+        return fn(*args, **kwargs)
+
+    for info in pkgutil.iter_modules(coverdepth.__path__, "coverdepth."):
+        mod = importlib.import_module(info.name)
+        for name, obj in list(vars(mod).items()):
+            if obj is fn:
+                monkeypatch.setattr(mod, name, counting)
+
+
+def test_uncached_batch_scans_links_once_per_analysis_and_validates_no_matching(tmp_path, monkeypatch):
+    # analyze reads the reg I(G) that the oracle's walk read for depth(1)
+    # instead of scanning the links again, and every matching comes from
+    # _max_ordered, which builds only valid ones, so none is checked again
+    counts = {"reg": 0, "violation": 0}
+    _count_calls(monkeypatch, depth.reg_edge_ideal, counts, "reg")
+    _count_calls(monkeypatch, matchings.ordered_matching_violation, counts, "violation")
+    scans_per_analysis = []
+
+    def counting(*args, **kwargs):
+        before = counts["reg"]
+        report = analyze(*args, **kwargs)
+        scans_per_analysis.append(counts["reg"] - before)
+        return report
+
+    monkeypatch.setattr("coverdepth.analyzer.analyze", counting)
+    assert batch("graphs seed=0 count=300 maxr=6", tmp_path / "g.jsonl") == 300
+    assert len(scans_per_analysis) == 300 and set(scans_per_analysis) == {1}  # r <= 6: no scan is refused
+    assert counts["violation"] == 0
+
+
+def test_cache_line_and_batch_line_share_one_encoding(tmp_path, monkeypatch):
+    # put encodes a value once: its log line is the former json.dumps of the
+    # [digest, value] pair, byte for byte, and it returns the value's text
+    monkeypatch.setenv("COVERDEPTH_CACHE", str(tmp_path / "cache"))
+    values = [{"name": "Käse → \U0001d53e", "b": [1, None, True], "a": {"z": 1.5, "y": "\"q\"\n\t"}},
+              "plain", 3, [], {}]
+    entries, expected = cache.load(), b""
+    for i, value in enumerate(values):
+        digest = cache.key_hash({"i": i})
+        assert cache.put(digest, value, entries) == json.dumps(value, sort_keys=True)
+        expected += (json.dumps([digest, value], sort_keys=True) + "\n").encode()
+    assert cache.log_path().read_bytes() == expected
+    # a line written the former way reads back as a hit
+    former = cache.key_hash({"i": "former"})
+    with cache.log_path().open("ab") as handle:
+        handle.write((json.dumps([former, values[0]], sort_keys=True) + "\n").encode())
+    assert cache.get(former, cache.load()) == values[0]
+    # a miss's output line is json.dumps of its report; resumed and uncached lines match it
+    reports = []
+    monkeypatch.setattr("coverdepth.analyzer.analyze",
+                        lambda *args, **kwargs: reports.append(analyze(*args, **kwargs)) or reports[-1])
+    opts = AnalyzeOptions(use_cache=True)
+    batch("cycles 3..6", tmp_path / "cold.jsonl", options=opts)
+    assert len(reports) == 4
+    cold = (tmp_path / "cold.jsonl").read_text(encoding="utf-8")
+    assert cold == "".join(json.dumps(r.to_json(), sort_keys=True) + "\n" for r in reports)
+    batch("cycles 3..6", tmp_path / "resume.jsonl", options=opts)
+    batch("cycles 3..6", tmp_path / "fresh.jsonl")
+    assert len(reports) == 8  # the resume hit every line; the uncached run analyzed each
+    assert (tmp_path / "resume.jsonl").read_text(encoding="utf-8") == cold
+    assert (tmp_path / "fresh.jsonl").read_text(encoding="utf-8") == cold

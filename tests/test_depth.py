@@ -165,6 +165,20 @@ def test_stability_closed_forms_first():
     assert stability_index(path_graph(8), mode="oracle").method == "oracle"
 
 
+def test_stability_result_carries_the_reg_the_oracle_read():
+    # the oracle's walk reads depth(1) as r - reg I(G) by the link scan and
+    # hands that reg back, also when a later power is refused; a walk that
+    # stops above n = 1 reads none
+    fig3 = builtin_graph("FIG3")
+    assert stability_index(fig3, mode="oracle") == StabilityResult(3, "oracle")  # depth(2) is above the limit
+    c5 = stability_index(cycle_graph(5), mode="oracle")
+    assert (c5.value, c5.reg) == (1, reg_edge_ideal(cycle_graph(5))) == (1, 3)
+    # budget 2^8 admits FIG3's n = 1 but refuses B = 3, and then n = 2 on the upward scan
+    res = stability_index(fig3, budget=2 ** 8)
+    assert (res.value, res.method, res.reg) == (3, "certificate", reg_edge_ideal(fig3))
+    assert stability_index(fig3, mode="combinatorial").reg is None
+
+
 def test_stability_auto_skips_expensive_cross_check():
     res = stability_index(builtin_graph("FIG1"), mode="auto")
     assert res.value == 7

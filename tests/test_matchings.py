@@ -5,11 +5,11 @@ import pytest
 
 from coverdepth.graphs import Graph, builtin_graph, cycle_graph, path_graph
 from coverdepth.matchings import (
+    OrderedMatching,
     _canonical_order,
     enumerate_max_ordered_matchings,
     has_perfect_ordered_matching,
     induced_matching_number,
-    is_ordered_matching,
     matching_number,
     max_ordered_pair_sets,
     ordered_matching_number,
@@ -54,10 +54,12 @@ def test_cameron_walker_examples():
 
 
 def test_is_ordered_matching_examples():
-    fig3 = builtin_graph("FIG3")
-    assert is_ordered_matching(fig3, [(1, 5), (2, 6), (3, 7), (4, 8)])
-    assert not is_ordered_matching(cycle_graph(4), [(1, 2), (3, 4)])
-    assert is_ordered_matching(path_graph(2), [(2, 1)])
+    # the validating constructor keeps the given order and rejects an invalid one
+    fig3_pairs = ((1, 5), (2, 6), (3, 7), (4, 8))
+    assert OrderedMatching.validated(builtin_graph("FIG3"), [list(p) for p in fig3_pairs]).pairs == fig3_pairs
+    with pytest.raises(ValueError, match="index condition"):
+        OrderedMatching.validated(cycle_graph(4), [(1, 2), (3, 4)])
+    assert OrderedMatching.validated(path_graph(2), [(2, 1)]).pairs == ((2, 1),)
 
 
 def test_violation_messages():
@@ -125,7 +127,7 @@ def test_enumeration_revalidates():
         oms = enumerate_max_ordered_matchings(G)
         assert oms == tuple(sorted(oms, key=lambda om: om.pairs))
         for om in oms:
-            assert is_ordered_matching(G, om.pairs)
+            assert ordered_matching_violation(G, om.pairs) is None
             assert om.size == ordered_matching_number(G)
 
 
