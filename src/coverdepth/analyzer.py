@@ -8,6 +8,7 @@ source produced the number.
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -221,12 +222,17 @@ def batch(family_spec: str, out_path: str | Path, field: FieldSpec = Rationals()
           options: Optional[AnalyzeOptions] = None) -> int:
     """Analyze every instance of a family, then write one JSON report per
     line once all are done.  With the cache on, the batch reads the cache's
-    one log once, holds it in memory, and appends one line per report as
-    soon as it is made, so a rerun resumes; ``put``'s text for a new report
-    is also its output line.  Single-write O_APPEND lines stay whole on a
-    local filesystem, not on NFS; blob trees of earlier cache versions are
-    left unread, and deleting the cache directory reclaims them.  Returns
-    the number of instances written."""
+    one log once, holds it in memory, and appends one line per new report
+    as soon as it is made, so a rerun resumes; it opens the log for
+    appending at most once, at its first new report, and closes it at the
+    end.  Each distinct graph's report is encoded once per batch, as a
+    ``cache.ReportText``: a new report's text is its log line's value and
+    its output line, and every hit's line splices the instance's own name
+    and seed into that text, byte for byte the ``json.dumps`` of the cached
+    report under that name and seed.  Single-write O_APPEND lines stay
+    whole on a local filesystem, not on NFS; blob trees of earlier cache
+    versions are left unread, and deleting the cache directory reclaims
+    them.  Returns the number of instances written."""
     opts = options or AnalyzeOptions()
     instances = parse_family_spec(family_spec)
     out_file = Path(out_path)
@@ -234,20 +240,27 @@ def batch(family_spec: str, out_path: str | Path, field: FieldSpec = Rationals()
 
     options = {k: v for k, v in asdict(opts).items() if k != "use_cache"}
     entries = cache_mod.load() if opts.use_cache else None
-    digests: dict[Graph, str] = {}  # each distinct graph's key is encoded and hashed once
+    seen: dict[Graph, tuple[str, cache_mod.ReportText]] = {}  # digest and text of each distinct graph
 
-    def run_one(inst: FamilyInstance) -> str:
-        if entries is not None:
-            digest = digests.get(inst.graph)
-            if digest is None:
-                digest = digests[inst.graph] = cache_mod.key_hash(_cache_key(inst, field, options))
-            hit = cache_mod.get(digest, entries)
-            if hit is not None:
-                return json.dumps({**hit, "name": inst.name, "seed": inst.seed}, sort_keys=True)
-        report = analyze(inst.graph, field, opts, name=inst.name, seed=inst.seed).to_json()
-        return json.dumps(report, sort_keys=True) if entries is None else cache_mod.put(digest, report, entries)
+    def run_one(inst: FamilyInstance) -> tuple[cache_mod.ReportText, str, Optional[int]]:
+        """The text of ``inst``'s report and the name and seed its line carries."""
+        if entries is None:
+            report = analyze(inst.graph, field, opts, name=inst.name, seed=inst.seed).to_json()
+            return cache_mod.ReportText.of(report), report["name"], report["seed"]
+        digest, text = seen.get(inst.graph) or (cache_mod.key_hash(_cache_key(inst, field, options)), None)
+        hit = cache_mod.get(digest, entries)
+        name, seed = inst.name, inst.seed
+        if hit is None:
+            report = analyze(inst.graph, field, opts, name=inst.name, seed=inst.seed).to_json()
+            text, name, seed = cache_mod.ReportText.of(report), report["name"], report["seed"]
+            cache_mod.put(digest, report, entries, text.line(name, seed))
+        elif text is None:
+            text = cache_mod.ReportText.of(hit)
+        seen[inst.graph] = digest, text
+        return text, name, seed
 
-    lines = [run_one(inst) + "\n" for inst in instances]
+    with entries if entries is not None else nullcontext():
+        lines = [run_one(inst) for inst in instances]
     with out_file.open("w", encoding="utf-8") as handle:
-        handle.writelines(lines)
+        handle.writelines(text.line(name, seed) + "\n" for text, name, seed in lines)
     return len(lines)

@@ -12,7 +12,7 @@ enter through ``OrderedMatching.validated``, so no consumer checks again.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, Iterator, Optional, Sequence
 
 from .graphs import Graph, _normalize_edge
@@ -39,11 +39,11 @@ class OrderedMatching:
     def size(self) -> int:
         return len(self.pairs)
 
-    @cached_property
+    @property
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(_normalize_edge(u, v) for u, v in self.pairs)
 
-    @cached_property
+    @property
     def covered(self) -> frozenset[int]:
         return frozenset(v for p in self.pairs for v in p)
 
@@ -189,21 +189,22 @@ def _max_ordered(G: Graph) -> tuple[tuple[frozenset[Edge], tuple[OrderedMatching
 
     One search per size from nu down lists each matching once, branching on
     the lowest active vertex, and each orientation once, taking each chosen
-    edge both ways.  It cuts a branch when the vertices left cannot match
-    the pairs still needed, or when the new free vertex sees an earlier one:
-    independence is hereditary, so that orientation extends to no ordered
-    matching.  Size 1 always returns, since a lone edge is ordered.
+    edge both ways.  The orientations of one matching share its edges in
+    the order chosen, which keys their group, so no leaf builds a pair set.
+    It cuts a branch when the vertices left cannot match the pairs still
+    needed, or when the new free vertex sees an earlier one: independence
+    is hereditary, so that orientation extends to no ordered matching.
+    Size 1 always returns, since a lone edge is ordered.
     """
     masks = G.neighbor_masks
     matching_number_on = _matching_number_on(G)
-    found: dict[frozenset[Edge], list[OrderedMatching]] = {}
+    found: dict[tuple[Edge, ...], list[OrderedMatching]] = {}
 
-    def rec(avail: int, free: int, oriented: tuple[Pair, ...], need: int) -> None:
+    def rec(avail: int, free: int, oriented: tuple[Pair, ...], edges: tuple[Edge, ...], need: int) -> None:
         if need == 0:
             order = _canonical_order(G, oriented)
             if order is not None:
-                om = OrderedMatching(order)
-                found.setdefault(om.edge_set, []).append(om)
+                found.setdefault(edges, []).append(OrderedMatching(order))
             return
         if matching_number_on(avail) < need:
             return
@@ -214,15 +215,16 @@ def _max_ordered(G: Graph) -> tuple[tuple[frozenset[Edge], tuple[OrderedMatching
             wbit = nbrs & -nbrs
             nbrs ^= wbit
             w = wbit.bit_length()
+            chosen = edges + ((v, w),)  # v < w: v is the lowest active vertex
             for u, ubit, partner in ((v, vbit, w), (w, wbit, v)):
                 if not masks[u] & free:
-                    rec(avail ^ vbit ^ wbit, free | ubit, oriented + ((u, partner),), need - 1)
-        rec(avail ^ vbit, free, oriented, need)  # leave v unmatched
+                    rec(avail ^ vbit ^ wbit, free | ubit, oriented + ((u, partner),), chosen, need - 1)
+        rec(avail ^ vbit, free, oriented, edges, need)  # leave v unmatched
 
     for s in range(matching_number(G), 0, -1):
-        rec((1 << G.vertex_count) - 1, 0, (), s)
+        rec((1 << G.vertex_count) - 1, 0, (), (), s)
         if found:
-            groups = ((m, tuple(sorted(oms, key=lambda om: om.pairs))) for m, oms in found.items())
+            groups = ((frozenset(m), tuple(sorted(oms, key=lambda om: om.pairs))) for m, oms in found.items())
             return tuple(sorted(groups, key=lambda item: sorted(item[0])))
 
 

@@ -1,6 +1,8 @@
 import ast
+import hashlib
 import importlib
 import importlib.util
+import io
 import json
 import os
 import pkgutil
@@ -14,7 +16,7 @@ import coverdepth
 from coverdepth import cache, depth, matchings
 from coverdepth.analyzer import CORPUS_NOTES, AnalyzeOptions, analyze, batch
 from coverdepth.depth import cycle_stability_closed_form, path_stability_closed_form
-from coverdepth.families import parse_family_spec
+from coverdepth.families import FamilyInstance, parse_family_spec
 from coverdepth.graphs import Graph, builtin_graph, cycle_graph, path_graph
 from coverdepth.linalg import PrimeField
 from coverdepth.matchings import _max_ordered
@@ -414,17 +416,19 @@ def test_cache_missing_or_corrupt_line_is_a_miss(tmp_path, monkeypatch):
     entries = cache.load()
     assert entries == {} and cache.get(keys[0], entries) is None
     cache.put(keys[0], {"stability_index": 1}, entries)
+    entries.close()
     log = cache.log_path()
     with log.open("ab") as handle:
         handle.write(b"{not json\n\xff\xfe\n" + b'"' + digests[1] + b'"\n')
         handle.write(b'["' + digests[1] + b'"]\n["' + digests[1] + b'", {"stability_index": 2]\n')
-        handle.write(b'["' + digests[0] + b'", {"stability_index": 7}, 0]\n')
+        handle.write(b'["' + digests[0] + b'", {"stability_index": 7}, 0]\n["' + digests[1] + b'", [2]]\n')
         handle.write(b'["' + digests[2] + b'", {"stability_index": 3}')  # torn: no newline
     entries = cache.load()
     assert [cache.get(key, entries) for key in keys[:3]] == [{"stability_index": 1}, None, None]
     cache.put(keys[3], {"stability_index": 4}, entries)  # glued to the torn line
     assert cache.get(keys[3], entries) == {"stability_index": 4}
     cache.put(keys[4], {"stability_index": 5}, entries)
+    entries.close()
     entries = cache.load()
     assert [cache.get(key, entries) for key in keys] == [
         {"stability_index": 1}, None, None, None, {"stability_index": 5}]
@@ -559,6 +563,7 @@ def test_cache_line_and_batch_line_share_one_encoding(tmp_path, monkeypatch):
         digest = cache.key_hash({"i": i})
         assert cache.put(digest, value, entries) == json.dumps(value, sort_keys=True)
         expected += (json.dumps([digest, value], sort_keys=True) + "\n").encode()
+    entries.close()
     assert cache.log_path().read_bytes() == expected
     # a line written the former way reads back as a hit
     former = cache.key_hash({"i": "former"})
@@ -579,3 +584,85 @@ def test_cache_line_and_batch_line_share_one_encoding(tmp_path, monkeypatch):
     assert len(reports) == 8  # the resume hit every line; the uncached run analyzed each
     assert (tmp_path / "resume.jsonl").read_text(encoding="utf-8") == cold
     assert (tmp_path / "fresh.jsonl").read_text(encoding="utf-8") == cold
+
+
+def test_key_hash_keeps_the_former_digests():
+    # key_hash's one module-level encoder hashes the same bytes as the former
+    # json.dumps(key, sort_keys=True, separators=(",", ":")), so logs hit
+    def former(key):
+        canon = json.dumps(key, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+
+    keys = [{"é": [1.5, None, True], "a": 'q"\\'}, {"op": "analyze", "graph": "P4"}, [], "plain", 7]
+    assert [cache.key_hash(key) for key in keys] == [former(key) for key in keys]
+    assert cache.key_hash(keys[0]) == "0d3738a0173468003ff5befe883dd67c60a1ed33f7a7c5b3a5dbdbe9fa3d9ff6"
+    p4 = {"op": "analyze", "graph": {"r": 4, "edges": [[1, 2], [2, 3], [3, 4]]}, "field": "q",
+          "options": {"mode": "auto", "budget": 1000000000, "force": False, "with_profile": False},
+          "version": 2}
+    assert cache.key_hash(p4) == "d5e39385d024741d8847b5b2ba49f7218b679b57ce85b8a408fda55a04ba66ad"
+
+
+ODD_NAMES = ['he said "hi"', "back\\slash\\", "Käse → \U0001d53e", '"name": "x", "seed": 1', "", "\x00\n"]
+
+
+def test_report_text_splices_name_and_seed_byte_for_byte():
+    # a hit's line is head + name + middle + seed + tail, whatever the name,
+    # the seed, and the report's keys on either side of "name" and "seed"
+    reports = [
+        analyze(cycle_graph(5), name="C5").to_json(),
+        {"name": "old", "seed": 3, "a": [1, {"name": "nested", "seed": 0}], "nu": 2.5, "z": None},
+        {"name": 'q"', "seed": None},
+        {"nz": "→", "s": "\\"},
+        {},
+    ]
+    for report in reports:
+        text = cache.ReportText.of(report)
+        for name in ODD_NAMES:
+            for seed in (None, 0, 17):
+                assert text.line(name, seed) == json.dumps({**report, "name": name, "seed": seed}, sort_keys=True)
+
+
+def test_batch_hit_lines_splice_odd_names_and_seeds(tmp_path, monkeypatch):
+    # one graph under many odd names and both kinds of seed: the first line is
+    # the analyzed report's own encoding, every later line a splice of it,
+    # and a log line written the former way, json.dumps([digest, value]), hits
+    monkeypatch.setenv("COVERDEPTH_CACHE", str(tmp_path / "cache"))
+    G = cycle_graph(5)
+    instances = [FamilyInstance(name, G, seed) for seed in (None, 4) for name in ODD_NAMES]
+    monkeypatch.setattr("coverdepth.analyzer.parse_family_spec", lambda spec: instances)
+    opts = AnalyzeOptions(use_cache=True)
+    report = analyze(G, name=instances[0].name, seed=instances[0].seed).to_json()
+    want = "".join(json.dumps({**report, "name": inst.name, "seed": inst.seed}, sort_keys=True) + "\n"
+                   for inst in instances)
+    batch("odd", tmp_path / "cold.jsonl", options=opts)
+    assert (tmp_path / "cold.jsonl").read_text(encoding="utf-8") == want
+    (digest,) = cache.load()
+    stored = {**report, "name": "stored \"name\": 1", "seed": 99}
+    cache.log_path().write_bytes((json.dumps([digest, stored], sort_keys=True) + "\n").encode())
+    monkeypatch.setattr("coverdepth.analyzer.analyze", lambda *args, **kwargs: pytest.fail("analyzed a hit"))
+    batch("odd", tmp_path / "former.jsonl", options=opts)
+    assert (tmp_path / "former.jsonl").read_text(encoding="utf-8") == want
+
+
+def test_batch_opens_the_log_once_and_encodes_each_graph_once(tmp_path, monkeypatch):
+    monkeypatch.setenv("COVERDEPTH_CACHE", str(tmp_path / "cache"))
+    spec = "graphs seed=0 count=300 maxr=6"
+    distinct = len({inst.graph for inst in parse_family_spec(spec)})
+    assert distinct < 300  # the family repeats graphs
+    opened, encoded = [], []
+
+    class CountingFileIO(io.FileIO):
+        def __init__(self, file, *args, **kwargs):
+            opened.append(Path(file))
+            super().__init__(file, *args, **kwargs)
+
+    of = cache.ReportText.of
+    monkeypatch.setattr(cache.io, "FileIO", CountingFileIO)
+    monkeypatch.setattr(cache.ReportText, "of", classmethod(lambda cls, report: encoded.append(1) or of(report)))
+    opts = AnalyzeOptions(use_cache=True)
+    batch(spec, tmp_path / "cold.jsonl", options=opts)
+    assert opened == [cache.log_path()] and len(encoded) == distinct
+    opened.clear(), encoded.clear()
+    batch(spec, tmp_path / "resume.jsonl", options=opts)
+    assert opened == [] and len(encoded) == distinct  # every line hits: nothing to append
+    assert (tmp_path / "resume.jsonl").read_bytes() == (tmp_path / "cold.jsonl").read_bytes()
