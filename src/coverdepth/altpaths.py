@@ -21,8 +21,8 @@ can exceed the operative value when the matching does not cover the graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .graphs import Graph
 from .matchings import OrderedMatching, _max_ordered
@@ -36,16 +36,14 @@ class CertificateConstructionError(RuntimeError):
     """A constructed exponent vector failed its own constraints."""
 
 
-@dataclass
-class AltPathProfile:
+class AltPathProfile(NamedTuple):
     partner_lengths: dict[int, int]
     base_max: int
     bridged_max: int
     length: int
 
 
-@dataclass
-class ExponentCertificate:
+class ExponentCertificate(NamedTuple):
     """Exponents ``witness`` at power ``value``: each matching pair sums to at
     most value - 1, every other edge of the covered subgraph to at least value."""
 

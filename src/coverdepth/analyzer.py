@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import json
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional, Sequence
 
 from . import cache as cache_mod
 from .altpaths import _shortest_max_ordered, stability_bound, walk_length
@@ -48,8 +47,7 @@ CORPUS_NOTES = {
 }
 
 
-@dataclass
-class AnalyzeOptions:
+class AnalyzeOptions(NamedTuple):
     mode: str = "auto"
     budget: int = DEFAULT_BUDGET
     force: bool = False
@@ -57,15 +55,13 @@ class AnalyzeOptions:
     use_cache: bool = False
 
 
-@dataclass
-class TheoremCheck:
+class TheoremCheck(NamedTuple):
     name: str
     status: str  # pass | fail | skipped
     detail: str = ""
 
 
-@dataclass
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     name: str
     graph: dict
     field: str
@@ -82,12 +78,12 @@ class AnalysisReport:
     equality_source: str
     limit_depth: int
     profile: Optional[dict]
-    checks: list[TheoremCheck] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    checks: Sequence[TheoremCheck] = ()
+    notes: Sequence[str] = ()
     seed: Optional[int] = None
 
     def to_json(self) -> dict:
-        out = {**vars(self), "checks": [dict(vars(c)) for c in self.checks]}
+        out = {**self._asdict(), "checks": [c._asdict() for c in self.checks]}
         if self.profile is not None:
             out["profile"] = {str(k): v for k, v in sorted(self.profile.items())}
         return out
@@ -238,7 +234,7 @@ def batch(family_spec: str, out_path: str | Path, field: FieldSpec = Rationals()
     out_file = Path(out_path)
     out_file.parent.mkdir(parents=True, exist_ok=True)
 
-    options = {k: v for k, v in asdict(opts).items() if k != "use_cache"}
+    options = {k: v for k, v in opts._asdict().items() if k != "use_cache"}
     entries = cache_mod.load() if opts.use_cache else None
     seen: dict[Graph, tuple[str, cache_mod.ReportText]] = {}  # digest and text of each distinct graph
 

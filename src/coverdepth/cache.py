@@ -2,6 +2,8 @@
 
 Keys are canonical JSON objects (graph, field, operation, parameters) named
 by their sha256, which ``key_hash`` computes and ``get`` and ``put`` take.
+``hashlib`` (and with it OpenSSL) loads at the first ``key_hash`` call, not
+when the package is imported, so only a cached batch pays for it.
 A key leaves out the instance's name and seed, so one entry serves every
 instance of its graph.  The cache is one log, <cache-dir>/reports.jsonl:
 each report is one ``[digest, value]`` line.  ``load`` reads the log once
@@ -19,7 +21,6 @@ reclaims them.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import os
@@ -41,6 +42,8 @@ _canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def key_hash(key_obj: Any) -> str:
+    import hashlib  # here, not at module level: it loads OpenSSL, which only a cached batch needs
+
     return hashlib.sha256(_canonical(key_obj).encode("utf-8")).hexdigest()
 
 

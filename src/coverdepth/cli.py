@@ -16,6 +16,7 @@ from .cache import CACHE_ENV
 from .depth import DEFAULT_BUDGET, MODES, BudgetRefusal
 from .graphs import GraphError, builtin_graph, parse_graph
 from .linalg import parse_field
+from .verification import verify_corpus
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -85,8 +86,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 print(payload)
             return EXIT_OK
         if args.command == "verify":
-            from .verification import verify_corpus
-
             return EXIT_OK if verify_corpus(args.level) else EXIT_VERIFY_FAILED
         # argparse requires one of the three commands, so this one is batch
         opts = AnalyzeOptions(mode=args.mode, budget=args.budget,

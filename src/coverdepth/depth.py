@@ -77,8 +77,7 @@ the limit at n gives the index n + 1.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .altpaths import (
     ExponentCertificate,
@@ -394,8 +393,7 @@ def reg_edge_ideal(G: Graph, field: FieldSpec = Rationals(), *,
 
 # -- stability index --------------------------------------------------------
 
-@dataclass
-class DepthReport:
+class DepthReport(NamedTuple):
     nu0: int
     limit_depth: int
     profile: dict[int, int]
@@ -578,8 +576,7 @@ def cycle_stability_closed_form(r: int) -> int:
 MODES = ("auto", "oracle", "certificate", "combinatorial")
 
 
-@dataclass
-class StabilityResult:
+class StabilityResult(NamedTuple):
     value: Optional[int]
     method: str
     witness: Optional[ExponentCertificate] = None

@@ -13,14 +13,12 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .graphs import Graph, GraphError, _ascii_int, cycle_graph, path_graph
 
 
-@dataclass(frozen=True)
-class FamilyInstance:
+class FamilyInstance(NamedTuple):
     name: str
     graph: Graph
     seed: Optional[int] = None

@@ -11,9 +11,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 
 class GraphError(ValueError):
@@ -57,20 +56,26 @@ def _add_edge(u: int, v: int, vertex_count: int, seen: set[Edge]) -> None:
     seen.add(e)
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Immutable simple graph with at least one edge. Build through
-    :meth:`make` or the helpers below."""
-
+class _GraphFields(NamedTuple):
     vertex_count: int
     edges: frozenset[Edge]
 
-    def __post_init__(self) -> None:
-        if not self.edges:
+
+class Graph(_GraphFields):
+    """Immutable simple graph with at least one edge. Build through
+    :meth:`make` or the helpers below.  Equal and hashed as the tuple
+    ``(vertex_count, edges)``."""
+
+    def __new__(cls, vertex_count: int, edges: frozenset[Edge]) -> Graph:
+        if not edges:
             raise GraphError("a graph needs at least one edge")
-        for u, v in self.edges:  # an edge inside 1..r also means r >= 2
-            if not 1 <= u < v <= self.vertex_count:
-                raise GraphError(f"edge ({u},{v}) is not (u, v) with 1 <= u < v <= {self.vertex_count}")
+        for u, v in edges:  # an edge inside 1..r also means r >= 2
+            if not 1 <= u < v <= vertex_count:
+                raise GraphError(f"edge ({u},{v}) is not (u, v) with 1 <= u < v <= {vertex_count}")
+        return super().__new__(cls, vertex_count, edges)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Graph is immutable: cannot set {name!r}")
 
     @staticmethod
     def make(vertex_count: int, edges: Iterable[Sequence[int]]) -> "Graph":

@@ -11,7 +11,6 @@ divided by the gcd of its entries, so no fraction ever appears."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Mapping, Union
 
@@ -30,26 +29,51 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class Rationals:
-    @property
-    def label(self) -> str:
-        return "q"
+    """The field Q.  A field spec is part of memo keys, so it is immutable
+    and equals only a spec of its own class, never a tuple."""
+
+    __slots__ = ()
+    label = "q"
+
+    def __eq__(self, other: object) -> bool:
+        return True if type(other) is Rationals else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(())
+
+    def __repr__(self) -> str:
+        return "Rationals()"
 
 
-@dataclass(frozen=True)
 class PrimeField:
-    p: int
+    """The field GF(p), for a prime p below 2^31."""
 
-    def __post_init__(self):
-        if self.p >= _PRIME_BOUND:
-            raise ValueError(f"prime field size {self.p} is not below the bound 2^31")
-        if not _is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+    __slots__ = ("_p",)
+
+    def __init__(self, p: int):
+        if p >= _PRIME_BOUND:
+            raise ValueError(f"prime field size {p} is not below the bound 2^31")
+        if not _is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        self._p = p
+
+    @property
+    def p(self) -> int:
+        return self._p
+
+    def __eq__(self, other: object) -> bool:
+        return other._p == self._p if type(other) is PrimeField else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self._p,))
+
+    def __repr__(self) -> str:
+        return f"PrimeField(p={self._p!r})"
 
     @property
     def label(self) -> str:
-        return f"gf:{self.p}"
+        return f"gf:{self._p}"
 
 
 FieldSpec = Union[Rationals, PrimeField]

@@ -11,9 +11,8 @@ enter through ``OrderedMatching.validated``, so no consumer checks again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .graphs import Graph, _normalize_edge
 
@@ -21,8 +20,7 @@ Edge = tuple[int, int]
 Pair = tuple[int, int]  # oriented: (free, partner)
 
 
-@dataclass(frozen=True)
-class OrderedMatching:
+class OrderedMatching(NamedTuple):
     """Oriented pairs in a valid index order."""
 
     pairs: tuple[Pair, ...]

@@ -9,8 +9,7 @@ family example and the seeded random sweeps.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .altpaths import (
     alt_path_length,
@@ -59,8 +58,7 @@ FIG3_ALPHA = (2, 2, 1, 0, 0, 0, 1, 2)
 FIG2_ALT_PAIRS = ((1, 5), (2, 6), (4, 9), (3, 8))
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     criterion: int
     name: str
     passed: bool

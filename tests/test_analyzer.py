@@ -17,9 +17,9 @@ from coverdepth import cache, depth, matchings
 from coverdepth.analyzer import CORPUS_NOTES, AnalyzeOptions, analyze, batch
 from coverdepth.depth import cycle_stability_closed_form, path_stability_closed_form
 from coverdepth.families import FamilyInstance, parse_family_spec
-from coverdepth.graphs import Graph, builtin_graph, cycle_graph, path_graph
-from coverdepth.linalg import PrimeField
-from coverdepth.matchings import _max_ordered
+from coverdepth.graphs import Graph, GraphError, builtin_graph, cycle_graph, path_graph
+from coverdepth.linalg import PrimeField, Rationals
+from coverdepth.matchings import OrderedMatching, _max_ordered
 from brute import seeded_gnp
 
 
@@ -240,12 +240,12 @@ def test_module_level_names_are_referenced():
     # every function, class and constant a module defines, and every method
     # and property of its classes, is read somewhere in the package or the
     # benchmark: as a loaded name, an attribute, an imported name or a string
-    # (the benchmark's tracer names its targets); dunders are exempt, and so
-    # are dataclass fields, which asdict reads without naming them.  A name
-    # read only by the tests, or only re-exported by __init__.py, does not
-    # count: such code belongs in tests/brute.py.  The check is by name, so a
-    # method is covered by any read of the same name: an unread to_json
-    # passes while another class's to_json is read
+    # (the benchmark's tracer names its targets); dunders are exempt.  The
+    # fields of a record are not collected, since _asdict reads them without
+    # naming them.  A name read only by the tests, or only re-exported by
+    # __init__.py, does not count: such code belongs in tests/brute.py.  The
+    # check is by name, so a method is covered by any read of the same name:
+    # an unread to_json passes while another class's to_json is read
     referenced = set()
     for tree in _program_trees():
         for node in ast.walk(tree):
@@ -290,6 +290,47 @@ def test_keyword_only_parameters_are_passed():
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                 for arg in node.args.kwonlyargs if arg.arg not in passed]
     assert unpassed == []
+
+
+def test_import_generates_no_dataclasses_and_loads_no_openssl():
+    # the records are NamedTuples or plain classes, and cache.key_hash imports
+    # hashlib at its first call; compared with a bare interpreter, since site
+    # may preload modules
+    env = {**os.environ, "PYTHONPATH": str(Path(coverdepth.__file__).parents[1])}
+
+    def modules(statement):
+        code = f"import sys; {statement}; print(' '.join(sys.modules))"
+        return set(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  text=True, check=True, timeout=60).stdout.split())
+
+    added = modules("import coverdepth") - modules("pass")
+    assert "coverdepth.analyzer" in added
+    assert added & {"dataclasses", "inspect", "hashlib", "_hashlib"} == set()
+
+
+def test_records_are_immutable_values():
+    # "Graphs are immutable values", and so are the other records that serve
+    # as dict and memo keys: no field can be set, equal values hash equal,
+    # and a field spec equals only a spec of its own kind, never a tuple
+    g = Graph.make(3, [(1, 2), (2, 3)])
+    values = [g, OrderedMatching(((1, 2),)), FamilyInstance("P3", g, 0), Rationals(), PrimeField(2)]
+    twins = [path_graph(3), OrderedMatching(((1, 2),)), FamilyInstance("P3", path_graph(3), 0),
+             Rationals(), PrimeField(2)]
+    for value, twin in zip(values, twins):
+        assert value is not twin and value == twin and hash(value) == hash(twin)
+    assert hash(g) == hash((3, g.edges))
+    for value, name in [(g, "vertex_count"), (g, "edges"), (g, "edge_list"), (values[1], "pairs"),
+                        (values[2], "graph"), (values[3], "label"), (values[4], "p")]:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+    assert g.edge_list == ((1, 2), (2, 3)) and g.neighbor_masks == (0, 2, 5, 2)
+    with pytest.raises(GraphError):
+        Graph(3, frozenset())
+    with pytest.raises(ValueError):
+        PrimeField(4)
+    assert Rationals() != PrimeField(2) and not Rationals() == PrimeField(2)
+    for spec, bare in [(Rationals(), ()), (PrimeField(2), (2,))]:
+        assert spec != bare and not spec == bare
 
 
 def test_benchmark_hooks_resolve(monkeypatch):
@@ -600,6 +641,15 @@ def test_key_hash_keeps_the_former_digests():
           "options": {"mode": "auto", "budget": 1000000000, "force": False, "with_profile": False},
           "version": 2}
     assert cache.key_hash(p4) == "d5e39385d024741d8847b5b2ba49f7218b679b57ce85b8a408fda55a04ba66ad"
+
+
+def test_batch_writes_the_pinned_digest(tmp_path, monkeypatch):
+    # the options dict that batch builds from AnalyzeOptions gives P4 the
+    # digest pinned above for a hand-built key
+    monkeypatch.setenv("COVERDEPTH_CACHE", str(tmp_path / "cache"))
+    batch("paths 4..4", tmp_path / "out.jsonl", options=AnalyzeOptions(use_cache=True))
+    [line] = cache.log_path().read_text(encoding="utf-8").splitlines()
+    assert json.loads(line)[0] == "d5e39385d024741d8847b5b2ba49f7218b679b57ce85b8a408fda55a04ba66ad"
 
 
 ODD_NAMES = ['he said "hi"', "back\\slash\\", "Käse → \U0001d53e", '"name": "x", "seed": 1', "", "\x00\n"]
