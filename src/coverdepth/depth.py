@@ -72,6 +72,27 @@ runs at B and a construction failure raises CertificateConstructionError;
 then one exact depth per power from B - 1 down, r - reg I(G) at n = 1
 (criterion 5's duality) and ``depth_symbolic`` above; the first depth above
 the limit at n gives the index n + 1.
+
+(6) Polarization and the engine choice.  The polarized graph G_n has the
+vertices (i, p), i in V and 1 <= p <= n, and an edge (i, p)(j, q) when ij
+is an edge of G and p + q <= n + 1; ``_polarized_masks`` puts (i, p) at bit
+(p - 1) * r + i - 1.  J(G)^(n) polarizes to J(G_n) (Seyed Fakhari, Proc.
+AMS 2018), polarization keeps the projective dimension, and pd S/J(H) =
+reg I(H) (Terai 1999), so depth R/J^(n) = r - reg I(G_n); at n = 1 this is
+criterion 5's duality.  In this layout the qualifying graph at (S, a') is
+the induced subgraph of G_n on {(i, a_i + 1) : i not in S}, since a_i + a_j
+<= n - 1 is (a_i + 1) + (a_j + 1) <= n + 1.  ``_link_scan`` reads
+reg I(G_n) from the distinct closed neighbourhoods N[F], the scan that
+``reg_edge_ideal`` runs on G.  The layer bound: the layers p > (n + 1)/2
+hold no edge among them, since p + q > n + 1 there, so they form one
+independent set of r * floor(n/2) vertices; for F inside it N[F] meets the
+set in F alone, so distinct F give distinct N[F] and the scan lists at
+least 2^(r floor(n/2)) masks, while the grid returns at most 2^|E| codes.
+``depth_symbolic`` takes the link scan when r * floor(n/2) <= |E| and the
+scan's count, capped at 2^|E|, completes, and ``_grid_depth`` otherwise,
+so the link scan never holds more sets than the grid could.
+``depth_profile`` and the n = 1 depths of criteria 5, 10 and 13 call
+``_grid_depth`` by name, so each of those checks compares two engines.
 """
 
 from __future__ import annotations
@@ -304,9 +325,8 @@ def _qualifying_subsets(rest: list[int], induced: list[tuple[int, int]],
     return sorted(codes)
 
 
-def depth_symbolic(G: Graph, n: int, field: FieldSpec = Rationals(), *,
-                   budget: int = DEFAULT_BUDGET, force: bool = False) -> int:
-    """depth of R modulo the n-th symbolic power of the cover ideal.
+def _grid_depth(G: Graph, n: int, field: FieldSpec = Rationals()) -> int:
+    """depth R/J^(n) by the grid engine, with no admission check.
 
     One search over the grid {0..n}^V stands for every negative support;
     the module's "Oracle layout" gives the argument (1)-(4) that makes it
@@ -321,9 +341,6 @@ def depth_symbolic(G: Graph, n: int, field: FieldSpec = Rationals(), *,
     stop is decoded into neighbour masks and gets its top degree from
     ``_top_degree``.
     """
-    if n < 1:
-        raise ValueError(f"power must be >= 1, got {n}")
-    _check_budget(G, n, budget, force)
     r = G.vertex_count
     # edge bits by descending degree sum in G, so the bit-order greedy takes
     # the edges that cover most first
@@ -359,36 +376,87 @@ def depth_symbolic(G: Graph, n: int, field: FieldSpec = Rationals(), *,
     return best
 
 
-def reg_edge_ideal(G: Graph, field: FieldSpec = Rationals(), *,
-                   budget: int = DEFAULT_BUDGET, force: bool = False) -> int:
-    """Regularity of the edge ideal: 2 + the top degree of homology over the
-    links of Ind(G).  The link of a face F is Ind(G - N[F]), so each distinct
-    closed neighbourhood N[F] is read once.  Each link is handed to
-    ``_top_degree`` as the masks N(v) & W for v in W = V - N[F], so it is
-    folded, cone-checked and split into parts before the memo, exactly as
-    the oracle's visit does.
+def _polarized_masks(G: Graph, n: int) -> tuple[int, ...]:
+    """The polarized graph G_n as neighbour masks, indexed from 1 as in
+    ``Graph.neighbor_masks``: vertex (i, p) sits at bit (p - 1) * r + i - 1,
+    and it meets (j, q) when ij is an edge of G and p + q <= n + 1.  N(i) in
+    G copied into the layers q = 1 .. n + 1 - p is N((i, p))."""
+    r, masks = G.vertex_count, G.neighbor_masks
+    layers = [sum(1 << (q * r) for q in range(n + 1 - p)) for p in range(1, n + 1)]
+    return (0,) + tuple(masks[i] * layer for layer in layers for i in G.vertices())
 
-    The distinct N[F] are generated directly as bit masks (bit v - 1 for v),
-    in one pass over the vertices: N[F + v] = N[F] | N[v], and F + v is
-    independent exactly when v lies outside N[F], so each vertex v adds
-    c | N[v] for every mask c so far that does not hold v.  No face of
-    Ind(G) is listed."""
-    _check_budget(G, 1, budget, force)  # the link scan costs what the n = 1 oracle does
-    # Unlike depth_symbolic's visit, the scan is not cut by the ceiling
-    # reg I(H) <= |M| + 1 for a maximal matching M: it is the independent
-    # reference for the n = 1 duality, and the analyzer's regularity-upper
-    # check tests reg I(H) <= nu(H) + 1, which that ceiling implies.
-    masks = G.neighbor_masks
+
+def _link_scan(masks: tuple[int, ...], field: FieldSpec, cap: Optional[int] = None) -> Optional[int]:
+    """reg I(H) for the graph H given as neighbour masks indexed from 1 (as
+    ``Graph.neighbor_masks``): 2 + the top degree of homology over the links
+    of Ind(H); None once H has more than ``cap`` distinct closed
+    neighbourhoods.
+
+    The link of a face F is Ind(H - N[F]), so each distinct N[F] is read
+    once.  They are generated directly as bit masks in one pass over the
+    vertices: N[F + v] = N[F] | N[v], and F + v is independent exactly when
+    v lies outside N[F], so each vertex v adds c | N[v] for every mask c so
+    far that does not hold v.  No face of Ind(H) is listed.  A link in which
+    some vertex v outside N[F] has every neighbour inside N[F] is a cone on
+    v, so acyclic: that is N[F] & N[v] == N(v), and one list filter per
+    vertex, fewest neighbours first, drops every such mask before any link's
+    masks are built.  Every other link is handed to ``_top_degree`` as the
+    masks N(v) - N[F] for v outside N[F]."""
+    vertices = range(1, len(masks))
     closed_masks = {0}  # N[{}] is empty
-    for v in G.vertices():
+    for v in vertices:
         bit = 1 << (v - 1)
-        closed_masks |= {c | bit | masks[v] for c in closed_masks if not c & bit}
+        closed_v = bit | masks[v]
+        closed_masks |= {c | closed_v for c in closed_masks if not c & bit}
+        if cap is not None and len(closed_masks) > cap:
+            return None
+    links = list(closed_masks)
+    for v in sorted(vertices, key=lambda v: masks[v].bit_count()):
+        closed_v, Nv = 1 << (v - 1) | masks[v], masks[v]
+        links = [c for c in links if c & closed_v != Nv]
     top = -1  # the link of a facet is {{}}, with homology in degree -1
-    for closed in closed_masks:
-        j = _top_degree({v: masks[v] & ~closed for v in G.vertices() if not closed >> (v - 1) & 1}, field)
+    for closed in links:
+        j = _top_degree({v: masks[v] & ~closed for v in vertices if not closed >> (v - 1) & 1}, field)
         if j is not None and j > top:
             top = j
     return top + 2
+
+
+def depth_symbolic(G: Graph, n: int, field: FieldSpec = Rationals(), *,
+                   budget: int = DEFAULT_BUDGET, force: bool = False) -> int:
+    """depth of R modulo the n-th symbolic power of the cover ideal.
+
+    Two exact engines give it, and the module's "Oracle layout" (6) proves
+    the rule that picks one.  The link engine reads r - reg I(G_n) by
+    ``_link_scan`` on the polarized graph.  It runs when r * floor(n/2) <=
+    |E| and G_n has at most 2^|E| distinct closed neighbourhoods, so it
+    never lists more sets than the grid could return; otherwise
+    ``_grid_depth`` searches the grid.  Both give the same depth, so the
+    choice changes only the time.  The rule adds no setting: it reads r, n
+    and |E| and counts as it goes.
+    """
+    if n < 1:
+        raise ValueError(f"power must be >= 1, got {n}")
+    _check_budget(G, n, budget, force)
+    r, m = G.vertex_count, len(G.edges)
+    if r * (n // 2) <= m:  # else the layer bound puts more than 2^|E| sets in the scan
+        reg = _link_scan(_polarized_masks(G, n), field, 1 << m)
+        if reg is not None:
+            return r - reg
+    return _grid_depth(G, n, field)
+
+
+def reg_edge_ideal(G: Graph, field: FieldSpec = Rationals(), *,
+                   budget: int = DEFAULT_BUDGET, force: bool = False) -> int:
+    """Regularity of the edge ideal by ``_link_scan`` on G: 2 + the top
+    degree of homology over the links of Ind(G), each folded, cone-checked
+    and split into parts before the memo, exactly as the grid's visit does."""
+    _check_budget(G, 1, budget, force)  # the link scan costs what the n = 1 oracle does
+    # Unlike the grid's visit, the scan is not cut by the ceiling
+    # reg I(H) <= |M| + 1 for a maximal matching M: it is the independent
+    # reference for the n = 1 duality, and the analyzer's regularity-upper
+    # check tests reg I(H) <= nu(H) + 1, which that ceiling implies.
+    return _link_scan(G.neighbor_masks, field)
 
 
 # -- stability index --------------------------------------------------------
@@ -419,7 +487,7 @@ def depth_profile(G: Graph, field: FieldSpec = Rationals(), *,
     """
     nu0 = ordered_matching_number(G)
     _check_budget(G, 2 * nu0 - 1, budget, force)
-    profile = {n: depth_symbolic(G, n, field, budget=budget, force=force) for n in range(1, 2 * nu0)}
+    profile = {n: _grid_depth(G, n, field) for n in range(1, 2 * nu0)}
     limit = G.vertex_count - nu0 - 1
     values = list(profile.values())
     if any(a < b for a, b in zip(values, values[1:])):
@@ -460,7 +528,7 @@ def _oracle_walk(G: Graph, field: FieldSpec, budget: int, force: bool, regs: lis
     _check_budget(G, 1, budget, force)
     limit, bound = limit_depth(G), stability_bound(G)
 
-    def depth(n: int) -> int:  # one exact engine: r - reg I(G) by the link scan at n = 1, the grid above
+    def depth(n: int) -> int:  # r - reg I(G) by the link scan at n = 1, depth_symbolic's choice above
         if n > 1:
             return depth_symbolic(G, n, field, budget=budget, force=force)
         regs.append(reg_edge_ideal(G, field, budget=budget, force=force))

@@ -24,6 +24,7 @@ from .analyzer import analyze, AnalyzeOptions
 from .complexes import from_facets, reduced_homology
 from .degree import qualifying_edges
 from .depth import (
+    _grid_depth,
     BudgetRefusal,
     cycle_stability_closed_form,
     depth_profile,
@@ -123,7 +124,7 @@ def check_depth_reg_duality(level: str) -> tuple[bool, str]:
     failures: list[str] = []
     count = 0
     for name, G in _duality_instances(level):
-        d1 = depth_symbolic(G, 1)
+        d1 = _grid_depth(G, 1)  # by name: depth_symbolic(G, 1) may read reg's own link scan
         reg = reg_edge_ideal(G)
         count += 1
         _expect(failures, d1 == G.vertex_count - reg,
@@ -206,9 +207,9 @@ def check_bound_sweep(level: str) -> tuple[bool, str]:
         try:
             got = stability_index_oracle(G)
             # the oracle reads depth(B) off the witness point and depth(1) as
-            # r - reg; the grid checks both
+            # r - reg; depth_symbolic checks the first and the grid the second
             at_bound = depth_symbolic(G, bound)
-            d1, reg = depth_symbolic(G, 1), reg_edge_ideal(G)
+            d1, reg = _grid_depth(G, 1), reg_edge_ideal(G)
         except BudgetRefusal:
             skipped += 1
             continue
@@ -219,8 +220,8 @@ def check_bound_sweep(level: str) -> tuple[bool, str]:
         _expect(failures, d1 == G.vertex_count - reg,
                 f"{inst.name}: depth {d1} at n=1 != r - reg = {G.vertex_count - reg}")
     return not failures, "; ".join(failures) or (
-        f"{done} oracles within bound, the grid at the bound at the limit and at n=1 "
-        f"equal to r - reg ({skipped} over budget)")
+        f"{done} oracles within bound, the depth at the bound at the limit and the grid's "
+        f"at n=1 equal to r - reg ({skipped} over budget)")
 
 
 def check_forest_sweep(level: str) -> tuple[bool, str]:
@@ -286,8 +287,8 @@ def check_field_sensitivity(level: str) -> tuple[bool, str]:
     # GF(2), and equals r - reg over each field, the value the oracle reads
     # at n = 1; the oracle decides each field's index from the bound
     limit = limit_depth(G)
-    over_q = depth_symbolic(G, 1, Rationals(), force=True)
-    over_2 = depth_symbolic(G, 1, PrimeField(2), force=True)
+    over_q = _grid_depth(G, 1, Rationals())
+    over_2 = _grid_depth(G, 1, PrimeField(2))
     _expect(failures, limit == 11 and over_q == 12, f"depth over Q at n=1 is {over_q}, limit {limit}")
     _expect(failures, over_2 == limit, f"depth over GF(2) at n=1 is {over_2}, limit {limit}")
     for label, field, d1 in (("Q", Rationals(), over_q), ("GF(2)", PrimeField(2), over_2)):

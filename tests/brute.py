@@ -15,7 +15,8 @@ complex, Alexander duality, degree complexes, membership in symbolic powers,
 the independence complex of a whole graph and induced subgraphs, the
 sorted nonzero degrees of a homology profile, the set-based greedy order
 that the grid search's bit-mask order must reproduce, and the in-order
-maximal matching that the oracle's visit reads off a code.  Every reference
+maximal matching that the oracle's visit reads off a code, and the
+polarized graph G_n with its closed neighbourhoods.  Every reference
 that walks a graph builds its adjacency from ``G.edges`` as Python sets
 (``set_adjacency``), so none reads the library's ``neighbor_masks``; the
 graph predicates (components, two-colouring, forest, k-cycles) are
@@ -624,6 +625,20 @@ def brute_reg_edge_ideal(G: Graph, field=None) -> int:
             for j in nonzero_degrees(facet_homology(independence_complex(H), field)):
                 best = j if best is None else max(best, j)
     return 2 + best
+
+
+def polarized_graph(G: Graph, n: int) -> Graph:
+    """The polarized graph G_n, with vertex (i, p) labelled (p - 1) * r + i:
+    (i, p)(j, q) is an edge when ij is an edge of G and p + q <= n + 1."""
+    r = G.vertex_count
+    return Graph.make(r * n, [((p - 1) * r + i, (q - 1) * r + j) for i, j in G.edges
+                              for p in range(1, n + 1) for q in range(1, n + 2 - p)])
+
+
+def brute_closed_neighbourhoods(G: Graph) -> set:
+    """The distinct closed neighbourhoods N[F] over the independent sets F of G."""
+    adj = set_adjacency(G)
+    return {F.union(*(adj[v] for v in F)) for F in brute_independent_sets(G)}
 
 
 def brute_stability_index(G: Graph, field=None, *, budget: int = DEFAULT_BUDGET,

@@ -23,6 +23,9 @@ from coverdepth.degree import _independence_complex
 from coverdepth.depth import (
     _fold,
     _frontier_order,
+    _grid_depth,
+    _link_scan,
+    _polarized_masks,
     _qualifying_subsets,
     _top_degree,
     BudgetRefusal,
@@ -44,6 +47,7 @@ from coverdepth.matchings import has_perfect_ordered_matching, ordered_matching_
 from coverdepth.verification import _duality_instances
 from brute import (
     bit_order_matching,
+    brute_closed_neighbourhoods,
     brute_stability_index,
     brute_frontier_order,
     brute_qualifying_subsets,
@@ -59,6 +63,7 @@ from brute import (
     naive_rank,
     naive_rank_mod,
     neighbour_pairs,
+    polarized_graph,
     random_small_graph,
     sparse_rows,
 )
@@ -203,7 +208,7 @@ def test_profile_refused_before_any_depth(monkeypatch):
     # FIG3 over GF(2): nu0 = 4, and the estimate 14^8 at n = 7 passes the
     # default budget, so the profile refuses before it computes n = 1..6
     calls = []
-    monkeypatch.setattr(depth, "depth_symbolic", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(depth, "_grid_depth", lambda *args, **kwargs: calls.append(args))
     with pytest.raises(BudgetRefusal, match=r"\(r=8, n=7\)"):
         depth_profile(builtin_graph("FIG3"), PrimeField(2))
     assert calls == []
@@ -262,7 +267,8 @@ def test_one_grid_search_matches_support_loop():
     for G in graphs:
         for n in (1, 2, 3):
             for field in (Rationals(), PrimeField(2)):
-                assert depth_symbolic(G, n, field) == brute_support_depth(G, n, field), (G.edge_list, n, field)
+                want = brute_support_depth(G, n, field)
+                assert _grid_depth(G, n, field) == depth_symbolic(G, n, field) == want, (G.edge_list, n, field)
 
 
 def _neighbour_masks(E):
@@ -314,7 +320,7 @@ def test_matching_ceiling_cut_skips_edge_sets(fold_visits):
         r = G.vertex_count
         grid = _decode(_qualifying_subsets(list(_frontier_order(G)), list(G.edge_list), 2, 2), G.edge_list)
         fold_visits.clear()
-        d = depth_symbolic(G, 2, Rationals())
+        d = _grid_depth(G, 2, Rationals())
         former = sum(1 for E in grid if r - _covered(E) <= d)
         ceiling = sum(1 for E in grid if r - 1 - _covered(E) // 2 < d)
         assert len(fold_visits) < former, (G.edge_list, len(fold_visits), former)
@@ -322,7 +328,7 @@ def test_matching_ceiling_cut_skips_edge_sets(fold_visits):
 
 
 def test_visit_takes_decoded_sets_by_size_then_code(fold_visits):
-    # the edge sets that depth_symbolic folds are the grid's codes, with the
+    # the edge sets that the grid engine folds are the grid's codes, with the
     # edge bits numbered by descending degree sum, in descending size of the
     # bit-order maximal matching M and then ascending code, cut exactly where
     # r - 1 - |M| reaches the best (4); no set cut away could have lowered
@@ -342,7 +348,7 @@ def test_visit_takes_decoded_sets_by_size_then_code(fold_visits):
                 best = r - 2 - j
         cut = [E for _, _, E in visits[len(expected):]]
         fold_visits.clear()
-        assert depth_symbolic(G, 2, Rationals()) == best
+        assert _grid_depth(G, 2, Rationals()) == best
         assert fold_visits == expected, G.edge_list
         assert cut, G.edge_list
         for E in cut:
@@ -361,9 +367,86 @@ def _r11_case():
 
 
 def test_r11_case_depths_under_the_default_budget():
-    # at n = 3 the grid returns about 400,000 codes and the visit stops at
-    # the matching ceiling
+    # at n = 3 the grid would return about 400,000 codes; the link scan on
+    # G_3 answers instead
     assert [depth_symbolic(_r11_case(), n) for n in (1, 2, 3)] == [8, 7, 6]
+
+
+def _gnm(seed, r, m):
+    """A seeded graph with exactly m edges and no isolated vertex."""
+    rng = random.Random(seed)
+    pairs = list(combinations(range(1, r + 1), 2))
+    while True:
+        edges = rng.sample(pairs, m)
+        if len({v for e in edges for v in e}) == r:
+            return Graph.make(r, edges)
+
+
+def _recursive_tree(seed, r):
+    """A seeded random recursive tree on 1..r under a random relabelling."""
+    rng = random.Random(seed)
+    labels = list(range(1, r + 1))
+    rng.shuffle(labels)
+    return Graph.make(r, [(labels[rng.randrange(v)], labels[v]) for v in range(1, r)])
+
+
+def test_link_engine_matches_the_grid_and_brute():
+    # depth R/J^(n) = r - reg I(G_n) (polarization, then Terai's duality):
+    # the link scan on G_n's masks against the grid, the Takayama scan and
+    # Hochster's formula on the set-built G_n, over Q and GF(2)
+    rng = random.Random(37)
+    graphs = [random_small_graph(rng, max_r=7) for _ in range(8)]
+    assert {G.vertex_count for G in graphs} == {4, 5, 6, 7}
+    for G in graphs:
+        r = G.vertex_count
+        for n in (2, 3):
+            H, masks = polarized_graph(G, n), _polarized_masks(G, n)
+            assert masks == H.neighbor_masks, (G.edge_list, n)
+            for field in (Rationals(), PrimeField(2)):
+                link = r - _link_scan(masks, field)
+                assert link == _grid_depth(G, n, field), (G.edge_list, n, field)
+                if (n + 1) ** r <= 2500:
+                    assert link == brute_symbolic_depth(G, n, field), (G.edge_list, n, field)
+                if r * n <= 10:
+                    assert link == r - brute_reg_edge_ideal(H, field), (G.edge_list, n, field)
+
+
+def test_layer_bound_and_cap_of_the_link_scan():
+    # in G_n the layers p > (n + 1)/2 are one independent set of r*floor(n/2)
+    # vertices, whose distinct subsets F have distinct N[F], so the scan
+    # lists at least 2^(r floor(n/2)) masks; the cap returns None exactly
+    # past the count of distinct N[F]
+    for G, n in ((path_graph(4), 2), (cycle_graph(5), 2), (path_graph(3), 3),
+                 (Graph.make(4, [(1, 2), (1, 3), (2, 3)]), 3), (Graph.make(3, [(1, 2)]), 4)):
+        count = len(brute_closed_neighbourhoods(polarized_graph(G, n)))
+        assert count >= 2 ** (G.vertex_count * (n // 2)), (G.edge_list, n)
+        masks = _polarized_masks(G, n)
+        assert _link_scan(masks, Rationals(), count) == _link_scan(masks, Rationals()), (G.edge_list, n)
+        assert _link_scan(masks, Rationals(), count - 1) is None, (G.edge_list, n)
+
+
+def test_engine_choice(monkeypatch):
+    # the grid with no scan where r * floor(n/2) > |E| (the 8-vertex trees
+    # at n = 6, FAM(2) at n >= 4), the grid after a scan stopped by the cap
+    # where G_n has more than 2^|E| closed neighbourhoods (C5 at n = 2), and
+    # the link scan alone on the r=11 case at n = 2 and 3 and on a G(8, 12)
+    # graph at n = 2
+    calls = []
+    grid, scan = depth._qualifying_subsets, depth._link_scan
+    monkeypatch.setattr(depth, "_qualifying_subsets", lambda *args: calls.append("grid") or grid(*args))
+    monkeypatch.setattr(depth, "_link_scan", lambda *args: calls.append("scan") or scan(*args))
+
+    def engines(G, n):
+        calls.clear()
+        depth_symbolic(G, n, force=True)
+        return "+".join(calls)
+
+    fam2 = builtin_graph("FAM(2)")
+    assert [engines(_recursive_tree(seed, 8), 6) for seed in (0, 1)] == ["grid"] * 2
+    assert [engines(fam2, n) for n in range(4, 8)] == ["grid"] * 4
+    assert engines(cycle_graph(5), 2) == "scan+grid"
+    assert [engines(_r11_case(), n) for n in (2, 3)] == ["scan"] * 2
+    assert engines(_gnm(3, 8, 12), 2) == "scan"
 
 
 def _w5_plus_pendant():
@@ -485,9 +568,10 @@ def test_oracle_budget_parity_with_the_upward_scan():
 
 
 def test_memo_key_is_canonical(monkeypatch):
-    # the r=11 case at n = 2 from an empty memo: each edge set reaches the
-    # memo under one key, whatever order its masks were built in, so the
-    # distinct keys are as many as the distinct edge sets they name
+    # the grid engine on the r=11 case at n = 2 from an empty memo: each
+    # edge set reaches the memo under one key, whatever order its masks
+    # were built in, so the distinct keys are as many as the distinct edge
+    # sets they name
     monkeypatch.setattr(depth, "_MAX_DEGREE_CACHE", OrderedDict())
     keys, inner = [], depth._max_nonzero_degree
 
@@ -496,7 +580,7 @@ def test_memo_key_is_canonical(monkeypatch):
         return inner(edge_key, field)
 
     monkeypatch.setattr(depth, "_max_nonzero_degree", recording)
-    assert depth_symbolic(_r11_case(), 2) == 7
+    assert _grid_depth(_r11_case(), 2) == 7
     assert len(set(keys)) == len({_edges_of(dict(key)) for key in keys})
     assert (len(keys), len(depth._MAX_DEGREE_CACHE)) == (2048, 293)
 
