@@ -89,8 +89,11 @@ independent set of r * floor(n/2) vertices; for F inside it N[F] meets the
 set in F alone, so distinct F give distinct N[F] and the scan lists at
 least 2^(r floor(n/2)) masks, while the grid returns at most 2^|E| codes.
 ``depth_symbolic`` takes the link scan when r * floor(n/2) <= |E| and the
-scan's count, capped at 2^|E|, completes, and ``_grid_depth`` otherwise,
-so the link scan never holds more sets than the grid could.
+scan's count, capped at 2^|E|, completes, and ``_grid_depth`` otherwise.
+This bounds the scan's count by the grid's worst case, 2^|E|, not by the
+codes the grid actually returns, so it says nothing of either engine's
+time or memory on a given graph: on dense graphs at the largest n the
+rule admits, the scan can cost more than the grid would.
 ``depth_profile`` and the n = 1 depths of criteria 5, 10 and 13 call
 ``_grid_depth`` by name, so each of those checks compares two engines.
 """
@@ -424,17 +427,9 @@ def _link_scan(masks: tuple[int, ...], field: FieldSpec, cap: Optional[int] = No
 
 def depth_symbolic(G: Graph, n: int, field: FieldSpec = Rationals(), *,
                    budget: int = DEFAULT_BUDGET, force: bool = False) -> int:
-    """depth of R modulo the n-th symbolic power of the cover ideal.
-
-    Two exact engines give it, and the module's "Oracle layout" (6) proves
-    the rule that picks one.  The link engine reads r - reg I(G_n) by
-    ``_link_scan`` on the polarized graph.  It runs when r * floor(n/2) <=
-    |E| and G_n has at most 2^|E| distinct closed neighbourhoods, so it
-    never lists more sets than the grid could return; otherwise
-    ``_grid_depth`` searches the grid.  Both give the same depth, so the
-    choice changes only the time.  The rule adds no setting: it reads r, n
-    and |E| and counts as it goes.
-    """
+    """depth of R modulo the n-th symbolic power of the cover ideal, read as
+    r - reg I(G_n) by ``_link_scan`` or by ``_grid_depth``, as the rule of
+    the module's "Oracle layout" (6) picks."""
     if n < 1:
         raise ValueError(f"power must be >= 1, got {n}")
     _check_budget(G, n, budget, force)
@@ -453,9 +448,10 @@ def reg_edge_ideal(G: Graph, field: FieldSpec = Rationals(), *,
     and split into parts before the memo, exactly as the grid's visit does."""
     _check_budget(G, 1, budget, force)  # the link scan costs what the n = 1 oracle does
     # Unlike the grid's visit, the scan is not cut by the ceiling
-    # reg I(H) <= |M| + 1 for a maximal matching M: it is the independent
-    # reference for the n = 1 duality, and the analyzer's regularity-upper
-    # check tests reg I(H) <= nu(H) + 1, which that ceiling implies.
+    # reg I(H) <= |M| + 1 for a maximal matching M: the n = 1 duality checks
+    # compare it with ``_grid_depth``, which is, and the analyzer's
+    # regularity-upper check tests reg I(H) <= nu(H) + 1, which that
+    # ceiling implies.
     return _link_scan(G.neighbor_masks, field)
 
 

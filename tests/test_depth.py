@@ -600,7 +600,8 @@ def test_depth_reg_duality_random():
     rng = random.Random(91)
     for _ in range(10):
         G = random_small_graph(rng, max_r=6)
-        assert depth_symbolic(G, 1) == G.vertex_count - reg_edge_ideal(G)
+        # the grid, not depth_symbolic: at n = 1 that may read the same link scan
+        assert _grid_depth(G, 1) == G.vertex_count - reg_edge_ideal(G)
 
 
 def _hochster_graphs():
@@ -892,7 +893,7 @@ def test_qualifying_subsets_beyond_64_edges():
     # edge, all twelve leave none, and every other choice is its own set
     assert len(got) == 2 ** 12 - 13
     # the oracle's visit reads a maximal matching off codes of 66 edge bits
-    assert depth_symbolic(G, 1) == 12 - reg_edge_ideal(G) == 10
+    assert _grid_depth(G, 1) == 12 - reg_edge_ideal(G) == 10
 
 
 def test_frontier_order_matches_set_reference():
