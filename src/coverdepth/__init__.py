@@ -2,9 +2,10 @@
 computed two independent ways and cross-verified.
 
 The combinatorial route runs through ordered matchings and alternating-path
-statistics; the algebraic route reads the graded local cohomology from one
-grid search per power over the qualifying edge sets, whose independence
-complexes are reduced (folds, cones, joins) before any exact homology.
+statistics; the algebraic route reads each symbolic depth as r - reg I(G_n)
+of the polarized graph, by a link scan or by a grid search over the
+qualifying edge sets, whose independence complexes are reduced (folds,
+cones, joins) before any exact homology.
 """
 
 from .graphs import (

@@ -114,10 +114,8 @@ def analyze(G: Graph, field: FieldSpec = Rationals(),
 
     walk_len = walk_length(G, shortest) if G.vertex_count <= WALK_VERTEX_LIMIT else None
 
-    # reg is the oracle's own reading where it read depth(1), else one link
-    # scan's; a refused or disabled scan skips constant-depth-iff and leaves
-    # regularity-upper out; a refused or disabled profile skips both profile
-    # checks; the refusal or the mode is the detail
+    # a refused or disabled scan or profile skips its checks, with the refusal
+    # or the mode as the detail
     reg: Optional[int] = None
     reg_skipped = "algebra disabled in this mode"
     profile_json: Optional[dict] = None
@@ -125,7 +123,7 @@ def analyze(G: Graph, field: FieldSpec = Rationals(),
     limit = G.vertex_count - nu0 - 1
     if opts.mode in ("auto", "oracle"):
         try:
-            reg = res.reg if res.reg is not None else reg_edge_ideal(G, field, budget=opts.budget, force=opts.force)
+            reg = reg_edge_ideal(G, field, budget=opts.budget, force=opts.force)
         except BudgetRefusal as refusal:
             reg_skipped = str(refusal)
         if opts.with_profile:
@@ -153,9 +151,9 @@ def analyze(G: Graph, field: FieldSpec = Rationals(),
     add("unique-perfect-matching", unique_perfect_matching_check(G) if flags["perfect_ordered_matching"] else None,
         "graphs with a perfect ordered matching have one perfect matching")
     if reg is not None:
-        # where the oracle read depth(1), reg is its own reading of r - depth(1),
-        # so the check tests only reg <= nu0 + 1; verify's criteria 10 and 13
-        # compare that reading with the grid
+        # reg I(G) is memoized, so where the oracle read depth(1) reg is its
+        # own reading of r - depth(1) and the check tests only reg <= nu0 + 1;
+        # verify's criteria 10 and 13 compare that reading with the grid
         add("constant-depth-iff", None if stab is None else ((stab == 1) == (reg == nu0 + 1)),
             f"reg={reg}, nu0+1={nu0 + 1}")
         add("regularity-upper", reg <= nu + 1, f"reg={reg} <= nu+1={nu + 1}")

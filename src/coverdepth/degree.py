@@ -1,4 +1,4 @@
-"""Cover-ideal combinatorics: independence complexes and qualifying edges.
+"""Cover-ideal combinatorics: the independence complex of a qualifying graph.
 
 For a graph G the cover ideal is the intersection of the edge primes
 (x_u, x_v); a monomial x^a lies in the n-th symbolic power exactly when
@@ -11,20 +11,7 @@ negative support.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
-from .graphs import Graph, GraphError
-
-
-def _check_alpha(G: Graph, alpha: Sequence[int]) -> tuple[int, ...]:
-    a = tuple(int(x) for x in alpha)
-    if len(a) != G.vertex_count:
-        raise GraphError(f"exponent vector has length {len(a)}, expected {G.vertex_count}")
-    return a
-
-
-def negative_support(alpha: Sequence[int]) -> tuple[int, ...]:
-    return tuple(i + 1 for i, x in enumerate(alpha) if x < 0)
+from typing import Iterable
 
 
 def _independence_complex(nbrs: Iterable[tuple[int, int]]) -> list[list[int]]:
@@ -46,14 +33,3 @@ def _independence_complex(nbrs: Iterable[tuple[int, int]]) -> list[list[int]]:
                 grown.append((face | low, free & ~nbr[low]))
         level = grown
     return faces
-
-
-def qualifying_edges(G: Graph, n: int, alpha: Sequence[int]) -> list[tuple[int, int]]:
-    """Edges avoiding the negative support whose exponent sum is at most n - 1."""
-    a = _check_alpha(G, alpha)
-    neg = set(negative_support(a))
-    return [
-        (u, v)
-        for u, v in G.edge_list
-        if u not in neg and v not in neg and a[u - 1] + a[v - 1] <= n - 1
-    ]

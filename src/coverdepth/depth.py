@@ -69,8 +69,8 @@ returns, the qualifying edges at the point are the nu0 pairs.
 ``stability_index_oracle`` decides the index in this order: the admission
 rule at n = 1, then at B; the witness at B, which is that call, so no grid
 runs at B and a construction failure raises CertificateConstructionError;
-then one exact depth per power from B - 1 down, r - reg I(G) at n = 1
-(criterion 5's duality) and ``depth_symbolic`` above; the first depth above
+then one exact depth per power from B - 1 down by ``depth_symbolic``, which
+reads r - reg I(G) at n = 1 (criterion 5's duality); the first depth above
 the limit at n gives the index n + 1.
 
 (6) Polarization and the engine choice.  The polarized graph G_n has the
@@ -88,7 +88,9 @@ hold no edge among them, since p + q > n + 1 there, so they form one
 independent set of r * floor(n/2) vertices; for F inside it N[F] meets the
 set in F alone, so distinct F give distinct N[F] and the scan lists at
 least 2^(r floor(n/2)) masks, while the grid returns at most 2^|E| codes.
-``depth_symbolic`` takes the link scan when r * floor(n/2) <= |E| and the
+At n = 1, where G_1 = G, ``depth_symbolic`` reads reg I(G) from ``_reg``,
+the one memoized, uncapped scan of G, which ``reg_edge_ideal`` reads too.
+Above n = 1 it takes the link scan when r * floor(n/2) <= |E| and the
 scan's count, capped at 2^|E|, completes, and ``_grid_depth`` otherwise.
 This bounds the scan's count by the grid's worst case, 2^|E|, not by the
 codes the grid actually returns, so it says nothing of either engine's
@@ -101,6 +103,7 @@ rule admits, the scan can cost more than the grid would.
 from __future__ import annotations
 
 from collections import OrderedDict
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .altpaths import (
@@ -425,15 +428,25 @@ def _link_scan(masks: tuple[int, ...], field: FieldSpec, cap: Optional[int] = No
     return top + 2
 
 
+@lru_cache(maxsize=64)
+def _reg(G: Graph, field: FieldSpec) -> int:
+    """reg I(G) by the uncapped ``_link_scan`` on G, memoized like
+    ``_shortest_max_ordered``: the oracle's depth(1) and the report's checks
+    read one scan.  Callers ask ``_check_budget`` first."""
+    return _link_scan(G.neighbor_masks, field)
+
+
 def depth_symbolic(G: Graph, n: int, field: FieldSpec = Rationals(), *,
                    budget: int = DEFAULT_BUDGET, force: bool = False) -> int:
     """depth of R modulo the n-th symbolic power of the cover ideal, read as
-    r - reg I(G_n) by ``_link_scan`` or by ``_grid_depth``, as the rule of
-    the module's "Oracle layout" (6) picks."""
+    r - reg I(G_n) by ``_reg``, ``_link_scan`` or ``_grid_depth``, as the
+    module's "Oracle layout" (6) picks."""
     if n < 1:
         raise ValueError(f"power must be >= 1, got {n}")
     _check_budget(G, n, budget, force)
     r, m = G.vertex_count, len(G.edges)
+    if n == 1:
+        return r - _reg(G, field)
     if r * (n // 2) <= m:  # else the layer bound puts more than 2^|E| sets in the scan
         reg = _link_scan(_polarized_masks(G, n), field, 1 << m)
         if reg is not None:
@@ -443,7 +456,7 @@ def depth_symbolic(G: Graph, n: int, field: FieldSpec = Rationals(), *,
 
 def reg_edge_ideal(G: Graph, field: FieldSpec = Rationals(), *,
                    budget: int = DEFAULT_BUDGET, force: bool = False) -> int:
-    """Regularity of the edge ideal by ``_link_scan`` on G: 2 + the top
+    """Regularity of the edge ideal by ``_reg``'s link scan on G: 2 + the top
     degree of homology over the links of Ind(G), each folded, cone-checked
     and split into parts before the memo, exactly as the grid's visit does."""
     _check_budget(G, 1, budget, force)  # the link scan costs what the n = 1 oracle does
@@ -452,7 +465,7 @@ def reg_edge_ideal(G: Graph, field: FieldSpec = Rationals(), *,
     # compare it with ``_grid_depth``, which is, and the analyzer's
     # regularity-upper check tests reg I(H) <= nu(H) + 1, which that
     # ceiling implies.
-    return _link_scan(G.neighbor_masks, field)
+    return _reg(G, field)
 
 
 # -- stability index --------------------------------------------------------
@@ -516,26 +529,18 @@ def stability_index_oracle(G: Graph, field: FieldSpec = Rationals(), *,
     ``BudgetRefusal`` is raised exactly when, and as, the plain upward scan
     over ``depth_symbolic`` raises it.
     """
-    return _oracle_walk(G, field, budget, force, [])
-
-
-def _oracle_walk(G: Graph, field: FieldSpec, budget: int, force: bool, regs: list[int]) -> int:
-    """The oracle's walk; the reg I(G) it reads for depth(1) stays in ``regs``, even past a refusal."""
     _check_budget(G, 1, budget, force)
     limit, bound = limit_depth(G), stability_bound(G)
 
-    def depth(n: int) -> int:  # r - reg I(G) by the link scan at n = 1, depth_symbolic's choice above
-        if n > 1:
-            return depth_symbolic(G, n, field, budget=budget, force=force)
-        regs.append(reg_edge_ideal(G, field, budget=budget, force=force))
-        return G.vertex_count - regs[0]
+    def above(n: int) -> bool:
+        return depth_symbolic(G, n, field, budget=budget, force=force) > limit
 
     try:
         _check_budget(G, bound, budget, force)
     except BudgetRefusal:
-        return next(n for n in range(1, bound + 1) if depth(n) <= limit)
+        return next(n for n in range(1, bound + 1) if not above(n))
     shifted_exponents(G, _shortest_max_ordered(G)[1], bound)  # the witness at B, or it raises
-    return next((n + 1 for n in range(bound - 1, 0, -1) if depth(n) > limit), 1)
+    return next((n + 1 for n in range(bound - 1, 0, -1) if above(n)), 1)
 
 
 # -- perfect-matching certificate -------------------------------------------
@@ -644,7 +649,6 @@ class StabilityResult(NamedTuple):
     value: Optional[int]
     method: str
     witness: Optional[ExponentCertificate] = None
-    reg: Optional[int] = None  # reg I(G), where an oracle walk read depth(1) = r - reg
 
 
 def stability_index(G: Graph, field: FieldSpec = Rationals(), mode: str = "auto", *,
@@ -671,23 +675,16 @@ def stability_index(G: Graph, field: FieldSpec = Rationals(), mode: str = "auto"
     5. Otherwise no value: ``None``.  ``auto`` gets here only after a budget
        refusal, so its method is ``not computed (budget)``; ``combinatorial``
        consults no budget and says ``not computed (combinatorial)``.
-
-    ``reg`` is the reg I(G) that the oracle of step 2 or 3 read for depth(1),
-    also where a later power was refused; None where it read none.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r} (choose from {MODES})")
-    regs: list[int] = []
-
-    def result(value: Optional[int], method: str, witness: Optional[ExponentCertificate] = None) -> StabilityResult:
-        return StabilityResult(value, method, witness, regs[0] if regs else None)
 
     if mode in ("auto", "combinatorial"):
         shape = _structural_path_or_cycle(G)
         if shape == "path":
-            return result(path_stability_closed_form(G.vertex_count), "closed-form")
+            return StabilityResult(path_stability_closed_form(G.vertex_count), "closed-form")
         if shape == "cycle":
-            return result(cycle_stability_closed_form(G.vertex_count), "closed-form")
+            return StabilityResult(cycle_stability_closed_form(G.vertex_count), "closed-form")
     if mode != "oracle":
         try:
             out = stability_certificate(G)
@@ -699,21 +696,21 @@ def stability_index(G: Graph, field: FieldSpec = Rationals(), mode: str = "auto"
             if mode == "auto":
                 try:
                     _check_budget(G, out.value, CROSS_CHECK_ESTIMATE_LIMIT, False)
-                    oracle_value = _oracle_walk(G, field, budget, force, regs)
+                    oracle_value = stability_index_oracle(G, field, budget=budget, force=force)
                 except BudgetRefusal:
-                    return result(out.value, "certificate", out)
+                    return StabilityResult(out.value, "certificate", out)
                 if oracle_value != out.value:
                     raise DepthEngineError(f"certificate {out.value} != oracle {oracle_value}")
-                return result(out.value, "certificate+oracle", out)
-            return result(out.value, "certificate", out)
+                return StabilityResult(out.value, "certificate+oracle", out)
+            return StabilityResult(out.value, "certificate", out)
     if mode in ("auto", "oracle"):
         try:
-            return result(_oracle_walk(G, field, budget, force, regs), "oracle")
+            return StabilityResult(stability_index_oracle(G, field, budget=budget, force=force), "oracle")
         except BudgetRefusal:
             if mode == "oracle":
                 raise
     if is_forest(G) or (
         matching_number(G) == ordered_matching_number(G) and not has_cycle_of_length(G, 5)
     ):
-        return result(stability_bound(G), "equality-class")
-    return result(None, f"not computed ({'budget' if mode == 'auto' else mode})")
+        return StabilityResult(stability_bound(G), "equality-class")
+    return StabilityResult(None, f"not computed ({'budget' if mode == 'auto' else mode})")

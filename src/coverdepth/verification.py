@@ -22,7 +22,6 @@ from .altpaths import (
 )
 from .analyzer import analyze, AnalyzeOptions
 from .complexes import from_facets, reduced_homology
-from .degree import qualifying_edges
 from .depth import (
     _grid_depth,
     BudgetRefusal,
@@ -157,7 +156,7 @@ def check_fig3(level: str) -> tuple[bool, str]:
     _expect(failures, lengths == {5: 5, 6: 5, 7: 3, 8: 1}, f"partner lengths {lengths}")
     alpha = path_exponents(G, om)
     _expect(failures, alpha.vector() == FIG3_ALPHA, f"alpha {alpha.vector()} != {FIG3_ALPHA}")
-    edges = qualifying_edges(G, 3, FIG3_ALPHA)
+    edges = [(u, v) for u, v in G.edge_list if FIG3_ALPHA[u - 1] + FIG3_ALPHA[v - 1] <= 2]
     _expect(failures, set(edges) == set(FIG1_PAIRS), f"qualifying edges {edges} != matching")
     got = stability_index_oracle(G)
     _expect(failures, got == 3, f"oracle {got} != 3")

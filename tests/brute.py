@@ -11,11 +11,11 @@ boundary rank) with no reduction and no memo.
 
 It also holds the reference side of the algebra that the library itself no
 longer needs: complexes as facet antichains of frozensets, the cover
-complex, Alexander duality, degree complexes, membership in symbolic powers,
-the independence complex of a whole graph and induced subgraphs, the
-sorted nonzero degrees of a homology profile, the set-based greedy order
-that the grid search's bit-mask order must reproduce, and the in-order
-maximal matching that the oracle's visit reads off a code, and the
+complex, Alexander duality, qualifying edges, degree complexes, membership
+in symbolic powers, the independence complex of a whole graph and induced
+subgraphs, the sorted nonzero degrees of a homology profile, the set-based
+greedy order that the grid search's bit-mask order must reproduce, and the
+in-order maximal matching that the oracle's visit reads off a code, and the
 polarized graph G_n with its closed neighbourhoods.  Every reference
 that walks a graph builds its adjacency from ``G.edges`` as Python sets
 (``set_adjacency``), so none reads the library's ``neighbor_masks``; the
@@ -34,7 +34,6 @@ from itertools import combinations, permutations, product
 from typing import FrozenSet, Iterable
 
 from coverdepth.complexes import ComplexError, reduced_homology
-from coverdepth.degree import _check_alpha, negative_support, qualifying_edges
 from coverdepth.depth import DEFAULT_BUDGET, depth_symbolic
 from coverdepth.graphs import Graph, GraphError
 from coverdepth.linalg import Rationals, rank
@@ -457,6 +456,28 @@ def brute_qualifying_subsets(rest, induced, n: int, cap: int) -> set:
         if chosen:
             found.add(chosen)
     return found
+
+
+def _check_alpha(G: Graph, alpha) -> tuple[int, ...]:
+    a = tuple(int(x) for x in alpha)
+    if len(a) != G.vertex_count:
+        raise GraphError(f"exponent vector has length {len(a)}, expected {G.vertex_count}")
+    return a
+
+
+def negative_support(alpha) -> tuple[int, ...]:
+    return tuple(i + 1 for i, x in enumerate(alpha) if x < 0)
+
+
+def qualifying_edges(G: Graph, n: int, alpha) -> list[tuple[int, int]]:
+    """Edges avoiding the negative support whose exponent sum is at most n - 1."""
+    a = _check_alpha(G, alpha)
+    neg = set(negative_support(a))
+    return [
+        (u, v)
+        for u, v in G.edge_list
+        if u not in neg and v not in neg and a[u - 1] + a[v - 1] <= n - 1
+    ]
 
 
 def cover_complex(G: Graph) -> SimplicialComplex:

@@ -573,23 +573,31 @@ def _count_calls(monkeypatch, fn, counts: dict, key: str) -> None:
 
 
 def test_uncached_batch_scans_links_once_per_analysis_and_validates_no_matching(tmp_path, monkeypatch):
-    # analyze reads the reg I(G) that the oracle's walk read for depth(1)
-    # instead of scanning the links again, and every matching comes from
-    # _max_ordered, which builds only valid ones, so none is checked again
-    counts = {"reg": 0, "violation": 0}
-    _count_calls(monkeypatch, depth.reg_edge_ideal, counts, "reg")
+    # the oracle's depth(1) and analyze's checks read reg I(G) from one memo,
+    # so an analysis scans the links of G at most once, and exactly once the
+    # first time it meets G (r <= 6: no scan is refused); every matching comes
+    # from _max_ordered, which builds only valid ones, so none is checked again
+    counts = {"violation": 0}
     _count_calls(monkeypatch, matchings.ordered_matching_violation, counts, "violation")
-    scans_per_analysis = []
+    scanned: list[tuple[int, ...]] = []
+    link_scan = depth._link_scan
+    monkeypatch.setattr(depth, "_link_scan", lambda masks, *args: scanned.append(masks) or link_scan(masks, *args))
+    depth._reg.cache_clear()
+    seen: set[Graph] = set()
+    scans = []  # per analysis: (link scans of G, whether it is G's first analysis)
 
-    def counting(*args, **kwargs):
-        before = counts["reg"]
-        report = analyze(*args, **kwargs)
-        scans_per_analysis.append(counts["reg"] - before)
+    def counting(G, *args, **kwargs):
+        scanned.clear()
+        report = analyze(G, *args, **kwargs)
+        scans.append((scanned.count(G.neighbor_masks), G not in seen))
+        seen.add(G)
         return report
 
     monkeypatch.setattr("coverdepth.analyzer.analyze", counting)
     assert batch("graphs seed=0 count=300 maxr=6", tmp_path / "g.jsonl") == 300
-    assert len(scans_per_analysis) == 300 and set(scans_per_analysis) == {1}  # r <= 6: no scan is refused
+    assert len(scans) == 300 and max(count for count, _ in scans) == 1
+    assert all(count == 1 for count, first in scans if first)
+    assert len(seen) < 300  # some graph repeats, so the memo is read
     assert counts["violation"] == 0
 
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from coverdepth.complexes import reduced_homology
-from coverdepth.degree import _independence_complex, negative_support, qualifying_edges
+from coverdepth.degree import _independence_complex
 from coverdepth.graphs import Graph, GraphError, builtin_graph, cycle_graph, path_graph
 from brute import (
     alexander_dual,
@@ -14,7 +14,9 @@ from brute import (
     face_masks,
     facet_independence_complex,
     independence_complex,
+    negative_support,
     neighbour_pairs,
+    qualifying_edges,
     random_small_graph,
     symbolic_membership,
 )

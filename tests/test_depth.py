@@ -18,6 +18,7 @@ from coverdepth.altpaths import (
     shifted_exponents,
     stability_bound,
 )
+from coverdepth.analyzer import AnalyzeOptions, analyze
 from coverdepth.complexes import reduced_homology
 from coverdepth.degree import _independence_complex
 from coverdepth.depth import (
@@ -170,18 +171,32 @@ def test_stability_closed_forms_first():
     assert stability_index(path_graph(8), mode="oracle").method == "oracle"
 
 
-def test_stability_result_carries_the_reg_the_oracle_read():
-    # the oracle's walk reads depth(1) as r - reg I(G) by the link scan and
-    # hands that reg back, also when a later power is refused; a walk that
-    # stops above n = 1 reads none
-    fig3 = builtin_graph("FIG3")
-    assert stability_index(fig3, mode="oracle") == StabilityResult(3, "oracle")  # depth(2) is above the limit
-    c5 = stability_index(cycle_graph(5), mode="oracle")
-    assert (c5.value, c5.reg) == (1, reg_edge_ideal(cycle_graph(5))) == (1, 3)
+def test_reg_is_scanned_once_per_graph_behind_the_budget():
+    # the oracle's depth(1) and the report's checks read reg I(G) from one
+    # memo, also when a later power of the walk is refused; the memo sits
+    # behind the admission rule, so a cached reg never admits a refused call
+    c5, fig3 = cycle_graph(5), builtin_graph("FIG3")
+
+    def misses(run) -> tuple[int, dict]:
+        before = depth._reg.cache_info().misses
+        report = run()
+        return depth._reg.cache_info().misses - before, {c.name: c for c in report.checks}
+
+    depth._reg.cache_clear()
+    count, checks = misses(lambda: analyze(c5, options=AnalyzeOptions(mode="oracle")))
+    assert count == 1
+    assert checks["constant-depth-iff"] == ("constant-depth-iff", "pass", "reg=3, nu0+1=3")
     # budget 2^8 admits FIG3's n = 1 but refuses B = 3, and then n = 2 on the upward scan
-    res = stability_index(fig3, budget=2 ** 8)
-    assert (res.value, res.method, res.reg) == (3, "certificate", reg_edge_ideal(fig3))
-    assert stability_index(fig3, mode="combinatorial").reg is None
+    count, checks = misses(lambda: analyze(fig3, options=AnalyzeOptions(budget=2 ** 8)))
+    assert count == 1
+    assert checks["constant-depth-iff"].status == "pass"
+    assert checks["constant-depth-iff"].detail == f"reg={reg_edge_ideal(fig3)}, nu0+1=5"
+    count, _ = misses(lambda: analyze(path_graph(5), options=AnalyzeOptions(mode="combinatorial")))
+    assert count == 0
+    assert reg_edge_ideal(c5) == 3
+    for call in (lambda: reg_edge_ideal(c5, budget=1), lambda: depth_symbolic(c5, 1, budget=1)):
+        with pytest.raises(BudgetRefusal):
+            call()
 
 
 def test_stability_auto_skips_expensive_cross_check():
@@ -430,7 +445,8 @@ def test_engine_choice(monkeypatch):
     # at n = 6, FAM(2) at n >= 4), the grid after a scan stopped by the cap
     # where G_n has more than 2^|E| closed neighbourhoods (C5 at n = 2), and
     # the link scan alone on the r=11 case at n = 2 and 3 and on a G(8, 12)
-    # graph at n = 2
+    # graph at n = 2; at n = 1 the memoized scan of G alone, where the
+    # capped scan would stop on the isolated vertices
     calls = []
     grid, scan = depth._qualifying_subsets, depth._link_scan
     monkeypatch.setattr(depth, "_qualifying_subsets", lambda *args: calls.append("grid") or grid(*args))
@@ -447,6 +463,10 @@ def test_engine_choice(monkeypatch):
     assert engines(cycle_graph(5), 2) == "scan+grid"
     assert [engines(_r11_case(), n) for n in (2, 3)] == ["scan"] * 2
     assert engines(_gnm(3, 8, 12), 2) == "scan"
+    G = Graph.make(4, [(1, 2)])
+    depth._reg.cache_clear()
+    assert engines(G, 1) == "scan"
+    assert depth_symbolic(G, 1) == _grid_depth(G, 1)
 
 
 def _w5_plus_pendant():
