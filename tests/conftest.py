@@ -1,0 +1,11 @@
+import pytest
+
+from coverdepth import depth
+
+
+@pytest.fixture(autouse=True)
+def cold_reg_memo():
+    """Start every test with an empty reg I(G) memo, so that what a test
+    counts or records of the link scan does not depend on which tests ran
+    before it."""
+    depth._reg.cache_clear()

@@ -107,7 +107,8 @@ def test_degree_complex_negative_support():
 
 
 def test_qualifying_graph_examples():
-    # the qualifying graph: the qualifying edges on V minus the negative support
+    # the qualifying graph: the qualifying edges on V minus the negative support,
+    # pinned on worked examples because brute's degree complex is built from them
     assert negative_support(FIG3_ALPHA) == ()
     assert set(qualifying_edges(builtin_graph("FIG3"), 3, FIG3_ALPHA)) == {(1, 5), (2, 6), (3, 7), (4, 8)}
     G = cycle_graph(5)
