@@ -18,6 +18,7 @@ from .depth import (
     DEFAULT_BUDGET,
     BudgetRefusal,
     depth_profile,
+    limit_depth,
     reg_edge_ideal,
     stability_index,
 )
@@ -120,7 +121,7 @@ def analyze(G: Graph, field: FieldSpec = Rationals(),
     reg_skipped = "algebra disabled in this mode"
     profile_json: Optional[dict] = None
     profile_skipped = reg_skipped if opts.with_profile else None
-    limit = G.vertex_count - nu0 - 1
+    limit = limit_depth(G)
     if opts.mode in ("auto", "oracle"):
         try:
             reg = reg_edge_ideal(G, field, budget=opts.budget, force=opts.force)

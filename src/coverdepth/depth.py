@@ -70,8 +70,8 @@ returns, the qualifying edges at the point are the nu0 pairs.
 rule at n = 1, then at B; the witness at B, which is that call, so no grid
 runs at B and a construction failure raises CertificateConstructionError;
 then one exact depth per power from B - 1 down by ``depth_symbolic``, which
-reads r - reg I(G) at n = 1 (criterion 5's duality); the first depth above
-the limit at n gives the index n + 1.
+reads r - reg I(G_n) from the memo of (6); the first depth above the limit
+at n gives the index n + 1.
 
 (6) Polarization and the engine choice.  The polarized graph G_n has the
 vertices (i, p), i in V and 1 <= p <= n, and an edge (i, p)(j, q) when ij
@@ -82,22 +82,29 @@ reg I(H) (Terai 1999), so depth R/J^(n) = r - reg I(G_n); at n = 1 this is
 criterion 5's duality.  In this layout the qualifying graph at (S, a') is
 the induced subgraph of G_n on {(i, a_i + 1) : i not in S}, since a_i + a_j
 <= n - 1 is (a_i + 1) + (a_j + 1) <= n + 1.  ``_link_scan`` reads
-reg I(G_n) from the distinct closed neighbourhoods N[F], the scan that
-``reg_edge_ideal`` runs on G.  The layer bound: the layers p > (n + 1)/2
-hold no edge among them, since p + q > n + 1 there, so they form one
-independent set of r * floor(n/2) vertices; for F inside it N[F] meets the
-set in F alone, so distinct F give distinct N[F] and the scan lists at
-least 2^(r floor(n/2)) masks, while the grid returns at most 2^|E| codes.
-At n = 1, where G_1 = G, ``depth_symbolic`` reads reg I(G) from ``_reg``,
-the one memoized, uncapped scan of G, which ``reg_edge_ideal`` reads too.
-Above n = 1 it takes the link scan when r * floor(n/2) <= |E| and the
-scan's count, capped at 2^|E|, completes, and ``_grid_depth`` otherwise.
-This bounds the scan's count by the grid's worst case, 2^|E|, not by the
-codes the grid actually returns, so it says nothing of either engine's
-time or memory on a given graph: on dense graphs at the largest n the
-rule admits, the scan can cost more than the grid would.
-``depth_profile`` and the n = 1 depths of criteria 5, 10 and 13 call
-``_grid_depth`` by name, so each of those checks compares two engines.
+reg I(G_n) from the distinct closed neighbourhoods N[F].  ``_reg`` is the
+one memo of reg I(G_n), for every power, and the one engine choice, which
+``depth_symbolic`` and ``reg_edge_ideal`` (n = 1, G_1 = G) both read.  It
+takes the link scan when r * floor(n/2) <= |E| and the scan's count,
+capped at 2^|E|, completes, and ``_grid_depth`` otherwise.  The scan
+starts from the mask of G_n's isolated vertices, the copies of G's, since
+a link that misses one is a cone on it.  The layer bound: the layers
+p > (n + 1)/2 hold no edge among them, since p + q > n + 1 there, so they
+form one independent set; N[F] meets it in F and the isolated vertices
+alone, so with r' the number of vertices of G that are not isolated, its
+r' * floor(n/2) other vertices give distinct N[F] and the scan lists at
+least 2^(r' * floor(n/2)) masks, while the grid returns at most 2^|E| codes.
+The rule keeps r, which only skips more scans than it must where G has
+isolated vertices.  At n = 1 the scan never reaches the cap: each listed
+mask less the isolated vertices is N[F] for an F without them, which is
+the vertex set of the edges of G inside it, so there are at most 2^|E|;
+were the cap ever reached, the grid would give the same value.  The rule
+bounds the scan's count by the grid's worst case, 2^|E|, not by the codes
+the grid actually returns, so it says nothing of either engine's time or
+memory on a given graph: on dense graphs at the largest n the rule admits,
+the scan can cost more than the grid would.  ``depth_profile`` and the
+n = 1 depths of criteria 5, 10 and 13 call ``_grid_depth`` by name, so
+each of those checks compares two engines.
 """
 
 from __future__ import annotations
@@ -392,11 +399,11 @@ def _polarized_masks(G: Graph, n: int) -> tuple[int, ...]:
     return (0,) + tuple(masks[i] * layer for layer in layers for i in G.vertices())
 
 
-def _link_scan(masks: tuple[int, ...], field: FieldSpec, cap: Optional[int] = None) -> Optional[int]:
+def _link_scan(masks: tuple[int, ...], field: FieldSpec, cap: int) -> Optional[int]:
     """reg I(H) for the graph H given as neighbour masks indexed from 1 (as
     ``Graph.neighbor_masks``): 2 + the top degree of homology over the links
     of Ind(H); None once H has more than ``cap`` distinct closed
-    neighbourhoods.
+    neighbourhoods holding every isolated vertex.
 
     The link of a face F is Ind(H - N[F]), so each distinct N[F] is read
     once.  They are generated directly as bit masks in one pass over the
@@ -404,17 +411,19 @@ def _link_scan(masks: tuple[int, ...], field: FieldSpec, cap: Optional[int] = No
     v lies outside N[F], so each vertex v adds c | N[v] for every mask c so
     far that does not hold v.  No face of Ind(H) is listed.  A link in which
     some vertex v outside N[F] has every neighbour inside N[F] is a cone on
-    v, so acyclic: that is N[F] & N[v] == N(v), and one list filter per
-    vertex, fewest neighbours first, drops every such mask before any link's
-    masks are built.  Every other link is handed to ``_top_degree`` as the
-    masks N(v) - N[F] for v outside N[F]."""
+    v, so acyclic: that is N[F] & N[v] == N(v).  An isolated vertex is such
+    a v for every F that misses it, so the pass starts from the one mask of
+    the isolated vertices, not from N[{}] = {}, and every listed mask holds
+    them.  One list filter per vertex, fewest neighbours first, drops every
+    other cone before any link's masks are built.  Every other link is
+    handed to ``_top_degree`` as the masks N(v) - N[F] for v outside N[F]."""
     vertices = range(1, len(masks))
-    closed_masks = {0}  # N[{}] is empty
+    closed_masks = {sum(1 << (v - 1) for v in vertices if not masks[v])}
     for v in vertices:
         bit = 1 << (v - 1)
         closed_v = bit | masks[v]
         closed_masks |= {c | closed_v for c in closed_masks if not c & bit}
-        if cap is not None and len(closed_masks) > cap:
+        if len(closed_masks) > cap:
             return None
     links = list(closed_masks)
     for v in sorted(vertices, key=lambda v: masks[v].bit_count()):
@@ -429,43 +438,42 @@ def _link_scan(masks: tuple[int, ...], field: FieldSpec, cap: Optional[int] = No
 
 
 @lru_cache(maxsize=64)
-def _reg(G: Graph, field: FieldSpec) -> int:
-    """reg I(G) by the uncapped ``_link_scan`` on G, memoized like
-    ``_shortest_max_ordered``: the oracle's depth(1) and the report's checks
-    read one scan.  Callers ask ``_check_budget`` first."""
-    return _link_scan(G.neighbor_masks, field)
+def _reg(G: Graph, n: int, field: FieldSpec) -> int:
+    """reg I(G_n), memoized like ``_shortest_max_ordered``: by the link scan
+    on G_n when the layer bound allows it and its count, capped at 2^|E|,
+    completes, and as r - ``_grid_depth`` otherwise (the module's "Oracle
+    layout" (6)).  Callers ask ``_check_budget`` first."""
+    r, m = G.vertex_count, len(G.edges)
+    if r * (n // 2) <= m:  # else the layer bound puts more than 2^|E| sets in the scan
+        reg = _link_scan(_polarized_masks(G, n), field, 1 << m)
+        if reg is not None:
+            return reg
+    return r - _grid_depth(G, n, field)
 
 
 def depth_symbolic(G: Graph, n: int, field: FieldSpec = Rationals(), *,
                    budget: int = DEFAULT_BUDGET, force: bool = False) -> int:
     """depth of R modulo the n-th symbolic power of the cover ideal, read as
-    r - reg I(G_n) by ``_reg``, ``_link_scan`` or ``_grid_depth``, as the
-    module's "Oracle layout" (6) picks."""
+    r - reg I(G_n) from ``_reg``."""
     if n < 1:
         raise ValueError(f"power must be >= 1, got {n}")
     _check_budget(G, n, budget, force)
-    r, m = G.vertex_count, len(G.edges)
-    if n == 1:
-        return r - _reg(G, field)
-    if r * (n // 2) <= m:  # else the layer bound puts more than 2^|E| sets in the scan
-        reg = _link_scan(_polarized_masks(G, n), field, 1 << m)
-        if reg is not None:
-            return r - reg
-    return _grid_depth(G, n, field)
+    return G.vertex_count - _reg(G, n, field)
 
 
 def reg_edge_ideal(G: Graph, field: FieldSpec = Rationals(), *,
                    budget: int = DEFAULT_BUDGET, force: bool = False) -> int:
-    """Regularity of the edge ideal by ``_reg``'s link scan on G: 2 + the top
-    degree of homology over the links of Ind(G), each folded, cone-checked
-    and split into parts before the memo, exactly as the grid's visit does."""
+    """Regularity of the edge ideal, reg I(G_1) = reg I(G) from ``_reg``: at
+    n = 1 its link scan on G always completes (the "Oracle layout" (6)), and
+    each link is folded, cone-checked and split into parts before the memo,
+    exactly as the grid's visit does."""
     _check_budget(G, 1, budget, force)  # the link scan costs what the n = 1 oracle does
     # Unlike the grid's visit, the scan is not cut by the ceiling
     # reg I(H) <= |M| + 1 for a maximal matching M: the n = 1 duality checks
     # compare it with ``_grid_depth``, which is, and the analyzer's
     # regularity-upper check tests reg I(H) <= nu(H) + 1, which that
     # ceiling implies.
-    return _reg(G, field)
+    return _reg(G, 1, field)
 
 
 # -- stability index --------------------------------------------------------
@@ -478,6 +486,8 @@ class DepthReport(NamedTuple):
 
 
 def limit_depth(G: Graph) -> int:
+    """r - nu0 - 1, the limit of the symbolic depth function, for the
+    profile, the oracle, the report and verify alike."""
     return G.vertex_count - ordered_matching_number(G) - 1
 
 
@@ -497,7 +507,7 @@ def depth_profile(G: Graph, field: FieldSpec = Rationals(), *,
     nu0 = ordered_matching_number(G)
     _check_budget(G, 2 * nu0 - 1, budget, force)
     profile = {n: _grid_depth(G, n, field) for n in range(1, 2 * nu0)}
-    limit = G.vertex_count - nu0 - 1
+    limit = limit_depth(G)
     values = list(profile.values())
     if any(a < b for a, b in zip(values, values[1:])):
         raise DepthEngineError(f"profile {profile} is not non-increasing")

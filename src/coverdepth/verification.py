@@ -123,7 +123,7 @@ def check_depth_reg_duality(level: str) -> tuple[bool, str]:
     failures: list[str] = []
     count = 0
     for name, G in _duality_instances(level):
-        d1 = _grid_depth(G, 1)  # by name: depth_symbolic(G, 1) may read reg's own link scan
+        d1 = _grid_depth(G, 1)  # by name: depth_symbolic(G, 1) reads reg's own memo
         reg = reg_edge_ideal(G)
         count += 1
         _expect(failures, d1 == G.vertex_count - reg,

@@ -418,7 +418,7 @@ def test_link_engine_matches_the_grid_and_brute():
             H, masks = polarized_graph(G, n), _polarized_masks(G, n)
             assert masks == H.neighbor_masks, (G.edge_list, n)
             for field in (Rationals(), PrimeField(2)):
-                link = r - _link_scan(masks, field)
+                link = r - _link_scan(masks, field, 1 << (len(masks) - 1))
                 assert link == _grid_depth(G, n, field), (G.edge_list, n, field)
                 if (n + 1) ** r <= 2500:
                     assert link == brute_symbolic_depth(G, n, field), (G.edge_list, n, field)
@@ -427,35 +427,66 @@ def test_link_engine_matches_the_grid_and_brute():
 
 
 def test_layer_bound_and_cap_of_the_link_scan():
-    # in G_n the layers p > (n + 1)/2 are one independent set of r*floor(n/2)
-    # vertices, whose distinct subsets F have distinct N[F], so the scan
-    # lists at least 2^(r floor(n/2)) masks; the cap returns None exactly
-    # past the count of distinct N[F]
+    # the scan starts from the mask of G_n's isolated vertices, so it lists
+    # the distinct N[F] that hold every isolated vertex, and the cap returns
+    # None exactly past that count.  In G_n the layers p > (n + 1)/2 are one
+    # independent set, and its r' * floor(n/2) vertices that are not
+    # isolated (r' those of G) give distinct N[F], so the scan lists at
+    # least 2^(r' floor(n/2)) masks.  K3 + K1 and K2 + K1 have an isolated
+    # vertex, where the count is below that of every N[F]
     for G, n in ((path_graph(4), 2), (cycle_graph(5), 2), (path_graph(3), 3),
                  (Graph.make(4, [(1, 2), (1, 3), (2, 3)]), 3), (Graph.make(3, [(1, 2)]), 4)):
-        count = len(brute_closed_neighbourhoods(polarized_graph(G, n)))
-        assert count >= 2 ** (G.vertex_count * (n // 2)), (G.edge_list, n)
+        H = polarized_graph(G, n)
+        isolated = {v for v in H.vertices() if not H.neighbor_masks[v]}
+        every = brute_closed_neighbourhoods(H)
+        count = len([closed for closed in every if isolated <= closed])
+        assert (count < len(every)) == (0 in G.neighbor_masks[1:]), (G.edge_list, n)
+        r_prime = sum(1 for v in G.vertices() if G.neighbor_masks[v])
+        assert count >= 2 ** (r_prime * (n // 2)), (G.edge_list, n)
         masks = _polarized_masks(G, n)
-        assert _link_scan(masks, Rationals(), count) == _link_scan(masks, Rationals()), (G.edge_list, n)
+        full = _link_scan(masks, Rationals(), 1 << (len(masks) - 1))
+        assert full is not None and _link_scan(masks, Rationals(), count) == full, (G.edge_list, n)
         assert _link_scan(masks, Rationals(), count - 1) is None, (G.edge_list, n)
 
 
-def test_engine_choice(monkeypatch):
-    # the grid with no scan where r * floor(n/2) > |E| (the 8-vertex trees
-    # at n = 6, FAM(2) at n >= 4), the grid after a scan stopped by the cap
-    # where G_n has more than 2^|E| closed neighbourhoods (C5 at n = 2), and
-    # the link scan alone on the r=11 case at n = 2 and 3 and on a G(8, 12)
-    # graph at n = 2; at n = 1 the memoized scan of G alone, where the
-    # capped scan would stop on the isolated vertices
+def test_capped_scan_of_g_always_completes():
+    # at n = 1 each listed mask less the isolated vertices is the vertex set
+    # of the edges of G inside it, so the scan capped at 2^|E| never returns
+    # None; seeds 0..2 of the 1,200-graph sample, where some graphs with
+    # isolated vertices have more than 2^|E| closed neighbourhoods in all
+    graphs = [inst.graph for seed in range(3) for inst in random_graphs(seed=seed, count=40, max_r=8)]
+    isolated = [G for G in graphs if 0 in G.neighbor_masks[1:]]
+    assert any(len(brute_closed_neighbourhoods(G)) > 1 << len(G.edges) for G in isolated)
+    for G in graphs:
+        for field in (Rationals(), PrimeField(2)):
+            reg = _link_scan(G.neighbor_masks, field, 1 << len(G.edges))
+            assert reg is not None and reg == brute_reg_edge_ideal(G, field), (G.edge_list, field)
+
+
+@pytest.fixture
+def engine_calls(monkeypatch):
+    """The engines that run, in order: "grid" per grid search, "scan" per
+    link scan."""
     calls = []
     grid, scan = depth._qualifying_subsets, depth._link_scan
     monkeypatch.setattr(depth, "_qualifying_subsets", lambda *args: calls.append("grid") or grid(*args))
     monkeypatch.setattr(depth, "_link_scan", lambda *args: calls.append("scan") or scan(*args))
+    return calls
 
+
+def test_engine_choice(engine_calls):
+    # the grid with no scan where r * floor(n/2) > |E| (the 8-vertex trees
+    # at n = 6, FAM(2) at n >= 4), the grid after a scan stopped by the cap
+    # where G_n has more than 2^|E| closed neighbourhoods (C5 at n = 2), and
+    # the link scan alone on the r=11 case at n = 2 and 3, on a G(8, 12)
+    # graph at n = 2, on the diamond plus an isolated vertex at n = 2, whose
+    # G_2 has more than 2^|E| closed neighbourhoods but not more that hold
+    # the isolated vertices, and at n = 1 on a graph with two isolated
+    # vertices
     def engines(G, n):
-        calls.clear()
+        engine_calls.clear()
         depth_symbolic(G, n, force=True)
-        return "+".join(calls)
+        return "+".join(engine_calls)
 
     fam2 = builtin_graph("FAM(2)")
     assert [engines(_recursive_tree(seed, 8), 6) for seed in (0, 1)] == ["grid"] * 2
@@ -463,10 +494,31 @@ def test_engine_choice(monkeypatch):
     assert engines(cycle_graph(5), 2) == "scan+grid"
     assert [engines(_r11_case(), n) for n in (2, 3)] == ["scan"] * 2
     assert engines(_gnm(3, 8, 12), 2) == "scan"
+    diamond_k1 = Graph.make(5, [(1, 2), (1, 3), (1, 4), (2, 3), (3, 4)])
+    assert engines(diamond_k1, 2) == "scan"
+    assert [depth_symbolic(diamond_k1, n) for n in (1, 2, 3)] == [3] * 3
+    assert [_grid_depth(diamond_k1, n) for n in (1, 2, 3)] == [3] * 3
     G = Graph.make(4, [(1, 2)])
-    depth._reg.cache_clear()
     assert engines(G, 1) == "scan"
     assert depth_symbolic(G, 1) == _grid_depth(G, 1)
+
+
+def test_walked_powers_are_read_again_from_the_memo(engine_calls):
+    # the oracle's walk reads depth_symbolic from B - 1 down to the first
+    # power above the limit; each of those reads reg I(G_n) into the memo,
+    # so asking the same powers again runs neither engine, while a power
+    # below the walk (W5 plus a pendant at n = 1) runs one
+    graphs = [inst.graph for inst in random_graphs(seed=0, count=30, max_r=7)]
+    graphs += [builtin_graph("FIG3"), cycle_graph(5), cycle_graph(8), _w5_plus_pendant()]
+    walks = [(G, stability_index_oracle(G), stability_bound(G)) for G in graphs]
+    engine_calls.clear()  # the walks' own engine runs
+    walked = [(G, n) for G, index, bound in walks for n in range(max(1, index - 1), bound)]
+    assert len(walked) > len(graphs) // 2 and {n for _, n in walked} >= {1, 2, 3}
+    for G, n in walked:
+        depth_symbolic(G, n)
+    assert engine_calls == []
+    depth_symbolic(_w5_plus_pendant(), 1)
+    assert engine_calls
 
 
 def _w5_plus_pendant():
@@ -534,8 +586,8 @@ def test_bound_and_witness_reuse_the_memoized_construction(monkeypatch):
 
 
 def test_r11_case_index_takes_one_depth_symbolic_call(monkeypatch):
-    # the witness settles n = B = 3, the link scan n = 1, so the grid runs
-    # only at n = 2, where the depth 7 is above the limit 6
+    # the witness settles n = B = 3, so the walk asks for one depth, at
+    # n = 2, where the depth 7 is above the limit 6
     calls = []
     full = depth.depth_symbolic
     monkeypatch.setattr(depth, "depth_symbolic", lambda G, n, *a, **k: calls.append(n) or full(G, n, *a, **k))
@@ -837,7 +889,7 @@ def test_max_degree_cache_is_bounded(monkeypatch):
 
     monkeypatch.setattr(depth, "_MAX_DEGREE_CACHE_SIZE", 4)
     monkeypatch.setattr(depth, "_MAX_DEGREE_CACHE", Watched())
-    depth._reg.cache_clear()  # so the second run scans the links again, under the tiny memo
+    depth._reg.cache_clear()  # so the second run computes every reg I(G_n) again, under the tiny memo
     assert answers() == expected
     assert 0 < Watched.peak <= 4
     # first in, first out: the evictions replay the insertions in order
