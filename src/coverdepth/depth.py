@@ -82,29 +82,33 @@ reg I(H) (Terai 1999), so depth R/J^(n) = r - reg I(G_n); at n = 1 this is
 criterion 5's duality.  In this layout the qualifying graph at (S, a') is
 the induced subgraph of G_n on {(i, a_i + 1) : i not in S}, since a_i + a_j
 <= n - 1 is (a_i + 1) + (a_j + 1) <= n + 1.  ``_link_scan`` reads
-reg I(G_n) from the distinct closed neighbourhoods N[F].  ``_reg`` is the
-one memo of reg I(G_n), for every power, and the one engine choice, which
-``depth_symbolic`` and ``reg_edge_ideal`` (n = 1, G_1 = G) both read.  It
-takes the link scan when r * floor(n/2) <= |E| and the scan's count,
-capped at 2^|E|, completes, and ``_grid_depth`` otherwise.  The scan
-starts from the mask of G_n's isolated vertices, the copies of G's, since
-a link that misses one is a cone on it.  The layer bound: the layers
-p > (n + 1)/2 hold no edge among them, since p + q > n + 1 there, so they
-form one independent set; N[F] meets it in F and the isolated vertices
-alone, so with r' the number of vertices of G that are not isolated, its
-r' * floor(n/2) other vertices give distinct N[F] and the scan lists at
-least 2^(r' * floor(n/2)) masks, while the grid returns at most 2^|E| codes.
+reg I(G_n) from the distinct closed neighbourhoods N[F] whose link is no
+cone, which ``_link_masks`` lists with the cones pruned as they appear.
+``_reg`` is the one memo of reg I(G_n), for every power, and the one
+engine choice, which ``depth_symbolic`` and ``reg_edge_ideal`` (n = 1,
+G_1 = G) both read.  It takes the link scan when r * floor(n/2) <= |E|
+and the scan completes holding at most 2^|E| masks, and ``_grid_depth``
+otherwise.  The listing starts from the mask of G_n's isolated vertices,
+the copies of G's, since a link that misses one is a cone on it.  The
+layer bound, which the rule still rests on: the layers p > (n + 1)/2 hold
+no edge among them, since p + q > n + 1 there, so they form one
+independent set; N[F] meets it in F and the isolated vertices alone, so
+with r' the number of vertices of G that are not isolated, its
+r' * floor(n/2) other vertices give distinct N[F] and the unpruned listing
+has at least 2^(r' * floor(n/2)) masks, while the grid returns at most
+2^|E| codes.  It bounds the unpruned listing only: the pruned scan holds
+far fewer masks, and it completes past the layer bound (C5 at n = 2).
 The rule keeps r, which only skips more scans than it must where G has
-isolated vertices.  At n = 1 the scan never reaches the cap: each listed
+isolated vertices.  At n = 1 the scan never reaches the cap: each held
 mask less the isolated vertices is N[F] for an F without them, which is
 the vertex set of the edges of G inside it, so there are at most 2^|E|;
 were the cap ever reached, the grid would give the same value.  The rule
-bounds the scan's count by the grid's worst case, 2^|E|, not by the codes
-the grid actually returns, so it says nothing of either engine's time or
-memory on a given graph: on dense graphs at the largest n the rule admits,
-the scan can cost more than the grid would.  ``depth_profile`` and the
-n = 1 depths of criteria 5, 10 and 13 call ``_grid_depth`` by name, so
-each of those checks compares two engines.
+bounds the scan by the grid's worst case, 2^|E|, not by the codes the
+grid actually returns, so it says nothing of either engine's time or
+memory on a given graph: where the cap stops a scan, its time is lost,
+and where a scan completes, it can take longer than the grid would.
+``depth_profile`` and the n = 1 depths of criteria 5, 10 and 13 call
+``_grid_depth`` by name, so each of those checks compares two engines.
 """
 
 from __future__ import annotations
@@ -399,38 +403,61 @@ def _polarized_masks(G: Graph, n: int) -> tuple[int, ...]:
     return (0,) + tuple(masks[i] * layer for layer in layers for i in G.vertices())
 
 
+def _link_masks(masks: tuple[int, ...], cap: int) -> Optional[set[int]]:
+    """The distinct closed neighbourhoods N[F] of the graph H given as
+    neighbour masks indexed from 1 (as ``Graph.neighbor_masks``) whose link
+    Ind(H - N[F]) is no cone; None once more than ``cap`` masks are held.
+
+    The link of F is a cone on v when v lies outside N[F] and every
+    neighbour of v inside it: N[F] & N[v] == N(v).  An isolated vertex is
+    such a v for every F that misses it, so the listing starts from the one
+    mask of the isolated vertices, not from N[{}] = {}.  The vertices are
+    processed fewest neighbours first: N[F + v] = N[F] | N[v], and F + v is
+    independent exactly when v lies outside N[F], so v grows c | N[v] from
+    every held mask c that misses v.  Once v is processed, a held mask that
+    is a cone on v is dropped: each later vertex u that joins it lies
+    outside N(v) and is not v, so N[u] misses v, every extension stays a
+    cone on v, and a final N[F] that is no cone has no prefix that is one.  A grown mask is checked only against
+    the processed w whose N(w) meets N(v): every other processed w is a
+    neighbour of v, which the mask holds, or has N(w) apart from N[v], where
+    the mask answers as the one it grew from.  No face of Ind(H) is listed."""
+    held = {sum(1 << (v - 1) for v in range(1, len(masks)) if not masks[v])}
+    done: list[tuple[int, int]] = []  # N[w], N(w) of each processed vertex w
+    for v in sorted(range(1, len(masks)), key=lambda v: masks[v].bit_count()):
+        Nv = masks[v]
+        closed_v = 1 << (v - 1) | Nv
+        grown = [c | closed_v for c in held if not c >> (v - 1) & 1]
+        for closed_w, Nw in done:
+            if Nw & Nv:
+                grown = [c for c in grown if c & closed_w != Nw]
+        held = {c for c in held if c & closed_v != Nv}.union(grown)
+        if len(held) > cap:
+            return None
+        done.append((closed_v, Nv))
+    return held
+
+
 def _link_scan(masks: tuple[int, ...], field: FieldSpec, cap: int) -> Optional[int]:
     """reg I(H) for the graph H given as neighbour masks indexed from 1 (as
     ``Graph.neighbor_masks``): 2 + the top degree of homology over the links
-    of Ind(H); None once H has more than ``cap`` distinct closed
-    neighbourhoods holding every isolated vertex.
+    of Ind(H); None once ``_link_masks`` holds more than ``cap`` masks.
 
     The link of a face F is Ind(H - N[F]), so each distinct N[F] is read
-    once.  They are generated directly as bit masks in one pass over the
-    vertices: N[F + v] = N[F] | N[v], and F + v is independent exactly when
-    v lies outside N[F], so each vertex v adds c | N[v] for every mask c so
-    far that does not hold v.  No face of Ind(H) is listed.  A link in which
-    some vertex v outside N[F] has every neighbour inside N[F] is a cone on
-    v, so acyclic: that is N[F] & N[v] == N(v).  An isolated vertex is such
-    a v for every F that misses it, so the pass starts from the one mask of
-    the isolated vertices, not from N[{}] = {}, and every listed mask holds
-    them.  One list filter per vertex, fewest neighbours first, drops every
-    other cone before any link's masks are built.  Every other link is
-    handed to ``_top_degree`` as the masks N(v) - N[F] for v outside N[F]."""
+    once, and a cone is acyclic, so only the masks of ``_link_masks`` are
+    read.  Such a link H' has no isolated vertex, so its top degree j obeys
+    j + 2 <= reg I(H') <= nu(H') + 1 <= |V - N[F]|/2 + 1 (Hochster's formula;
+    Woodroofe, J. Commut. Algebra 2014).  The links are visited by ascending
+    size of N[F], so that ceiling never rises, and the visit stops once it
+    is at most the top so far.  Each link before the stop is handed to
+    ``_top_degree`` as the masks N(v) - N[F] for v outside N[F]."""
+    held = _link_masks(masks, cap)
+    if held is None:
+        return None
     vertices = range(1, len(masks))
-    closed_masks = {sum(1 << (v - 1) for v in vertices if not masks[v])}
-    for v in vertices:
-        bit = 1 << (v - 1)
-        closed_v = bit | masks[v]
-        closed_masks |= {c | closed_v for c in closed_masks if not c & bit}
-        if len(closed_masks) > cap:
-            return None
-    links = list(closed_masks)
-    for v in sorted(vertices, key=lambda v: masks[v].bit_count()):
-        closed_v, Nv = 1 << (v - 1) | masks[v], masks[v]
-        links = [c for c in links if c & closed_v != Nv]
     top = -1  # the link of a facet is {{}}, with homology in degree -1
-    for closed in links:
+    for closed in sorted(held, key=int.bit_count):
+        if (len(vertices) - closed.bit_count()) // 2 - 1 <= top:
+            break
         j = _top_degree({v: masks[v] & ~closed for v in vertices if not closed >> (v - 1) & 1}, field)
         if j is not None and j > top:
             top = j
@@ -440,11 +467,11 @@ def _link_scan(masks: tuple[int, ...], field: FieldSpec, cap: int) -> Optional[i
 @lru_cache(maxsize=64)
 def _reg(G: Graph, n: int, field: FieldSpec) -> int:
     """reg I(G_n), memoized like ``_shortest_max_ordered``: by the link scan
-    on G_n when the layer bound allows it and its count, capped at 2^|E|,
-    completes, and as r - ``_grid_depth`` otherwise (the module's "Oracle
-    layout" (6)).  Callers ask ``_check_budget`` first."""
+    on G_n when the layer bound allows it and the scan completes holding
+    at most 2^|E| masks, and as r - ``_grid_depth`` otherwise (the module's
+    "Oracle layout" (6)).  Callers ask ``_check_budget`` first."""
     r, m = G.vertex_count, len(G.edges)
-    if r * (n // 2) <= m:  # else the layer bound puts more than 2^|E| sets in the scan
+    if r * (n // 2) <= m:  # else the layer bound puts more than 2^|E| sets in the unpruned listing
         reg = _link_scan(_polarized_masks(G, n), field, 1 << m)
         if reg is not None:
             return reg
@@ -468,11 +495,10 @@ def reg_edge_ideal(G: Graph, field: FieldSpec = Rationals(), *,
     each link is folded, cone-checked and split into parts before the memo,
     exactly as the grid's visit does."""
     _check_budget(G, 1, budget, force)  # the link scan costs what the n = 1 oracle does
-    # Unlike the grid's visit, the scan is not cut by the ceiling
-    # reg I(H) <= |M| + 1 for a maximal matching M: the n = 1 duality checks
-    # compare it with ``_grid_depth``, which is, and the analyzer's
-    # regularity-upper check tests reg I(H) <= nu(H) + 1, which that
-    # ceiling implies.
+    # Like the grid's visit, the scan stops at a ceiling, |V - N[F]|/2 + 1
+    # per link; it skips only links that cannot raise the value, so the
+    # analyzer's regularity-upper check, reg I(H) <= nu(H) + 1, still tests
+    # the link whose top degree sets it.
     return _reg(G, 1, field)
 
 

@@ -16,7 +16,9 @@ in symbolic powers, the independence complex of a whole graph and induced
 subgraphs, the sorted nonzero degrees of a homology profile, the set-based
 greedy order that the grid search's bit-mask order must reproduce, and the
 in-order maximal matching that the oracle's visit reads off a code, and the
-polarized graph G_n with its closed neighbourhoods.  Every reference
+polarized graph G_n with its closed neighbourhoods, listed over the
+independent sets or grown a vertex at a time, and those whose link is no
+cone.  Every reference
 that walks a graph builds its adjacency from ``G.edges`` as Python sets
 (``set_adjacency``), so none reads the library's ``neighbor_masks``; the
 graph predicates (components, two-colouring, forest, k-cycles) are
@@ -660,6 +662,26 @@ def brute_closed_neighbourhoods(G: Graph) -> set:
     """The distinct closed neighbourhoods N[F] over the independent sets F of G."""
     adj = set_adjacency(G)
     return {F.union(*(adj[v] for v in F)) for F in brute_independent_sets(G)}
+
+
+def grown_closed_neighbourhoods(G: Graph) -> set:
+    """The sets of ``brute_closed_neighbourhoods`` that hold every isolated
+    vertex, grown a vertex at a time in label order with nothing dropped,
+    for graphs with too many independent sets to list: N[F + v] is
+    N[F] | N[v], and F + v is independent exactly when v lies outside N[F].
+    A set that misses an isolated vertex has a cone for its link."""
+    adj = set_adjacency(G)
+    closed = {frozenset(v for v in G.vertices() if not adj[v])}
+    for v in G.vertices():
+        closed |= {c | adj[v] | {v} for c in closed if v not in c}
+    return closed
+
+
+def non_cone_neighbourhoods(G: Graph, closed_sets) -> set:
+    """The sets N[F] among ``closed_sets`` whose link Ind(G - N[F]) is no
+    cone: every vertex outside N[F] keeps a neighbour outside it."""
+    adj = set_adjacency(G)
+    return {c for c in closed_sets if all(adj[v] - c for v in G.vertices() if v not in c)}
 
 
 def brute_stability_index(G: Graph, field=None, *, budget: int = DEFAULT_BUDGET,

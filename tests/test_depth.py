@@ -25,6 +25,7 @@ from coverdepth.depth import (
     _fold,
     _frontier_order,
     _grid_depth,
+    _link_masks,
     _link_scan,
     _polarized_masks,
     _qualifying_subsets,
@@ -60,10 +61,12 @@ from brute import (
     face_masks,
     facet_homology,
     facet_independence_complex,
+    grown_closed_neighbourhoods,
     independence_complex,
     naive_rank,
     naive_rank_mod,
     neighbour_pairs,
+    non_cone_neighbourhoods,
     polarized_graph,
     random_small_graph,
     sparse_rows,
@@ -427,26 +430,76 @@ def test_link_engine_matches_the_grid_and_brute():
 
 
 def test_layer_bound_and_cap_of_the_link_scan():
-    # the scan starts from the mask of G_n's isolated vertices, so it lists
-    # the distinct N[F] that hold every isolated vertex, and the cap returns
-    # None exactly past that count.  In G_n the layers p > (n + 1)/2 are one
-    # independent set, and its r' * floor(n/2) vertices that are not
-    # isolated (r' those of G) give distinct N[F], so the scan lists at
-    # least 2^(r' floor(n/2)) masks.  K3 + K1 and K2 + K1 have an isolated
-    # vertex, where the count is below that of every N[F]
+    # the layer bound bounds the unpruned listing: it starts from the mask
+    # of G_n's isolated vertices, so it lists the distinct N[F] that hold
+    # every isolated vertex, and in G_n the layers p > (n + 1)/2 are one
+    # independent set whose r' * floor(n/2) vertices that are not isolated
+    # (r' those of G) give distinct N[F], so it lists at least
+    # 2^(r' floor(n/2)) masks.  K3 + K1 and K2 + K1 have an isolated vertex,
+    # where that count is below that of every N[F].  The scan holds only
+    # the k N[F] whose link is no cone, each of which holds every isolated
+    # vertex; on these five instances it completes at cap k and returns
+    # None at cap k - 1
     for G, n in ((path_graph(4), 2), (cycle_graph(5), 2), (path_graph(3), 3),
                  (Graph.make(4, [(1, 2), (1, 3), (2, 3)]), 3), (Graph.make(3, [(1, 2)]), 4)):
         H = polarized_graph(G, n)
         isolated = {v for v in H.vertices() if not H.neighbor_masks[v]}
         every = brute_closed_neighbourhoods(H)
-        count = len([closed for closed in every if isolated <= closed])
-        assert (count < len(every)) == (0 in G.neighbor_masks[1:]), (G.edge_list, n)
+        holding = {closed for closed in every if isolated <= closed}
+        assert grown_closed_neighbourhoods(H) == holding, (G.edge_list, n)
+        assert (len(holding) < len(every)) == (0 in G.neighbor_masks[1:]), (G.edge_list, n)
         r_prime = sum(1 for v in G.vertices() if G.neighbor_masks[v])
-        assert count >= 2 ** (r_prime * (n // 2)), (G.edge_list, n)
+        assert len(holding) >= 2 ** (r_prime * (n // 2)), (G.edge_list, n)
+        links = non_cone_neighbourhoods(H, every)
+        assert all(isolated <= closed for closed in links), (G.edge_list, n)
+        k = len(links)
+        assert k < len(holding), (G.edge_list, n)
         masks = _polarized_masks(G, n)
         full = _link_scan(masks, Rationals(), 1 << (len(masks) - 1))
-        assert full is not None and _link_scan(masks, Rationals(), count) == full, (G.edge_list, n)
-        assert _link_scan(masks, Rationals(), count - 1) is None, (G.edge_list, n)
+        assert full is not None and _link_scan(masks, Rationals(), k) == full, (G.edge_list, n)
+        assert _link_scan(masks, Rationals(), k - 1) is None, (G.edge_list, n)
+
+
+def test_pruned_listing_and_ceiling_match_the_unpruned_scan(monkeypatch):
+    # seeds 0..2 of the 1,200-graph sample at n = 1..3: the listing that
+    # prunes cones as they appear holds exactly the N[F] of the unpruned
+    # brute listing of G_n whose link is no cone, and the visit stopped at
+    # the ceiling |V - N[F]|/2 + 1 gives the value of the visit over every
+    # such link, over Q and GF(2).  The visit takes the links by descending
+    # |V - N[F]|, reads each only while its ceiling is above the top so
+    # far, and stops at the first one whose ceiling is not
+    visits = []
+
+    def recording(nbr, field):
+        size = len(nbr)  # before the fold consumes the masks
+        j = _top_degree(nbr, field)
+        visits.append((size, -1 if j is None else j))
+        return j
+
+    monkeypatch.setattr(depth, "_top_degree", recording)
+    graphs = [inst.graph for seed in range(3) for inst in random_graphs(seed=seed, count=40, max_r=8)]
+    cut = 0
+    for G in graphs:
+        for n in (1, 2, 3):
+            H, masks = polarized_graph(G, n), _polarized_masks(G, n)
+            links = non_cone_neighbourhoods(H, grown_closed_neighbourhoods(H))
+            held = _link_masks(masks, 1 << H.vertex_count)
+            assert held == {sum(1 << (v - 1) for v in closed) for closed in links}, (G.edge_list, n)
+            sizes = sorted((H.vertex_count - closed.bit_count() for closed in held), reverse=True)
+            for field in (Rationals(), PrimeField(2)):
+                tops = [_top_degree({v: masks[v] & ~closed for v in H.vertices() if not closed >> (v - 1) & 1}, field)
+                        for closed in held]
+                uncut = 2 + max((j for j in tops if j is not None), default=-1)
+                visits.clear()
+                assert _link_scan(masks, field, 1 << H.vertex_count) == uncut, (G.edge_list, n, field)
+                assert [size for size, _ in visits] == sizes[:len(visits)], (G.edge_list, n, field)
+                top = -1
+                for size, j in visits:
+                    assert size // 2 - 1 > top, (G.edge_list, n, field)
+                    top = max(top, j)
+                assert len(visits) == len(sizes) or sizes[len(visits)] // 2 - 1 <= top, (G.edge_list, n, field)
+            cut += any(0 < size < 2 * uncut - 2 for size in sizes)
+    assert cut > len(graphs)  # the ceiling skips a link with an edge on over a third of the powers
 
 
 def test_capped_scan_of_g_always_completes():
@@ -477,11 +530,11 @@ def engine_calls(monkeypatch):
 def test_engine_choice(engine_calls):
     # the grid with no scan where r * floor(n/2) > |E| (the 8-vertex trees
     # at n = 6, FAM(2) at n >= 4), the grid after a scan stopped by the cap
-    # where G_n has more than 2^|E| closed neighbourhoods (C5 at n = 2), and
-    # the link scan alone on the r=11 case at n = 2 and 3, on a G(8, 12)
-    # graph at n = 2, on the diamond plus an isolated vertex at n = 2, whose
-    # G_2 has more than 2^|E| closed neighbourhoods but not more that hold
-    # the isolated vertices, and at n = 1 on a graph with two isolated
+    # where it would hold more than 2^|E| masks (C5 at n = 3), and the link
+    # scan alone on C5 at n = 2, whose G_2 has more than 2^|E| closed
+    # neighbourhoods but fewer whose link is no cone, on the r=11 case at
+    # n = 2 and 3, on a G(8, 12) graph at n = 2, on the diamond plus an
+    # isolated vertex at n = 2, and at n = 1 on a graph with two isolated
     # vertices
     def engines(G, n):
         engine_calls.clear()
@@ -491,7 +544,7 @@ def test_engine_choice(engine_calls):
     fam2 = builtin_graph("FAM(2)")
     assert [engines(_recursive_tree(seed, 8), 6) for seed in (0, 1)] == ["grid"] * 2
     assert [engines(fam2, n) for n in range(4, 8)] == ["grid"] * 4
-    assert engines(cycle_graph(5), 2) == "scan+grid"
+    assert [engines(cycle_graph(5), n) for n in (2, 3)] == ["scan", "scan+grid"]
     assert [engines(_r11_case(), n) for n in (2, 3)] == ["scan"] * 2
     assert engines(_gnm(3, 8, 12), 2) == "scan"
     diamond_k1 = Graph.make(5, [(1, 2), (1, 3), (1, 4), (2, 3), (3, 4)])
@@ -819,8 +872,9 @@ def test_reduced_kernel_matches_dense(monkeypatch):
     # the fold, cone and component rules against the facet pipeline with no
     # memo, over Q and GF(2): every edge set the grid search returns for
     # n = 1..3 on seeded random graphs with r <= 9 and for n = 1..sdstab on
-    # the bound sweep's graphs, and every link that reg_edge_ideal reads on
-    # the criterion-4/5 graphs
+    # the bound sweep's graphs, and every link that is no cone, from the
+    # brute listing, of C5, C7, C8 and the criterion-4/5 graphs, whether or
+    # not the ceiling lets reg_edge_ideal's visit reach it
     powers = [(inst.graph, range(1, 4)) for inst in random_graphs(seed=0, count=8, max_r=9)]
     powers += [(inst.graph, range(1, stability_index_oracle(inst.graph) + 1))
                for inst in random_graphs(seed=417, count=100, max_r=8)]
@@ -830,15 +884,9 @@ def test_reduced_kernel_matches_dense(monkeypatch):
             codes = _qualifying_subsets(list(_frontier_order(G)), list(G.edge_list), n, n)
             edge_sets.update(map(frozenset, _decode(codes, G.edge_list)))
 
-    def recording(nbr, field):
-        edge_sets.add(_edges_of(nbr))  # before the fold consumes the masks
-        return _top_degree(nbr, field)
-
-    monkeypatch.setattr(depth, "_top_degree", recording)
-    depth._reg.cache_clear()  # the oracle runs above read some of these graphs' reg
     for G in [cycle_graph(r) for r in (5, 7, 8)] + [G for _, G in _duality_instances("full")]:
-        reg_edge_ideal(G)
-    monkeypatch.setattr(depth, "_top_degree", _top_degree)
+        for closed in non_cone_neighbourhoods(G, brute_closed_neighbourhoods(G)):
+            edge_sets.add(frozenset(e for e in G.edges if not closed.intersection(e)))
     monkeypatch.setattr(depth, "_MAX_DEGREE_CACHE", OrderedDict())
     edge_sets.discard(frozenset())  # links with no edge
     assert len(edge_sets) > 17000
