@@ -25,14 +25,12 @@ that leaves a vertex of V - S uncovered (a cone) is the set that
 (V - V(E), a' restricted to V(E)) yields with every vertex covered, so each
 distinct E stands for the support V - V(E) and cones need no filter; (3)
 i = r - 2 - j >= |S| = r - |V(E)|, since Ind(E) on V(E) has dimension at
-most |V(E)| - 2; (4) a tighter ceiling holds over every field: j + 2 <=
-reg I(E) by Hochster's formula (1977), and reg I(E) <= |M| + 1 for every
-maximal matching M of E (Woodroofe, J. Commut. Algebra 2014), so
+most |V(E)| - 2; (4) a tighter ceiling holds over every field, by
+Hochster's formula and Woodroofe's bound (``_top_over`` states both and
+the stop rule they give): j <= |M| - 1 for every maximal matching M, so
 i >= r - 1 - |M|.  M is read off the bit code: the edge bits are numbered
 by descending degree sum in G, and the lowest edge bit left is kept while
-every edge that meets it is dropped.  Visiting E in buckets by descending
-|M| and stopping once r - 1 - |M| reaches the best value loses nothing:
-the ceiling does not fall along the visit.  The grid is searched vertex by
+every edge that meets it is dropped.  The grid is searched vertex by
 vertex.  A state is the tuple of values of the frontier (placed vertices
 with an unplaced neighbour) and holds the distinct bit codes of the edges
 decided so far; equal states merge.  Placing a vertex, each state buckets
@@ -115,7 +113,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .altpaths import (
     ExponentCertificate,
@@ -260,6 +258,28 @@ def _top_degree(nbr: dict[int, int], field: FieldSpec) -> Optional[int]:
     return top
 
 
+def _top_over(graphs: Iterable[tuple[int, dict[int, int]]], field: FieldSpec) -> int:
+    """Largest ``_top_degree`` over ``graphs``, given as (ceiling, vertex ->
+    neighbour mask) pairs by non-increasing ceiling; -1 when none has
+    homology.  The one stop rule of both engines: a ceiling bounds the top
+    degree of its graph and, as the ceilings do not rise, of every later
+    one, so the visit stops at the first ceiling at most the top so far,
+    before reading that graph or taking the next pair.  Both engines'
+    ceilings hold over every field: the top degree j of Ind(E) obeys
+    j + 2 <= reg I(E) by Hochster's formula (1977), and reg I(E) <= |M| + 1
+    for every maximal matching M of E (Woodroofe, J. Commut. Algebra 2014),
+    so j <= |M| - 1, the grid's ceiling; |M| <= floor(|V(E)|/2) gives the
+    link scan's, floor(|V - N[F]|/2) - 1 for the link of F."""
+    top = -1
+    for ceiling, nbr in graphs:
+        if ceiling <= top:
+            break
+        j = _top_degree(nbr, field)
+        if j is not None and j > top:
+            top = j
+    return top
+
+
 def _frontier_order(G: Graph) -> tuple[int, ...]:
     """Greedy vertex order for the grid search: each step places the vertex
     that leaves the fewest placed vertices with an unplaced neighbour, the
@@ -350,13 +370,9 @@ def _grid_depth(G: Graph, n: int, field: FieldSpec = Rationals()) -> int:
     exact.  Each bit code from the grid is read once, for the size of its
     bit-order maximal matching M, into the bucket for |M|; the codes come
     ascending, so the distinct edge sets E are visited by descending |M|,
-    from floor(r/2), in ascending bit code within one size.  The one stop
-    rule is the ceiling (4): the visit ends once r - 1 - |M| reaches the
-    best value, since no later edge set can lower it.  The least possible
-    depth needs no rule of its own: once the best is 1 (0 when r = 2), the
-    ceiling is at least the best for every edge set.  Every set before the
-    stop is decoded into neighbour masks and gets its top degree from
-    ``_top_degree``.
+    from floor(r/2), in ascending bit code within one size.  Each is
+    decoded into neighbour masks and handed to ``_top_over`` with the
+    ceiling (4), |M| - 1, and the depth is r - 2 - the top it returns.
     """
     r = G.vertex_count
     # edge bits by descending degree sum in G, so the bit-order greedy takes
@@ -373,24 +389,21 @@ def _grid_depth(G: Graph, n: int, field: FieldSpec = Rationals()) -> int:
             size += 1
             rest &= ~meets[(rest & -rest).bit_length() - 1]
         by_size[size].append(code)
-    best: Optional[int] = None
-    for size, code in ((size, code) for size in range(r // 2, 0, -1) for code in by_size[size]):
-        if best is not None and r - 1 - size >= best:
-            break
+
+    def decoded(code: int) -> dict[int, int]:
         nbr: dict[int, int] = {}
-        rest = code
-        while rest:
-            low = rest & -rest
+        while code:
+            low = code & -code
             u, v = edges[low.bit_length() - 1]
             nbr[u] = nbr.get(u, 0) | 1 << (v - 1)
             nbr[v] = nbr.get(v, 0) | 1 << (u - 1)
-            rest ^= low
-        top = _top_degree(nbr, field)
-        if top is not None and (best is None or r - 2 - top < best):
-            best = r - 2 - top
-    if best is None:
+            code ^= low
+        return nbr
+
+    top = _top_over(((size - 1, decoded(code)) for size in range(r // 2, 0, -1) for code in by_size[size]), field)
+    if top < 0:
         raise DepthEngineError("no local cohomology contribution found")
-    return best
+    return r - 2 - top
 
 
 def _polarized_masks(G: Graph, n: int) -> tuple[int, ...]:
@@ -444,24 +457,16 @@ def _link_scan(masks: tuple[int, ...], field: FieldSpec, cap: int) -> Optional[i
 
     The link of a face F is Ind(H - N[F]), so each distinct N[F] is read
     once, and a cone is acyclic, so only the masks of ``_link_masks`` are
-    read.  Such a link H' has no isolated vertex, so its top degree j obeys
-    j + 2 <= reg I(H') <= nu(H') + 1 <= |V - N[F]|/2 + 1 (Hochster's formula;
-    Woodroofe, J. Commut. Algebra 2014).  The links are visited by ascending
-    size of N[F], so that ceiling never rises, and the visit stops once it
-    is at most the top so far.  Each link before the stop is handed to
-    ``_top_degree`` as the masks N(v) - N[F] for v outside N[F]."""
+    read.  Each goes to ``_top_over`` by ascending size of N[F], as the
+    masks N(v) - N[F] for v outside N[F] with the ceiling
+    floor(|V - N[F]|/2) - 1."""
     held = _link_masks(masks, cap)
     if held is None:
         return None
-    vertices = range(1, len(masks))
-    top = -1  # the link of a facet is {{}}, with homology in degree -1
-    for closed in sorted(held, key=int.bit_count):
-        if (len(vertices) - closed.bit_count()) // 2 - 1 <= top:
-            break
-        j = _top_degree({v: masks[v] & ~closed for v in vertices if not closed >> (v - 1) & 1}, field)
-        if j is not None and j > top:
-            top = j
-    return top + 2
+    vertices = [(v, 1 << (v - 1), masks[v]) for v in range(1, len(masks))]  # (v, bit of v, N(v))
+    return 2 + _top_over((((len(vertices) - closed.bit_count()) // 2 - 1,
+                           {v: Nv & ~closed for v, bit, Nv in vertices if not closed & bit})
+                          for closed in sorted(held, key=int.bit_count)), field)
 
 
 @lru_cache(maxsize=64)
@@ -495,10 +500,6 @@ def reg_edge_ideal(G: Graph, field: FieldSpec = Rationals(), *,
     each link is folded, cone-checked and split into parts before the memo,
     exactly as the grid's visit does."""
     _check_budget(G, 1, budget, force)  # the link scan costs what the n = 1 oracle does
-    # Like the grid's visit, the scan stops at a ceiling, |V - N[F]|/2 + 1
-    # per link; it skips only links that cannot raise the value, so the
-    # analyzer's regularity-upper check, reg I(H) <= nu(H) + 1, still tests
-    # the link whose top degree sets it.
     return _reg(G, 1, field)
 
 

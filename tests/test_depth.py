@@ -30,6 +30,7 @@ from coverdepth.depth import (
     _polarized_masks,
     _qualifying_subsets,
     _top_degree,
+    _top_over,
     BudgetRefusal,
     CertificateInapplicableError,
     depth_profile,
@@ -845,6 +846,29 @@ def test_vertex_without_neighbour_on_entry_is_a_cone():
     assert _fold({1: 0b10, 2: 0b1, 3: 0}) is None
     assert _top_degree({3: 0, 1: 0b10, 2: 0b1}, Rationals()) is None
     assert _top_degree({}, Rationals()) == -1  # Ind of no vertex is {{}}
+
+
+def test_top_over_stops_at_the_first_ceiling_at_most_the_top(monkeypatch, empty_memo):
+    # 2K2 at ceiling 1 gives top 1; C5 at ceiling 1 then stops the visit
+    # before its fold and before the input is asked for a third pair
+    read = []
+
+    def recording(nbr, field):
+        read.append(frozenset(nbr))
+        return _top_degree(nbr, field)
+
+    def graphs():
+        yield 1, _neighbour_masks(_disjoint_edges(2))
+        yield 1, _neighbour_masks(C5)
+        raise AssertionError("the visit advanced past the stopping pair")
+
+    monkeypatch.setattr(depth, "_top_degree", recording)
+    assert _top_over(graphs(), Rationals()) == 1
+    assert read == [frozenset({1, 2, 3, 4})]
+    assert _top_over(iter(()), Rationals()) == -1
+    cones = [(2, {1: 0b10, 2: 0b1, 3: 0}), (1, _neighbour_masks([(1, 2), (2, 3), (3, 4)])), (0, {1: 0})]
+    assert _top_over(cones, Rationals()) == -1
+    assert len(read) == 4
 
 
 def test_disjoint_edges_add_one_each(empty_memo):
