@@ -45,12 +45,15 @@ neighbour makes the set acyclic; (c) components, ``graphs.components``
 splits what is left into connected parts; (d) join, a disjoint union gives
 the join of the parts' complexes, so over a field their top degrees add,
 plus one per extra part.  ``reg_edge_ideal`` hands each link to the same
-reduction, as the masks of G cut to V - N[F].  Fold before the memo; the
-memo holds parts: a cone reaches no homology, a lone edge has top 0,
-and only a connected part with more than one edge that no fold shrinks is
-read through the bounded memo, keyed on the frozenset of its (vertex,
-neighbour mask) pairs, in front of the exact homology, whose faces are
-listed straight from those pairs.
+reduction, as the masks of G cut to W': V - N[F] less each vertex v whose
+N(v) holds the N(u) of another vertex u of V - N[F] (the greater label
+goes where the two are equal), a cut by folds that ``_link_scan`` makes
+before the visit, with the ceiling floor(|W'|/2) - 1 of Woodroofe's bound
+on W'.  Fold before the memo; the memo holds parts: a cone reaches no
+homology, a lone edge has top 0, and only a connected part with more than
+one edge that no fold shrinks is read through the bounded memo, keyed on
+the frozenset of its (vertex, neighbour mask) pairs, in front of the exact
+homology, whose faces are listed straight from those pairs.
 
 (5) The witness lemma.  If the edges that qualify at one grid point of
 power n are exactly the nu0 pairs of a maximum ordered matching, then E is
@@ -81,7 +84,12 @@ criterion 5's duality.  In this layout the qualifying graph at (S, a') is
 the induced subgraph of G_n on {(i, a_i + 1) : i not in S}, since a_i + a_j
 <= n - 1 is (a_i + 1) + (a_j + 1) <= n + 1.  ``_link_scan`` reads
 reg I(G_n) from the distinct closed neighbourhoods N[F] whose link is no
-cone, which ``_link_masks`` lists with the cones pruned as they appear.
+cone, which ``_link_masks`` lists in one pass per vertex with the cones
+pruned as they appear.  It reads each link through W', the set V - N[F]
+cut by folds to the vertices that no other lies below; in G_n,
+N((i, q)) lies in N((i, p)) for p < q, so each column keeps at most one
+layer, |W'| <= r where |V - N[F]| can reach r * n, and the ceiling
+floor(|W'|/2) - 1 stops the visit far sooner.
 ``_reg`` is the one memo of reg I(G_n), for every power, and the one
 engine choice, which ``depth_symbolic`` and ``reg_edge_ideal`` (n = 1,
 G_1 = G) both read.  It takes the link scan when r * floor(n/2) <= |E|
@@ -113,7 +121,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .altpaths import (
     ExponentCertificate,
@@ -258,23 +266,24 @@ def _top_degree(nbr: dict[int, int], field: FieldSpec) -> Optional[int]:
     return top
 
 
-def _top_over(graphs: Iterable[tuple[int, dict[int, int]]], field: FieldSpec) -> int:
-    """Largest ``_top_degree`` over ``graphs``, given as (ceiling, vertex ->
-    neighbour mask) pairs by non-increasing ceiling; -1 when none has
-    homology.  The one stop rule of both engines: a ceiling bounds the top
-    degree of its graph and, as the ceilings do not rise, of every later
-    one, so the visit stops at the first ceiling at most the top so far,
-    before reading that graph or taking the next pair.  Both engines'
-    ceilings hold over every field: the top degree j of Ind(E) obeys
-    j + 2 <= reg I(E) by Hochster's formula (1977), and reg I(E) <= |M| + 1
-    for every maximal matching M of E (Woodroofe, J. Commut. Algebra 2014),
-    so j <= |M| - 1, the grid's ceiling; |M| <= floor(|V(E)|/2) gives the
-    link scan's, floor(|V - N[F]|/2) - 1 for the link of F."""
+def _top_over(pairs: Iterable[tuple[int, int]], build: Callable[[int], dict[int, int]], field: FieldSpec) -> int:
+    """Largest ``_top_degree`` over the graphs ``build(key)`` for the
+    (ceiling, key) ``pairs``, taken by non-increasing ceiling; -1 when none
+    has homology.  The one stop rule of both engines: a ceiling bounds the
+    top degree of its graph and, as the ceilings do not rise, of every
+    later one, so the visit stops at the first ceiling at most the top so
+    far, before building that graph or taking the next pair.  Both
+    engines' ceilings hold over every field: the top degree j of Ind(E)
+    obeys j + 2 <= reg I(E) by Hochster's formula (1977), and
+    reg I(E) <= |M| + 1 for every maximal matching M of E (Woodroofe,
+    J. Commut. Algebra 2014), so j <= |M| - 1, the grid's ceiling;
+    |M| <= floor(|W'|/2) gives the link scan's, floor(|W'|/2) - 1 for the
+    fold-reduced vertex set W' of a link (``_link_scan``)."""
     top = -1
-    for ceiling, nbr in graphs:
+    for ceiling, key in pairs:
         if ceiling <= top:
             break
-        j = _top_degree(nbr, field)
+        j = _top_degree(build(key), field)
         if j is not None and j > top:
             top = j
     return top
@@ -400,7 +409,7 @@ def _grid_depth(G: Graph, n: int, field: FieldSpec = Rationals()) -> int:
             code ^= low
         return nbr
 
-    top = _top_over(((size - 1, decoded(code)) for size in range(r // 2, 0, -1) for code in by_size[size]), field)
+    top = _top_over(((size - 1, code) for size in range(r // 2, 0, -1) for code in by_size[size]), decoded, field)
     if top < 0:
         raise DepthEngineError("no local cohomology contribution found")
     return r - 2 - top
@@ -425,25 +434,34 @@ def _link_masks(masks: tuple[int, ...], cap: int) -> Optional[set[int]]:
     neighbour of v inside it: N[F] & N[v] == N(v).  An isolated vertex is
     such a v for every F that misses it, so the listing starts from the one
     mask of the isolated vertices, not from N[{}] = {}.  The vertices are
-    processed fewest neighbours first: N[F + v] = N[F] | N[v], and F + v is
-    independent exactly when v lies outside N[F], so v grows c | N[v] from
-    every held mask c that misses v.  Once v is processed, a held mask that
-    is a cone on v is dropped: each later vertex u that joins it lies
-    outside N(v) and is not v, so N[u] misses v, every extension stays a
-    cone on v, and a final N[F] that is no cone has no prefix that is one.  A grown mask is checked only against
-    the processed w whose N(w) meets N(v): every other processed w is a
-    neighbour of v, which the mask holds, or has N(w) apart from N[v], where
-    the mask answers as the one it grew from.  No face of Ind(H) is listed."""
+    processed fewest neighbours first, each in one pass over the held masks:
+    N[F + v] = N[F] | N[v], and F + v is independent exactly when v lies
+    outside N[F], so v grows c | N[v] from every held mask c that misses v.
+    The pass keeps each c that is no cone on v: each later vertex u that
+    joins a cone on v lies outside N(v) and is not v, so N[u] misses v,
+    every extension stays a cone on v, and a final N[F] that is no cone has
+    no prefix that is one.  A grown mask is checked only against the
+    processed w whose N(w) meets N(v), listed once per vertex: every other
+    processed w is a neighbour of v, which the mask holds, or has N(w) apart
+    from N[v], where the mask answers as the one it grew from.  No face of
+    Ind(H) is listed."""
     held = {sum(1 << (v - 1) for v in range(1, len(masks)) if not masks[v])}
     done: list[tuple[int, int]] = []  # N[w], N(w) of each processed vertex w
     for v in sorted(range(1, len(masks)), key=lambda v: masks[v].bit_count()):
-        Nv = masks[v]
-        closed_v = 1 << (v - 1) | Nv
-        grown = [c | closed_v for c in held if not c >> (v - 1) & 1]
-        for closed_w, Nw in done:
-            if Nw & Nv:
-                grown = [c for c in grown if c & closed_w != Nw]
-        held = {c for c in held if c & closed_v != Nv}.union(grown)
+        Nv, bit = masks[v], 1 << (v - 1)
+        closed_v = bit | Nv
+        checks = [(closed_w, Nw) for closed_w, Nw in done if Nw & Nv]  # the w whose N(w) meets N(v)
+        held, before = set(), held
+        for c in before:
+            if c & closed_v != Nv:  # no cone on v
+                held.add(c)
+            if not c & bit:
+                grown = c | closed_v
+                for closed_w, Nw in checks:
+                    if grown & closed_w == Nw:
+                        break
+                else:
+                    held.add(grown)
         if len(held) > cap:
             return None
         done.append((closed_v, Nv))
@@ -455,18 +473,35 @@ def _link_scan(masks: tuple[int, ...], field: FieldSpec, cap: int) -> Optional[i
     ``Graph.neighbor_masks``): 2 + the top degree of homology over the links
     of Ind(H); None once ``_link_masks`` holds more than ``cap`` masks.
 
-    The link of a face F is Ind(H - N[F]), so each distinct N[F] is read
-    once, and a cone is acyclic, so only the masks of ``_link_masks`` are
-    read.  Each goes to ``_top_over`` by ascending size of N[F], as the
-    masks N(v) - N[F] for v outside N[F] with the ceiling
-    floor(|V - N[F]|/2) - 1."""
+    The link of a face F is Ind(H[W]) for W = V - N[F], and a cone is
+    acyclic, so only the masks of ``_link_masks`` are read.  Each W is cut
+    first to W', the vertices of W that no vertex of W lies below, where u
+    lies below v when N(u) is a proper subset of N(v), or N(u) = N(v) and
+    u < v as labels, a strict partial order.  N(u) in N(v) holds in every
+    induced subgraph, and each deleted v has a minimal u* below it in W,
+    which stays in W', so the cut is a sequence of single folds (Engstrom
+    2008) and Ind(H[W']) has the homotopy type of Ind(H[W]) over every
+    field.  The distinct W' go to ``_top_over`` by descending |W'|, then
+    ascending mask, with the ceiling floor(|W'|/2) - 1, and each is built
+    into the masks N(v) & W' for v in W' only when read.  On G_n,
+    N((i, q)) is a proper subset of N((i, p)) for p < q when i has a
+    neighbour, so each column keeps at most its top layer and |W'| <= r."""
     held = _link_masks(masks, cap)
     if held is None:
         return None
-    vertices = [(v, 1 << (v - 1), masks[v]) for v in range(1, len(masks))]  # (v, bit of v, N(v))
-    return 2 + _top_over((((len(vertices) - closed.bit_count()) // 2 - 1,
-                           {v: Nv & ~closed for v, bit, Nv in vertices if not closed & bit})
-                          for closed in sorted(held, key=int.bit_count)), field)
+    above = [sum(1 << (v - 1) for v, Nv in enumerate(masks) if not Nu & ~Nv and (Nu != Nv or u < v))
+             for u, Nu in enumerate(masks)]  # above[u]: the vertices v that u lies below
+    everything, reduced = (1 << (len(masks) - 1)) - 1, set()
+    for closed in held:
+        w = rest = everything & ~closed  # the mask of W, cut to that of W'
+        while rest:  # highest v first; what lies above a vertex above v lies above v, so it is skipped
+            w &= ~above[rest.bit_length()]
+            rest = w & ((1 << (rest.bit_length() - 1)) - 1)
+        reduced.add(w)
+    # by descending |W'|, then ascending mask, as the sort by size is stable
+    return 2 + _top_over(((w.bit_count() // 2 - 1, w)
+                          for w in sorted(sorted(reduced), key=int.bit_count, reverse=True)),
+                         lambda w: {v: masks[v] & w for v in range(1, len(masks)) if w >> (v - 1) & 1}, field)
 
 
 @lru_cache(maxsize=64)

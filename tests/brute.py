@@ -684,6 +684,15 @@ def non_cone_neighbourhoods(G: Graph, closed_sets) -> set:
     return {c for c in closed_sets if all(adj[v] - c for v in G.vertices() if v not in c)}
 
 
+def fold_reduced(G: Graph, outside) -> frozenset:
+    """The vertices of ``outside`` that no vertex of it lies below, where u
+    lies below v when N(u) is a proper subset of N(v) in G, or N(u) = N(v)
+    and u < v."""
+    adj = set_adjacency(G)
+    return frozenset(v for v in outside
+                     if not any(u != v and (adj[u] < adj[v] or adj[u] == adj[v] and u < v) for u in outside))
+
+
 def brute_stability_index(G: Graph, field=None, *, budget: int = DEFAULT_BUDGET,
                           force: bool = False) -> int:
     """The upward scan: the least n whose ``depth_symbolic`` is at most the

@@ -62,6 +62,7 @@ from brute import (
     face_masks,
     facet_homology,
     facet_independence_complex,
+    fold_reduced,
     grown_closed_neighbourhoods,
     independence_complex,
     naive_rank,
@@ -461,20 +462,40 @@ def test_layer_bound_and_cap_of_the_link_scan():
         assert _link_scan(masks, Rationals(), k - 1) is None, (G.edge_list, n)
 
 
-def test_pruned_listing_and_ceiling_match_the_unpruned_scan(monkeypatch):
+def _vertex_mask(vertices):
+    return sum(1 << (v - 1) for v in vertices)
+
+
+@pytest.fixture
+def scan_pairs(monkeypatch):
+    """The (ceiling, W') pairs that the link scan hands to ``_top_over`` in
+    its last call, every pair listed before the visit starts."""
+    pairs, top_over = [], depth._top_over
+
+    def listing(given, build, field):
+        pairs[:] = given
+        return top_over(pairs, build, field)
+
+    monkeypatch.setattr(depth, "_top_over", listing)
+    return pairs
+
+
+def test_pruned_listing_and_ceiling_match_the_unpruned_scan(monkeypatch, scan_pairs):
     # seeds 0..2 of the 1,200-graph sample at n = 1..3: the listing that
     # prunes cones as they appear holds exactly the N[F] of the unpruned
-    # brute listing of G_n whose link is no cone, and the visit stopped at
-    # the ceiling |V - N[F]|/2 + 1 gives the value of the visit over every
-    # such link, over Q and GF(2).  The visit takes the links by descending
-    # |V - N[F]|, reads each only while its ceiling is above the top so
-    # far, and stops at the first one whose ceiling is not
+    # brute listing of G_n whose link is no cone, and the visit of the
+    # fold-reduced sets W' (``fold_reduced`` of V - N[F]) stopped at the
+    # ceiling floor(|W'|/2) - 1 gives the value of the uncut visit over every
+    # such link, over Q and GF(2).  The visit takes the distinct W' by
+    # descending |W'|, then ascending mask, reads each only while its
+    # ceiling is above the top so far, and stops at the first one whose
+    # ceiling is not
     visits = []
 
     def recording(nbr, field):
-        size = len(nbr)  # before the fold consumes the masks
+        kept = _vertex_mask(nbr)  # before the fold consumes the masks
         j = _top_degree(nbr, field)
-        visits.append((size, -1 if j is None else j))
+        visits.append((kept, -1 if j is None else j))
         return j
 
     monkeypatch.setattr(depth, "_top_degree", recording)
@@ -485,22 +506,53 @@ def test_pruned_listing_and_ceiling_match_the_unpruned_scan(monkeypatch):
             H, masks = polarized_graph(G, n), _polarized_masks(G, n)
             links = non_cone_neighbourhoods(H, grown_closed_neighbourhoods(H))
             held = _link_masks(masks, 1 << H.vertex_count)
-            assert held == {sum(1 << (v - 1) for v in closed) for closed in links}, (G.edge_list, n)
-            sizes = sorted((H.vertex_count - closed.bit_count() for closed in held), reverse=True)
+            assert held == {_vertex_mask(closed) for closed in links}, (G.edge_list, n)
+            reduced = sorted({_vertex_mask(fold_reduced(H, set(H.vertices()) - closed)) for closed in links},
+                             key=lambda kept: (-kept.bit_count(), kept))
             for field in (Rationals(), PrimeField(2)):
                 tops = [_top_degree({v: masks[v] & ~closed for v in H.vertices() if not closed >> (v - 1) & 1}, field)
                         for closed in held]
                 uncut = 2 + max((j for j in tops if j is not None), default=-1)
                 visits.clear()
                 assert _link_scan(masks, field, 1 << H.vertex_count) == uncut, (G.edge_list, n, field)
-                assert [size for size, _ in visits] == sizes[:len(visits)], (G.edge_list, n, field)
+                ceilings = [(kept.bit_count() // 2 - 1, kept) for kept in reduced]
+                assert scan_pairs == ceilings, (G.edge_list, n, field)
+                assert [kept for kept, _ in visits] == reduced[:len(visits)], (G.edge_list, n, field)
                 top = -1
-                for size, j in visits:
-                    assert size // 2 - 1 > top, (G.edge_list, n, field)
+                for kept, j in visits:
+                    assert kept.bit_count() // 2 - 1 > top, (G.edge_list, n, field)
                     top = max(top, j)
-                assert len(visits) == len(sizes) or sizes[len(visits)] // 2 - 1 <= top, (G.edge_list, n, field)
-            cut += any(0 < size < 2 * uncut - 2 for size in sizes)
+                assert len(visits) == len(reduced) or reduced[len(visits)].bit_count() // 2 - 1 <= top, \
+                    (G.edge_list, n, field)
+            cut += any(0 < kept.bit_count() < 2 * uncut - 2 for kept in reduced)
     assert cut > len(graphs)  # the ceiling skips a link with an edge on over a third of the powers
+
+
+def test_links_are_read_through_their_fold_reduced_vertex_sets(scan_pairs):
+    # seeds 0..2 of the 1,200-graph sample at n = 1..3: the distinct W' that
+    # the scan visits are the sets V - N[F] of its held links, each less
+    # exactly the vertices that some vertex of it lies below (``fold_reduced``:
+    # N(u) a proper subset of N(v), or N(u) = N(v) and u < v).  The cut is a
+    # sequence of folds, so W' has the top degree of V - N[F] over Q and
+    # GF(2); on G_n, N((i, q)) lies in N((i, p)) for p < q, so no column i
+    # keeps two layers
+    graphs = [inst.graph for seed in range(3) for inst in random_graphs(seed=seed, count=40, max_r=8)]
+    for G in graphs:
+        r = G.vertex_count
+        for n in (1, 2, 3):
+            H, masks = polarized_graph(G, n), _polarized_masks(G, n)
+            expected = set()
+            for closed in _link_masks(masks, 1 << H.vertex_count):
+                outside = {v for v in H.vertices() if not closed >> (v - 1) & 1}
+                kept = fold_reduced(H, outside)
+                expected.add(_vertex_mask(kept))
+                for field in (Rationals(), PrimeField(2)):
+                    whole = _top_degree({v: masks[v] & ~closed for v in outside}, field)
+                    assert _top_degree({v: masks[v] & _vertex_mask(kept) for v in kept}, field) == whole, \
+                        (G.edge_list, n, field)
+                assert max(Counter((v - 1) % r for v in kept).values(), default=0) <= 1, (G.edge_list, n, closed)
+            _link_scan(masks, Rationals(), 1 << H.vertex_count)
+            assert sorted(kept for _, kept in scan_pairs) == sorted(expected), (G.edge_list, n)
 
 
 def test_capped_scan_of_g_always_completes():
@@ -850,12 +902,17 @@ def test_vertex_without_neighbour_on_entry_is_a_cone():
 
 def test_top_over_stops_at_the_first_ceiling_at_most_the_top(monkeypatch, empty_memo):
     # 2K2 at ceiling 1 gives top 1; C5 at ceiling 1 then stops the visit
-    # before its fold and before the input is asked for a third pair
-    read = []
+    # before it is built, before its fold and before the input is asked for
+    # a third pair; a graph is built only when it is read
+    read, built = [], []
 
     def recording(nbr, field):
         read.append(frozenset(nbr))
         return _top_degree(nbr, field)
+
+    def build(nbr):
+        built.append(frozenset(nbr))
+        return dict(nbr)
 
     def graphs():
         yield 1, _neighbour_masks(_disjoint_edges(2))
@@ -863,12 +920,12 @@ def test_top_over_stops_at_the_first_ceiling_at_most_the_top(monkeypatch, empty_
         raise AssertionError("the visit advanced past the stopping pair")
 
     monkeypatch.setattr(depth, "_top_degree", recording)
-    assert _top_over(graphs(), Rationals()) == 1
-    assert read == [frozenset({1, 2, 3, 4})]
-    assert _top_over(iter(()), Rationals()) == -1
+    assert _top_over(graphs(), build, Rationals()) == 1
+    assert read == built == [frozenset({1, 2, 3, 4})]
+    assert _top_over(iter(()), build, Rationals()) == -1
     cones = [(2, {1: 0b10, 2: 0b1, 3: 0}), (1, _neighbour_masks([(1, 2), (2, 3), (3, 4)])), (0, {1: 0})]
-    assert _top_over(cones, Rationals()) == -1
-    assert len(read) == 4
+    assert _top_over(cones, build, Rationals()) == -1
+    assert len(read) == len(built) == 4
 
 
 def test_disjoint_edges_add_one_each(empty_memo):
